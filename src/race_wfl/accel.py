@@ -9,7 +9,7 @@ results agree to the last bit on scalar arithmetic.
 
 ``RACE_WFL_NO_NUMBA=1 python ...`` selects the pure-numpy fallback.  The
 original uncompiled function stays reachable as ``fn.py_func`` on the
-jitted path, which is what ``benchmarks/bench_kernels.py`` times.
+jitted path.
 """
 
 import os

@@ -263,10 +263,11 @@ def cmd_report(args) -> int:
         with open(summary_path, encoding="utf-8") as fh:
             data = json.load(fh)
         s = data["summary"]
+        flmd = s["final_mean_flmd_of_aggregated"]
         rows.append([
             Path(run_dir).name, s["policy"], s["episodes"],
             f"{s['cumulative_sum_aoi_mean']:.4f}",
-            f"{s['final_mean_flmd_of_aggregated']:.6f}",
+            "n/a" if flmd is None else f"{flmd:.6f}",
             f"{s['final_test_accuracy']:.4f}",
             f"{s['mean_reward']:.5f}",
         ])

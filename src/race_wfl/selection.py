@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RaceError
+from .errors import CheckpointError, RaceError
 from .tsfen import (
     AdamState, TsfenConfig, TsfenNetwork, adam_init, adam_step,
     load_params, save_params,
@@ -186,8 +186,11 @@ def actions_to_assignment(actions: np.ndarray, n_devices: int) -> np.ndarray:
 
 
 def _critic_values(bundle: AgentBundle, states: np.ndarray) -> np.ndarray:
-    values, _ = bundle.critic.value(states)
-    return values
+    # minibatch-sized chunks: a row's value does not depend on its batch,
+    # and no whole-episode activation cache is held at once
+    size = bundle.hyper.batch_size
+    return np.concatenate([bundle.critic.value(states[i:i + size])[0]
+                           for i in range(0, len(states), size)])
 
 
 def _actor_step(bundle: AgentBundle, states, masks, actions, old_probs,
@@ -328,25 +331,43 @@ def baseline_policy(kind: str, state: np.ndarray, mask: np.ndarray,
     raise RaceError(f"unknown baseline policy {kind!r}")
 
 
+def _agent_params(agents) -> dict:
+    """{checkpoint name: parameter array} over every agent's networks."""
+    return {f"agent{k}.{role}.{name}": p
+            for k, bundle in enumerate(agents)
+            for role, net in (("actor", bundle.actor),
+                              ("critic", bundle.critic))
+            for name, p in net.params.items()}
+
+
 def save_agents(path, agents) -> None:
     """All agents' parameters in one checkpoint file."""
-    merged = {}
-    for k, bundle in enumerate(agents):
-        for name, p in bundle.actor.params.items():
-            merged[f"agent{k}.actor.{name}"] = p
-        for name, p in bundle.critic.params.items():
-            merged[f"agent{k}.critic.{name}"] = p
-    save_params(path, merged, meta={"n_agents": len(agents)})
+    save_params(path, _agent_params(agents), meta={"n_agents": len(agents)})
 
 
 def load_agents(path, agents) -> None:
-    """Restore parameters saved by ``save_agents`` into ``agents``."""
+    """Restore parameters saved by ``save_agents`` into ``agents``.
+
+    The checkpoint must hold exactly the agents' parameter names, each
+    with the shape the agents' networks expect; otherwise
+    ``CheckpointError`` is raised and no agent is modified.
+    """
     merged, meta = load_params(path)
     if meta.get("n_agents") != len(agents):
-        raise RaceError("checkpoint agent count mismatch")
-    for k, bundle in enumerate(agents):
-        for name in bundle.actor.params:
-            bundle.actor.params[name][...] = merged[f"agent{k}.actor.{name}"]
-        for name in bundle.critic.params:
-            bundle.critic.params[name][...] = \
-                merged[f"agent{k}.critic.{name}"]
+        raise CheckpointError(
+            f"checkpoint holds {meta.get('n_agents')} agents, the scenario "
+            f"has {len(agents)}")
+    targets = _agent_params(agents)
+    if set(merged) != set(targets):
+        missing = sorted(set(targets) - set(merged))
+        extra = sorted(set(merged) - set(targets))
+        raise CheckpointError(
+            f"checkpoint parameter names differ: missing {missing[:3]}, "
+            f"unexpected {extra[:3]}")
+    for name, p in targets.items():
+        if merged[name].shape != p.shape:
+            raise CheckpointError(
+                f"checkpoint {name} has shape {merged[name].shape}, the "
+                f"network expects {p.shape}")
+    for name, p in targets.items():
+        p[...] = merged[name]

@@ -137,7 +137,8 @@ class World:
         try:
             return self._advance(select_fn)
         except RaceError as exc:
-            raise RaceError(
+            # keep the subclass: it selects the CLI exit code
+            raise type(exc)(
                 f"round {self.round_index} (episode {self.episode}): {exc}"
             ) from exc
 
@@ -422,7 +423,10 @@ def run_experiment(cfg: ScenarioConfig, policy_kind: str, out_dir,
         "rounds_per_episode": int(rounds),
         "cumulative_sum_aoi_mean": float(ep_sum_aoi.mean()),
         "cumulative_sum_aoi_last": float(ep_sum_aoi[-1]),
-        "final_mean_flmd_of_aggregated": float(np.nanmean(ep_final_drift)),
+        # null when no episode aggregated in its last round
+        "final_mean_flmd_of_aggregated":
+            None if np.isnan(ep_final_drift).all()
+            else float(np.nanmean(ep_final_drift)),
         "final_test_accuracy": float(ep_accuracy[-1]),
         "mean_test_accuracy": float(ep_accuracy.mean()),
         "mean_reward": float(ep_reward.mean()),

@@ -17,78 +17,33 @@ renormalized for numerical stability.
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accel import USE_NUMBA, maybe_jit
 from .errors import CheckpointError, RaceError
 
 _MAGIC = b"TSFCKPT1"
 
 
-@maybe_jit
-def _attn_softmax_nb(scores):
-    """Row-softmax over the last axis of a 4-D score tensor, in place."""
-    b, h, n, m = scores.shape
-    for i in range(b):
-        for j in range(h):
-            for r in range(n):
-                row = scores[i, j, r]
-                mx = row[0]
-                for c in range(1, m):
-                    if row[c] > mx:
-                        mx = row[c]
-                total = 0.0
-                for c in range(m):
-                    row[c] = math.exp(row[c] - mx)
-                    total += row[c]
-                inv = 1.0 / total
-                for c in range(m):
-                    row[c] *= inv
-    return scores
-
-
-def _attn_softmax_np(scores):
+def _attn_softmax(scores):
+    """Row-softmax over the last axis, in place."""
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
     return scores
 
 
-@maybe_jit
-def _attn_softmax_backward_nb(attn, dattn, inv_scale):
+def _attn_softmax_backward(attn, dattn, inv_scale):
     """Softmax backward over the last axis; overwrites ``dattn`` with the
     score gradient scaled by ``inv_scale``."""
-    b, h, n, m = attn.shape
-    for i in range(b):
-        for j in range(h):
-            for r in range(n):
-                arow = attn[i, j, r]
-                drow = dattn[i, j, r]
-                dot = 0.0
-                for c in range(m):
-                    dot += arow[c] * drow[c]
-                for c in range(m):
-                    drow[c] = arow[c] * (drow[c] - dot) * inv_scale
-    return dattn
-
-
-def _attn_softmax_backward_np(attn, dattn, inv_scale):
     dot = (dattn * attn).sum(axis=-1, keepdims=True)
     dattn -= dot
     dattn *= attn
     dattn *= inv_scale
     return dattn
-
-
-if USE_NUMBA:
-    attn_softmax = _attn_softmax_nb
-    attn_softmax_backward = _attn_softmax_backward_nb
-else:
-    attn_softmax = _attn_softmax_np
-    attn_softmax_backward = _attn_softmax_backward_np
 
 
 @dataclass(frozen=True)
@@ -173,29 +128,20 @@ class MhsaLayer:
             f"{prefix}.Wo": _uniform_init(rng, d_model, (d_model, d_model)),
         }
 
-    def _split(self, x):
-        # (B*, N, D) -> (B*, H, N, Dh)
-        bs, n, d = x.shape
-        return np.ascontiguousarray(
-            x.reshape(bs, n, self.h, self.dh).transpose(0, 2, 1, 3))
-
-    def _merge(self, x):
-        bs, h, n, dh = x.shape
-        return np.ascontiguousarray(
-            x.transpose(0, 2, 1, 3)).reshape(bs, n, h * dh)
-
     def forward(self, x, params):
         p = self.prefix
         b, m, n, d = x.shape
-        xf = x.reshape(b * m, n, d)
-        qkv = xf @ params[f"{p}.Wqkv"]
-        q = self._split(qkv[..., :d])
-        k = self._split(qkv[..., d:2 * d])
-        v = self._split(qkv[..., 2 * d:])
+        bm, h, dh = b * m, self.h, self.dh
+        xf = x.reshape(bm, n, d)
+        qkv = (xf @ params[f"{p}.Wqkv"]).reshape(bm, n, 3, h, dh)
+        # q, k and v are (B*, H, N, Dh) head views of the fused projection
+        q, k, v = qkv.transpose(2, 0, 3, 1, 4)
         scores = q @ k.transpose(0, 1, 3, 2)
-        scores *= 1.0 / np.sqrt(self.dh)
-        attn = attn_softmax(scores)
-        ctx = self._merge(attn @ v)
+        scores *= 1.0 / np.sqrt(dh)
+        attn = _attn_softmax(scores)
+        ctx = np.empty((bm, n, h, dh))
+        np.matmul(attn, v, out=ctx.transpose(0, 2, 1, 3))
+        ctx = ctx.reshape(bm, n, d)
         out = (ctx @ params[f"{p}.Wo"]).reshape(b, m, n, d)
         return out, (x, xf, q, k, v, attn, ctx)
 
@@ -203,32 +149,30 @@ class MhsaLayer:
         p = self.prefix
         x, xf, q, k, v, attn, ctx = cache
         b, m, n, d = x.shape
-        dflat = dout.reshape(b * m, n, d)
-        grads[f"{p}.Wo"] = ctx.reshape(-1, d).T @ dflat.reshape(-1, d)
-        dctx = dflat @ params[f"{p}.Wo"].T
-        dheads = self._split(dctx)
+        bm, h, _, dh = q.shape
+        dflat = dout.reshape(-1, d)
+        grads[f"{p}.Wo"] = ctx.reshape(-1, d).T @ dflat
+        dheads = (dflat @ params[f"{p}.Wo"].T).reshape(
+            bm, n, h, dh).transpose(0, 2, 1, 3)
         dattn = dheads @ v.transpose(0, 1, 3, 2)
-        dv = attn.transpose(0, 1, 3, 2) @ dheads
-        # softmax backward along the key axis (fused kernel)
-        dscores = attn_softmax_backward(attn, dattn,
-                                        1.0 / np.sqrt(self.dh))
-        dq = dscores @ k
-        dk = dscores.transpose(0, 1, 3, 2) @ q
-        dqkv = np.concatenate(
-            [self._merge(dq), self._merge(dk), self._merge(dv)], axis=-1)
-        grads[f"{p}.Wqkv"] = (xf.reshape(-1, d).T
-                              @ dqkv.reshape(-1, 3 * d))
+        # dq, dk and dv are written straight into the fused gradient
+        dqkv = np.empty((bm, n, 3, h, dh))
+        dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(attn.transpose(0, 1, 3, 2), dheads, out=dv)
+        dscores = _attn_softmax_backward(attn, dattn, 1.0 / np.sqrt(dh))
+        np.matmul(dscores, k, out=dq)
+        np.matmul(dscores.transpose(0, 1, 3, 2), q, out=dk)
+        dqkv = dqkv.reshape(-1, 3 * d)
+        grads[f"{p}.Wqkv"] = xf.reshape(-1, d).T @ dqkv
         dxf = dqkv @ params[f"{p}.Wqkv"].T
         return dxf.reshape(b, m, n, d)
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows; both branches share it
+    ez = np.exp(-np.abs(z))
+    denom = 1.0 + ez
+    return np.where(z >= 0, 1.0 / denom, ez / denom)
 
 
 class LstmLayer:
@@ -258,8 +202,8 @@ class LstmLayer:
             xt = x[:, t, :]
             zin = np.concatenate([xt, h], axis=1)
             z = zin @ w + bias
-            i = _sigmoid(z[:, :nh])
-            f = _sigmoid(z[:, nh:2 * nh])
+            i_f = _sigmoid(z[:, :2 * nh])
+            i, f = i_f[:, :nh], i_f[:, nh:]
             g = np.tanh(z[:, 2 * nh:3 * nh])
             o = _sigmoid(z[:, 3 * nh:])
             c_prev = c
@@ -279,6 +223,8 @@ class LstmLayer:
         dx = np.zeros((b, m, n_in))
         dh = dh_final.copy()
         dc = np.zeros_like(dh)
+        dz = np.empty((b, 4 * nh))
+        dz_i, dz_f, dz_g, dz_o = np.split(dz, 4, axis=1)
         for t in range(m - 1, -1, -1):
             zin, i, f, g, o, c_prev, c, tc = steps[t]
             do = dh * tc
@@ -286,12 +232,10 @@ class LstmLayer:
             di = dc * g
             df = dc * c_prev
             dg = dc * i
-            dz = np.concatenate([
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g * g),
-                do * o * (1.0 - o),
-            ], axis=1)
+            np.multiply(di * i, 1.0 - i, out=dz_i)
+            np.multiply(df * f, 1.0 - f, out=dz_f)
+            np.multiply(dg, 1.0 - g * g, out=dz_g)
+            np.multiply(do * o, 1.0 - o, out=dz_o)
             dw += zin.T @ dz
             db += dz.sum(axis=0)
             dzin = dz @ w.T
@@ -499,21 +443,61 @@ def save_params(path, params: dict, meta: dict | None = None) -> None:
 
 
 def load_params(path):
-    """Load a checkpoint; returns (params, meta)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
+    """Load a checkpoint; returns (params, meta).
+
+    A missing or unreadable file, a wrong magic, a corrupt header and a
+    payload whose length differs from the one the header describes all
+    raise ``CheckpointError``.
+    """
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise CheckpointError(f"cannot open checkpoint {path!r}: "
+                              f"{exc.strerror}") from exc
+    with fh:
+        if fh.read(len(_MAGIC)) != _MAGIC:
             raise CheckpointError(f"bad checkpoint magic in {path!r}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header.get("format_version") != 1:
+        raw_len = fh.read(4)
+        if len(raw_len) != 4:
+            raise CheckpointError(f"truncated checkpoint header in {path!r}")
+        (hlen,) = struct.unpack("<I", raw_len)
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except ValueError as exc:  # JSON and UTF-8 errors alike
+            raise CheckpointError(
+                f"corrupt checkpoint header in {path!r}") from exc
+        if not isinstance(header, dict) \
+                or header.get("format_version") != 1:
             raise CheckpointError("unsupported checkpoint version")
+        shapes = _header_shapes(header, path)
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        expected = 8 * sum(math.prod(shape) for shape in shapes.values())
+        if payload != expected:
+            raise CheckpointError(
+                f"checkpoint payload of {path!r} is {payload} bytes, its "
+                f"header describes {expected}")
         params = {}
-        for k in header["names"]:
-            shape = tuple(header["shapes"][k])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
-                raise CheckpointError("truncated checkpoint payload")
+        for k, shape in shapes.items():
+            buf = fh.read(8 * math.prod(shape))
             params[k] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    return params, header.get("meta", {})
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"corrupt checkpoint metadata in {path!r}")
+    return params, meta
+
+
+def _header_shapes(header, path) -> dict:
+    """{name: shape} in payload order, from a checked header."""
+    names = header.get("names")
+    shapes = header.get("shapes")
+    if not isinstance(names, list) or not isinstance(shapes, dict):
+        raise CheckpointError(f"corrupt checkpoint header in {path!r}")
+    out = {}
+    for k in names:
+        shape = shapes.get(k) if isinstance(k, str) else None
+        if k in out or not isinstance(shape, list) \
+                or not all(type(d) is int and d >= 0 for d in shape):
+            raise CheckpointError(
+                f"bad entry {k!r} in checkpoint header of {path!r}")
+        out[k] = tuple(shape)
+    return out

@@ -137,6 +137,14 @@ def tiny_config(tmp_path):
     return path
 
 
+@pytest.fixture
+def trained_checkpoint(tiny_config, tmp_path):
+    out = tmp_path / "run_train"
+    assert main(["train", "--config", str(tiny_config), "--out-dir",
+                 str(out), "--episodes", "1"]) == 0
+    return out / "checkpoint_final.bin"
+
+
 class TestCli:
     def test_baseline_subcommand(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "run_baseline"
@@ -158,6 +166,33 @@ class TestCli:
                      "--checkpoint", str(ckpt), "--out-dir", str(out2),
                      "--episodes", "1"]) == 0
         assert (out2 / "rounds.csv").exists()
+
+    def test_evaluate_missing_checkpoint_exits_4(self, tiny_config,
+                                                  tmp_path):
+        assert main(["evaluate", "--config", str(tiny_config),
+                     "--checkpoint", str(tmp_path / "absent.bin"),
+                     "--out-dir", str(tmp_path / "e")]) == 4
+
+    def test_evaluate_truncated_checkpoint_exits_4(
+            self, tiny_config, trained_checkpoint, tmp_path):
+        data = trained_checkpoint.read_bytes()
+        # cut inside the JSON header, then inside the payload
+        for keep in (40, len(data) - 8):
+            cut = tmp_path / f"cut{keep}.bin"
+            cut.write_bytes(data[:keep])
+            assert main(["evaluate", "--config", str(tiny_config),
+                         "--checkpoint", str(cut), "--out-dir",
+                         str(tmp_path / "e"), "--episodes", "1"]) == 4
+
+    def test_evaluate_checkpoint_of_another_network_exits_4(
+            self, trained_checkpoint, tmp_path):
+        wider = json.loads(json.dumps(TINY))
+        wider["mappo"]["lstm_hidden"] = 9
+        other = tmp_path / "wider.yaml"
+        other.write_text(yaml.safe_dump(wider))
+        assert main(["evaluate", "--config", str(other), "--checkpoint",
+                     str(trained_checkpoint), "--out-dir",
+                     str(tmp_path / "e"), "--episodes", "1"]) == 4
 
     def test_allocate_exit_codes(self, tmp_path):
         feasible = tmp_path / "ok.csv"
@@ -191,6 +226,19 @@ class TestCli:
         bad.write_text("platoon:\n  warp_drive: 9\n")
         assert main(["baseline", "--policy", "random", "--config",
                      str(bad), "--out-dir", str(tmp_path / "r")]) == 2
+
+    def test_report_of_a_run_without_aggregation(self, tiny_config,
+                                                 tmp_path, capsys):
+        idle = json.loads(json.dumps(TINY))
+        idle["selection"]["n_subchannels"] = 0
+        cfg = tmp_path / "idle.yaml"
+        cfg.write_text(yaml.safe_dump(idle))
+        out = tmp_path / "run_idle"
+        main(["baseline", "--policy", "random", "--config", str(cfg),
+              "--out-dir", str(out)])
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        assert "n/a" in capsys.readouterr().out
 
     def test_report_subcommand(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "run_b"

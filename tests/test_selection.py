@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from race_wfl.errors import RaceError
+from race_wfl.errors import CheckpointError, RaceError
 from race_wfl.selection import (
     MappoHyper, actions_to_assignment, adaptive_mask, baseline_policy,
     binary_mask, build_state, gae, greedy_aoi_actions, load_agents,
     make_bundle, ppo_update, save_agents, select_actions, td_residual,
-    _actor_step,
+    _actor_step, _critic_values,
 )
 from race_wfl.cost_model import validate_assignment
 from race_wfl.tsfen import TsfenConfig
@@ -344,3 +344,25 @@ def test_agent_checkpoint_round_trip(tmp_path):
             assert (a.actor.params[k] == b.actor.params[k]).all()
         for k in a.critic.params:
             assert (a.critic.params[k] == b.critic.params[k]).all()
+
+
+def test_agent_checkpoint_of_another_shape_is_rejected(tmp_path):
+    path = tmp_path / "agents.bin"
+    save_agents(path, small_agents(4, 2, 2, seed=4))
+    other = small_agents(5, 2, 2, seed=9)
+    before = {k: p.copy() for k, p in other[0].actor.params.items()}
+    with pytest.raises(CheckpointError, match="shape"):
+        load_agents(path, other)
+    for k, p in other[0].actor.params.items():
+        assert (p == before[k]).all()  # nothing half-loaded
+
+
+def test_critic_values_in_chunks_equal_one_whole_batch_forward():
+    rng = np.random.default_rng(3)
+    bundle = make_bundle(TsfenConfig(n_devices=20), MappoHyper(), rng)
+    shape = (40, 5, 20)  # one full minibatch-sized chunk and a partial one
+    states = np.stack([rng.uniform(0.0, 0.5, shape),
+                       10.0 ** rng.uniform(8.0, 16.0, shape),
+                       rng.uniform(0.0, 5.0, shape)], axis=-1)
+    whole, _ = bundle.critic.value(states)
+    assert _critic_values(bundle, states).tobytes() == whole.tobytes()

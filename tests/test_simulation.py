@@ -7,6 +7,7 @@ import pytest
 
 from race_wfl.aoi_metrics import update_aoi
 from race_wfl.config import config_from_dict
+from race_wfl.errors import CollisionError, InfeasibleError
 from race_wfl.simulation import (
     BaselinePolicy, MappoPolicy, World, make_policy, run_experiment,
 )
@@ -75,6 +76,18 @@ class TestRoundInvariants:
         assert led.round_delay == 0.0
         assert (led.aoi == 0.0).all()
         assert led.assignment.shape == (0, 8)
+
+    @pytest.mark.parametrize("error", [InfeasibleError, CollisionError])
+    def test_round_context_keeps_the_error_type(self, error):
+        cfg = tiny_cfg()
+        world = World(cfg)
+        world.reset(0)
+
+        def failing_select(state, mask):
+            raise error("no feasible point")
+
+        with pytest.raises(error, match=r"round 0 \(episode 0\): no feas"):
+            world.advance_round(failing_select)
 
     def test_adaptive_threshold_mode_relaxes_over_time(self):
         cfg = tiny_cfg(thresholds={"mode": "adaptive", "lam_min": 0.01,
@@ -166,6 +179,20 @@ class TestRunExperiment:
         for key in ("cumulative_sum_aoi_mean", "final_test_accuracy",
                     "mean_reward", "final_mean_flmd_of_aggregated"):
             assert key in data["summary"]
+
+    def test_summary_is_strict_json_when_nothing_was_aggregated(
+            self, tmp_path):
+        # with no agents nothing is ever selected, so no episode has a
+        # final-round aggregate to average
+        cfg = tiny_cfg(selection={"n_subchannels": 0})
+        run_experiment(cfg, "random", tmp_path / "idle", log_every=0)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        text = (tmp_path / "idle" / "summary.json").read_text()
+        data = json.loads(text, parse_constant=reject)
+        assert data["summary"]["final_mean_flmd_of_aggregated"] is None
 
     def test_checkpoint_cadence(self, tmp_path):
         cfg = tiny_cfg(run={"episodes": 3, "rounds_per_episode": 4,
