@@ -6,9 +6,11 @@ standard simulation parameter set (platoon dynamics, channel, costs,
 learner rates) so an empty file is a valid scenario.
 
 One root seed feeds named independent generator streams (platoon
-initialization, channel fading, task synthesis, policy sampling, subset
-sampling, weight initialization, evaluation), so toggling one component
-never perturbs another component's draws.
+initialization, channel fading, task synthesis, policy sampling, weight
+initialization, evaluation), so toggling one component never perturbs
+another component's draws.  A stream's numeric id is part of its seed's
+spawn key, so ids are never renumbered or reused: that would change the
+stream's draws.
 """
 
 import dataclasses
@@ -28,7 +30,6 @@ RNG_STREAMS = {
     "channel": 1,
     "task": 2,
     "policy": 3,
-    "subset-sampler": 4,
     "weights-init": 5,
     "eval": 6,
 }

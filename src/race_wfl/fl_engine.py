@@ -9,7 +9,7 @@ per round, which makes the relative model drift identically equal to
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,20 +18,6 @@ from .errors import AggregationError, RaceError
 log = logging.getLogger(__name__)
 
 AI4MARS_CLASS_MIX = (0.3632, 0.4609, 0.1561, 0.0198)
-
-
-@dataclass
-class ModelVector:
-    """Flat parameter vector with a cached Euclidean norm."""
-
-    params: np.ndarray
-    _norm: float | None = field(default=None, repr=False)
-
-    @property
-    def norm(self) -> float:
-        if self._norm is None:
-            self._norm = float(np.linalg.norm(self.params))
-        return self._norm
 
 
 @dataclass
@@ -57,13 +43,6 @@ class SyntheticTask:
     def device_data(self, n: int):
         idx = self.shards[n]
         return self.features[idx], self.labels[idx]
-
-
-@dataclass(frozen=True)
-class DriftReport:
-    drift: np.ndarray             # per-device relative model drift
-    eligible: np.ndarray          # indices with drift <= threshold
-    threshold: float
 
 
 def generate_task(seed: int, n_devices: int, n_classes: int, model_dim: int,

@@ -13,11 +13,11 @@ non-positive gap is a simulation fault (collision), never silently
 clamped.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import maybe_jit
 from .errors import CollisionError
 
 
@@ -45,16 +45,6 @@ class IdmParams:
             raise ValueError("substeps must be >= 1")
 
 
-@dataclass(frozen=True)
-class VehicleKinematics:
-    """Single-vehicle snapshot: position, speed, acceleration, length."""
-
-    position: float
-    speed: float
-    acceleration: float
-    length: float
-
-
 @dataclass
 class PlatoonState:
     """Kinematics of the leader (index 0) and N followers, front to back."""
@@ -64,31 +54,9 @@ class PlatoonState:
     accelerations: np.ndarray
     lengths: np.ndarray
 
-    @property
-    def n_followers(self) -> int:
-        return len(self.positions) - 1
-
     def gaps(self) -> np.ndarray:
         """Bumper-to-bumper gap of each follower to its predecessor."""
         return (self.positions[:-1] - self.positions[1:] - self.lengths[:-1])
-
-    def distances_to_leader(self) -> np.ndarray:
-        """Center distance of each follower to the leader."""
-        return self.positions[0] - self.positions[1:]
-
-    def vehicle(self, n: int) -> VehicleKinematics:
-        return VehicleKinematics(
-            position=float(self.positions[n]),
-            speed=float(self.speeds[n]),
-            acceleration=float(self.accelerations[n]),
-            length=float(self.lengths[n]),
-        )
-
-    def copy(self) -> "PlatoonState":
-        return PlatoonState(
-            self.positions.copy(), self.speeds.copy(),
-            self.accelerations.copy(), self.lengths.copy(),
-        )
 
 
 def safe_distance(v: float, dv: float, p: IdmParams) -> float:
@@ -106,17 +74,18 @@ def idm_acceleration(v: float, dv: float, dx: float, p: IdmParams) -> float:
     )
 
 
-@maybe_jit
-def _step_kernel(x, v, acc, lengths, a_max, b_max, d_min, t_min, v_des,
-                 delta, tau, substeps, leader_target):
-    """One update interval in place, integrated in ``substeps`` Euler
-    sub-steps.  Returns the index of the first vehicle with a non-positive
-    gap (before or during the step), else 0.  ``acc`` receives the
-    acceleration applied over each sub-step (last sub-step on exit)."""
-    n = x.shape[0]
-    dt = tau / substeps
-    inv_2ab = 1.0 / (2.0 * np.sqrt(a_max * b_max))
-    for _ in range(substeps):
+def _step_kernel(x, v, acc, lengths, p, leader_target):
+    """One update interval on lists of Python floats, in place, integrated
+    in ``p.substeps`` Euler sub-steps.  Returns the index of the first
+    vehicle with a non-positive gap (before or during the step), else 0.
+    ``acc`` receives the acceleration applied over each sub-step (last
+    sub-step on exit)."""
+    a_max, b_max, v_des = p.a_max, p.b_max, p.v_des
+    d_min, t_min, delta = p.d_min, p.t_min, p.sensitivity_exponent
+    n = len(x)
+    dt = p.update_interval / p.substeps
+    inv_2ab = 1.0 / (2.0 * math.sqrt(a_max * b_max))
+    for _ in range(p.substeps):
         lead_acc = (leader_target - v[0]) / dt
         if lead_acc > a_max:
             lead_acc = a_max
@@ -150,31 +119,6 @@ def _step_kernel(x, v, acc, lengths, a_max, b_max, d_min, t_min, v_des,
     return 0
 
 
-@maybe_jit
-def _integrate_kernel(x, v, acc_out, lengths, a_max, b_max, d_min, t_min,
-                      v_des, delta, tau, substeps, leader_targets,
-                      traj_x, traj_v):
-    """Integrate ``len(leader_targets)`` update intervals, recording
-    trajectories.  Returns the 1-based step number at which a collision
-    occurred, or 0.  Row 0 of ``traj_x``/``traj_v`` holds the initial
-    state."""
-    n = x.shape[0]
-    steps = leader_targets.shape[0]
-    for j in range(n):
-        traj_x[0, j] = x[j]
-        traj_v[0, j] = v[j]
-    for s in range(steps):
-        bad = _step_kernel(x, v, acc_out, lengths, a_max, b_max, d_min,
-                           t_min, v_des, delta, tau, substeps,
-                           leader_targets[s])
-        if bad > 0:
-            return s + 1
-        for j in range(n):
-            traj_x[s + 1, j] = x[j]
-            traj_v[s + 1, j] = v[j]
-    return 0
-
-
 def step_platoon(state: PlatoonState, p: IdmParams,
                  leader_target: float | None = None) -> PlatoonState:
     """Advance the platoon by one update interval.
@@ -184,26 +128,26 @@ def step_platoon(state: PlatoonState, p: IdmParams,
     Raises CollisionError if any gap is non-positive before or after the
     step.
     """
-    out = state.copy()
     if leader_target is None:
-        leader_target = float(state.speeds[0])
-    bad = _step_kernel(
-        out.positions, out.speeds, out.accelerations, out.lengths,
-        p.a_max, p.b_max, p.d_min, p.t_min, p.v_des,
-        p.sensitivity_exponent, p.update_interval, p.substeps,
-        leader_target,
-    )
+        leader_target = state.speeds[0]
+    x = state.positions.tolist()
+    v = state.speeds.tolist()
+    acc = state.accelerations.tolist()
+    bad = _step_kernel(x, v, acc, state.lengths.tolist(), p,
+                       float(leader_target))
     if bad > 0:
         raise CollisionError(
             f"vehicle {bad} closed the gap to its predecessor"
         )
-    return out
+    return PlatoonState(np.array(x), np.array(v), np.array(acc),
+                        state.lengths.copy())
 
 
 def simulate_platoon(state: PlatoonState, p: IdmParams, n_steps: int,
                      leader_targets: np.ndarray | float | None = None):
     """Run ``n_steps`` updates; returns (positions, speeds) trajectories
-    of shape (n_steps + 1, n). Raises CollisionError on a fault."""
+    of shape (n_steps + 1, n), row 0 the initial state. Raises
+    CollisionError on a fault."""
     if leader_targets is None:
         leader_targets = float(state.speeds[0])
     if np.isscalar(leader_targets):
@@ -211,19 +155,18 @@ def simulate_platoon(state: PlatoonState, p: IdmParams, n_steps: int,
     leader_targets = np.asarray(leader_targets, dtype=np.float64)
     if leader_targets.shape != (n_steps,):
         raise ValueError("leader_targets must have one entry per step")
-    x = state.positions.copy()
-    v = state.speeds.copy()
-    acc = np.empty_like(x)
-    traj_x = np.empty((n_steps + 1, len(x)))
-    traj_v = np.empty_like(traj_x)
-    bad = _integrate_kernel(
-        x, v, acc, state.lengths, p.a_max, p.b_max, p.d_min, p.t_min,
-        p.v_des, p.sensitivity_exponent, p.update_interval, p.substeps,
-        leader_targets, traj_x, traj_v,
-    )
-    if bad > 0:
-        raise CollisionError(f"collision at step {bad}")
-    return traj_x, traj_v
+    x = state.positions.tolist()
+    v = state.speeds.tolist()
+    acc = state.accelerations.tolist()
+    lengths = state.lengths.tolist()
+    traj_x = [x.copy()]
+    traj_v = [v.copy()]
+    for s, target in enumerate(leader_targets.tolist()):
+        if _step_kernel(x, v, acc, lengths, p, target) > 0:
+            raise CollisionError(f"collision at step {s + 1}")
+        traj_x.append(x.copy())
+        traj_v.append(v.copy())
+    return np.array(traj_x), np.array(traj_v)
 
 
 def init_platoon(n_followers: int, rng: np.random.Generator,

@@ -6,7 +6,11 @@ delay subject to the per-round energy budget.  After substituting the
 transmission time ``delta`` for ``rho`` the problem is convex, and the
 first-order conditions reduce to a single monotone scalar equation, which
 is solved here by safeguarded bisection with a Brent polish of the
-energy-binding transmission time.
+energy-binding transmission time.  The Brent root is taken from the side
+of its bracket that stays within the budget, so a binding solve never
+overshoots it.  Failures raise where they happen: ``InfeasibleError``
+when the budget is below the transmission-energy infimum,
+``ConvergenceError`` when a root-finder fails.
 
 Outcomes:
   * energy slack: full allocation (chi = rho = 1) fits the budget;
@@ -24,7 +28,6 @@ from enum import Enum
 
 import numpy as np
 
-from .accel import maybe_jit
 from .cost_model import DeviceProfile
 from .errors import ConvergenceError, InfeasibleError, RaceError, RegimeError
 
@@ -101,29 +104,43 @@ def rho_from_delta(tx_time: float, model_bits: float, bandwidth: float,
     return min(rho, 1.0)
 
 
-@maybe_jit
 def _binding_residual(delta, ecp, bits, bandwidth, gain, emax):
     """Energy overshoot at transmission time ``delta`` for fixed chi."""
     u = bits / (delta * bandwidth)
     return ecp + delta * math.expm1(LN2 * u) / gain - emax
 
 
-@maybe_jit
+def _binding_bracket(lo, ecp, bits, bandwidth, gain, emax, scale):
+    """Upper end of a bracket ``[lo, hi]`` on which the binding residual
+    turns negative: ``scale * lo``, grown tenfold while the residual has
+    not changed sign (near-boundary instances need very long transmission
+    times)."""
+    hi = scale * lo
+    for _ in range(60):
+        if _binding_residual(hi, ecp, bits, bandwidth, gain, emax) < 0.0:
+            return hi
+        hi *= 10.0
+    raise InfeasibleError("energy constraint cannot be met on any bracket")
+
+
 def _brent_binding(ecp, bits, bandwidth, gain, emax, a, b,
                    width_tol, res_tol, max_iter):
     """Brent root of the binding-energy residual on [a, b].
 
-    Returns (root, status): 0 converged, 1 iteration cap with residual
-    above tolerance, 2 no sign change on the bracket.
+    The residual falls as the transmission time grows, so a converged
+    root is returned from the bracket end whose residual is <= 0: the
+    solve never overshoots its budget.  Raises InfeasibleError when the
+    residual does not change sign on [a, b] and ConvergenceError when the
+    iteration cap leaves the residual above ``res_tol``.
     """
     fa = _binding_residual(a, ecp, bits, bandwidth, gain, emax)
     fb = _binding_residual(b, ecp, bits, bandwidth, gain, emax)
     if fa == 0.0:
-        return a, 0
+        return a
     if fb == 0.0:
-        return b, 0
+        return b
     if fa * fb > 0.0:
-        return np.nan, 2
+        raise InfeasibleError("no sign change on bracket")
     c = a
     fc = fa
     e = b - a
@@ -142,11 +159,9 @@ def _brent_binding(ecp, bits, bandwidth, gain, emax, a, b,
         m = 0.5 * (c - b)
         width_ok = abs(m) <= max(width_tol, 2.0 * step_tol)
         if fb == 0.0 or (abs(fb) <= res_tol and width_ok):
-            return b, 0
+            return c if fb > 0.0 else b
         if abs(m) <= step_tol:
-            if abs(fb) <= res_tol:
-                return b, 0
-            return b, 1
+            break
         if abs(e) < step_tol or abs(fa) <= abs(fb):
             # bisection
             e = m
@@ -188,18 +203,16 @@ def _brent_binding(ecp, bits, bandwidth, gain, emax, a, b,
             e = b - a
             d = e
     if abs(fb) <= res_tol:
-        return b, 0
-    return b, 1
+        return c if fb > 0.0 else b
+    raise ConvergenceError("root-finder hit its iteration cap")
 
 
-@maybe_jit
 def _stationarity_chi(u, kappa, cpu_hz, gain):
     """Unconstrained chi from the multiplier relation at rate exponent u."""
     h = u * LN2 * math.exp(LN2 * u) - math.expm1(LN2 * u)
     return (h / (2.0 * kappa * cpu_hz ** 3 * gain)) ** (1.0 / 3.0)
 
 
-@maybe_jit
 def _binding_overshoot(u, kappa, mz, cpu_hz, bits, bandwidth, gain, emax):
     """Energy overshoot along the stationarity path, increasing in u."""
     chi = _stationarity_chi(u, kappa, cpu_hz, gain)
@@ -210,25 +223,9 @@ def _binding_overshoot(u, kappa, mz, cpu_hz, bits, bandwidth, gain, emax):
     return ecp + etx - emax
 
 
-@maybe_jit
-def _allocation_core(kappa, mz, cpu_hz, bits, bandwidth, power, gain, emax,
-                     width_tol, res_tol, max_iter, bracket_scale):
-    """Full allocation solve for one device.
-
-    Returns (status, chi, rho, delta, lam1) with status 0 slack, 1 binding
-    interior, 2 binding power-capped, 3 infeasible, 4 solver failure.
-    """
-    if LN2 * bits >= emax * bandwidth * gain:
-        return 3, np.nan, np.nan, np.nan, np.nan
-    u_full = math.log1p(power * gain) / LN2
-    delta_full = bits / (bandwidth * u_full)
-    ecp_full = kappa * mz * cpu_hz ** 2
-    if ecp_full + power * delta_full <= emax:
-        return 0, 1.0, 1.0, delta_full, 0.0
-
-    # Energy binds. The stationarity conditions tie chi and delta to one
-    # multiplier; sweep the rate exponent u (monotone in the multiplier)
-    # until the budget is exactly spent.
+def _stationary_rate(kappa, mz, cpu_hz, bits, bandwidth, gain, emax):
+    """Rate exponent u at which the stationarity path exactly spends the
+    budget, by bisection on a geometrically grown bracket."""
     u_lo = 1e-6
     for _ in range(200):
         if _binding_overshoot(u_lo, kappa, mz, cpu_hz, bits, bandwidth,
@@ -236,7 +233,7 @@ def _allocation_core(kappa, mz, cpu_hz, bits, bandwidth, power, gain, emax,
             break
         u_lo *= 0.0625
         if u_lo < 1e-280:
-            return 4, np.nan, np.nan, np.nan, np.nan
+            raise ConvergenceError("allocation solver failed to converge")
     u_hi = 1.0
     for _ in range(200):
         if _binding_overshoot(u_hi, kappa, mz, cpu_hz, bits, bandwidth,
@@ -244,7 +241,7 @@ def _allocation_core(kappa, mz, cpu_hz, bits, bandwidth, power, gain, emax,
             break
         u_hi *= 2.0
         if u_hi > 1e9:
-            return 4, np.nan, np.nan, np.nan, np.nan
+            raise ConvergenceError("allocation solver failed to converge")
     for _ in range(300):
         mid = 0.5 * (u_lo + u_hi)
         if mid == u_lo or mid == u_hi:
@@ -256,41 +253,7 @@ def _allocation_core(kappa, mz, cpu_hz, bits, bandwidth, power, gain, emax,
             u_lo = mid
         if (u_hi - u_lo) <= 1e-14 * u_hi:
             break
-    u_star = 0.5 * (u_lo + u_hi)
-
-    chi = _stationarity_chi(u_star, kappa, cpu_hz, gain)
-    if chi > 1.0:
-        chi = 1.0
-    ecp = kappa * mz * (chi * cpu_hz) ** 2
-    if (u_star > u_full
-            or _binding_residual(delta_full, ecp, bits, bandwidth, gain,
-                                 emax) < 0.0):
-        # Power cap binds first: transmit at full power, spend what is
-        # left of the budget on computation.
-        etx = power * delta_full
-        chi = math.sqrt((emax - etx) / (kappa * mz * cpu_hz ** 2))
-        if chi > 1.0:
-            chi = 1.0
-        lam1 = 1.0 / (2.0 * kappa * cpu_hz ** 3 * chi ** 3)
-        return 2, chi, 1.0, delta_full, lam1
-
-    h = (u_star * LN2 * math.exp(LN2 * u_star)
-         - math.expm1(LN2 * u_star))
-    lam1 = gain / h
-    hi = bracket_scale * delta_full
-    for _ in range(60):
-        if _binding_residual(hi, ecp, bits, bandwidth, gain, emax) < 0.0:
-            break
-        hi *= 10.0
-    delta, status = _brent_binding(ecp, bits, bandwidth, gain, emax,
-                                   delta_full, hi, width_tol, res_tol,
-                                   max_iter)
-    if status != 0:
-        return 4, np.nan, np.nan, np.nan, np.nan
-    rho = math.expm1(LN2 * bits / (delta * bandwidth)) / (power * gain)
-    if rho > 1.0:
-        rho = 1.0
-    return 1, chi, rho, delta, lam1
+    return 0.5 * (u_lo + u_hi)
 
 
 def solve_binding_delta(chi: float, profile: DeviceProfile, gain: float,
@@ -300,8 +263,7 @@ def solve_binding_delta(chi: float, profile: DeviceProfile, gain: float,
 
     The bracket starts at the full-power transmission time and extends to
     ``bracket_scale`` times it, expanding geometrically while the residual
-    has not changed sign (near-boundary instances need very long
-    transmission times).
+    has not changed sign.
     """
     if not 0.0 < chi <= 1.0:
         raise RaceError("chi must lie in (0, 1]")
@@ -315,70 +277,89 @@ def solve_binding_delta(chi: float, profile: DeviceProfile, gain: float,
         raise InfeasibleError(
             "no sign change on bracket: energy is slack at full power"
         )
-    hi = settings.bracket_scale * lo
-    for _ in range(60):
-        if _binding_residual(hi, ecp, bits, bandwidth, gain, emax) < 0.0:
-            break
-        hi *= 10.0
-    else:
-        raise InfeasibleError("energy constraint cannot be met on any bracket")
-    res_tol = settings.root_tolerance * emax
-    delta, status = _brent_binding(ecp, bits, bandwidth, gain, emax, lo, hi,
-                                   settings.root_tolerance, res_tol,
-                                   settings.max_iterations)
-    if status == 2:
-        raise InfeasibleError("no sign change on bracket")
-    if status == 1:
-        raise ConvergenceError("root-finder hit its iteration cap")
-    return float(delta)
+    hi = _binding_bracket(lo, ecp, bits, bandwidth, gain, emax,
+                          settings.bracket_scale)
+    return float(_brent_binding(ecp, bits, bandwidth, gain, emax, lo, hi,
+                                settings.root_tolerance,
+                                settings.root_tolerance * emax,
+                                settings.max_iterations))
+
+
+def _result(profile, chi, rho, delta, binding, multipliers):
+    ecp = profile.power_coeff * profile.work_cycles * (
+        chi * profile.cpu_hz) ** 2
+    return AllocationResult(
+        chi=float(chi), rho=float(rho), tx_time=float(delta),
+        binding=binding, multipliers=multipliers,
+        comp_time=float(profile.work_cycles / (chi * profile.cpu_hz)),
+        energy=float(ecp + rho * profile.max_power_w * delta),
+    )
 
 
 def optimal_allocation(profile: DeviceProfile, gain: float, bandwidth: float,
                        settings: SolverSettings = SolverSettings()
                        ) -> AllocationResult:
     """Delay-optimal (chi, rho) for one device under its energy budget."""
-    status, chi, rho, delta, lam1 = _allocation_core(
-        profile.power_coeff, profile.work_cycles, profile.cpu_hz,
-        profile.model_bits, bandwidth, profile.max_power_w, gain,
-        profile.max_energy_j, settings.root_tolerance,
-        settings.root_tolerance * profile.max_energy_j,
-        settings.max_iterations, settings.bracket_scale,
-    )
-    if status == 3:
+    kappa = profile.power_coeff
+    mz = profile.work_cycles
+    cpu_hz = profile.cpu_hz
+    bits = profile.model_bits
+    power = profile.max_power_w
+    emax = profile.max_energy_j
+    if LN2 * bits >= emax * bandwidth * gain:
         raise InfeasibleError(
             "infeasible device instance: budget below transmission infimum"
         )
-    if status == 4:
-        raise ConvergenceError("allocation solver failed to converge")
-    kappa = profile.power_coeff
-    mz = profile.work_cycles
-    g3 = profile.cpu_hz ** 3
-    comp_time = mz / (chi * profile.cpu_hz)
-    ecp = kappa * mz * (chi * profile.cpu_hz) ** 2
-    u = profile.model_bits / (delta * bandwidth)
-    etx = rho * profile.max_power_w * delta
-    if status == 0:
-        lam2 = (bandwidth * profile.max_power_w * gain * delta
-                / (profile.model_bits * LN2 * math.exp(LN2 * u)))
-        mults = (0.0, lam2, 0.0, mz / profile.cpu_hz)
-        binding = Binding.ENERGY_SLACK
-    elif status == 1:
-        lam4 = max(0.0, mz / profile.cpu_hz * (1.0 - 2.0 * lam1 * kappa * g3)
-                   ) if chi >= 1.0 else 0.0
-        mults = (lam1, 0.0, 0.0, lam4)
-        binding = Binding.ENERGY_BINDING
-    else:  # power-capped binding
+    u_full = math.log1p(power * gain) / LN2
+    delta_full = bits / (bandwidth * u_full)
+    if kappa * mz * cpu_hz ** 2 + power * delta_full <= emax:
+        u = bits / (delta_full * bandwidth)
+        lam2 = (bandwidth * power * gain * delta_full
+                / (bits * LN2 * math.exp(LN2 * u)))
+        return _result(profile, 1.0, 1.0, delta_full, Binding.ENERGY_SLACK,
+                       (0.0, lam2, 0.0, mz / cpu_hz))
+
+    # Energy binds. The stationarity conditions tie chi and delta to one
+    # multiplier; sweep the rate exponent u (monotone in the multiplier)
+    # until the budget is exactly spent.
+    u_star = _stationary_rate(kappa, mz, cpu_hz, bits, bandwidth, gain,
+                              emax)
+    chi = min(_stationarity_chi(u_star, kappa, cpu_hz, gain), 1.0)
+    ecp = kappa * mz * (chi * cpu_hz) ** 2
+    if (u_star > u_full
+            or _binding_residual(delta_full, ecp, bits, bandwidth, gain,
+                                 emax) < 0.0):
+        # Power cap binds first: transmit at full power, spend what is
+        # left of the budget on computation.
+        etx = power * delta_full
+        chi = min(math.sqrt((emax - etx) / (kappa * mz * cpu_hz ** 2)), 1.0)
+        lam1 = 1.0 / (2.0 * kappa * cpu_hz ** 3 * chi ** 3)
+        u = bits / (delta_full * bandwidth)
         h = u * LN2 * math.exp(LN2 * u) - math.expm1(LN2 * u)
-        lam2 = max(0.0, (1.0 - lam1 * h / gain) * delta
-                   * profile.max_power_w * gain
+        lam2 = max(0.0, (1.0 - lam1 * h / gain) * delta_full * power * gain
                    / (u * LN2 * math.exp(LN2 * u)))
-        mults = (lam1, lam2, 0.0, 0.0)
-        binding = Binding.ENERGY_BINDING
-    return AllocationResult(
-        chi=float(chi), rho=float(rho), tx_time=float(delta),
-        binding=binding, multipliers=mults, comp_time=float(comp_time),
-        energy=float(ecp + etx),
-    )
+        return _result(profile, chi, 1.0, delta_full, Binding.ENERGY_BINDING,
+                       (lam1, lam2, 0.0, 0.0))
+
+    h = u_star * LN2 * math.exp(LN2 * u_star) - math.expm1(LN2 * u_star)
+    lam1 = gain / h
+    try:
+        hi = _binding_bracket(delta_full, ecp, bits, bandwidth, gain, emax,
+                              settings.bracket_scale)
+        delta = _brent_binding(ecp, bits, bandwidth, gain, emax, delta_full,
+                               hi, settings.root_tolerance,
+                               settings.root_tolerance * emax,
+                               settings.max_iterations)
+    except InfeasibleError as exc:
+        # chi lies on the stationarity path, whose budget is reachable: a
+        # bracket without a sign change is a solver failure
+        raise ConvergenceError("allocation solver failed to converge") from exc
+    rho = min(math.expm1(LN2 * bits / (delta * bandwidth)) / (power * gain),
+              1.0)
+    lam4 = max(0.0, mz / cpu_hz * (1.0 - 2.0 * lam1 * kappa * cpu_hz ** 3)
+               ) if chi >= 1.0 else 0.0
+    return _result(profile, chi, rho, delta, Binding.ENERGY_BINDING,
+                   (lam1, 0.0, 0.0, lam4))
 
 
 def large_model_delta(chi: float, profile: DeviceProfile, gain: float,

@@ -301,7 +301,7 @@ def baseline_policy(kind: str, state: np.ndarray, mask: np.ndarray,
     """
     aoi = np.asarray(state)[-1, :, 2]
     n = mask.shape[0]
-    if kind in ("greedy_aoi", "convex_greedy"):
+    if kind == "greedy_aoi":
         return greedy_aoi_actions(aoi, mask, n_agents), cursor
     if kind == "random":
         actions = np.full(n_agents, -1, dtype=np.int64)

@@ -35,7 +35,7 @@ from .tsfen import TsfenConfig
 
 log = logging.getLogger(__name__)
 
-BASELINE_KINDS = ("random", "round_robin", "greedy_aoi", "convex_greedy")
+BASELINE_KINDS = ("random", "round_robin", "greedy_aoi")
 
 
 @dataclass

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,10 +68,6 @@ class TsfenConfig:
             raise ValueError("d_model must be divisible by n_heads")
         if self.history < 1 or self.n_devices < 1:
             raise ValueError("need at least one sub-period and one device")
-
-    @property
-    def head_dim(self) -> int:
-        return self.d_model // self.n_heads
 
     @property
     def out_dim(self) -> int:

@@ -221,6 +221,13 @@ class TestCli:
         broken.write_text("sample_count,gain\n1,2\n")
         assert main(["allocate", "--profiles", str(broken)]) == 2
 
+    def test_unknown_baseline_policy_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["baseline", "--policy", "convex_greedy", "--out-dir",
+                  str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("platoon:\n  warp_drive: 9\n")

@@ -1,7 +1,9 @@
-"""Golden-output hashes: TSFEN kernels and a short training run, bit for bit.
+"""Golden-output hashes: TSFEN kernels, a short training run, platoon
+trajectories and an allocation table, bit for bit.
 
-The kernels in ``tsfen.py`` may be restructured (views instead of copies,
-fused calls, preallocated buffers) only if every float they produce stays
+The kernels in ``tsfen.py``, ``platoon.py`` and ``resource_alloc.py`` may
+be restructured (views instead of copies, fused calls, preallocated
+buffers, a different control flow) only if every float they produce stays
 the same.  These tests pin SHA-256 hashes of
 
 * the raw bytes of ``TsfenNetwork`` logits and of every parameter gradient,
@@ -9,7 +11,13 @@ the same.  These tests pin SHA-256 hashes of
   at the default network size;
 * ``rounds.csv`` and ``checkpoint_final.bin`` of a 1-episode, 40-round
   training run on the default scenario.  40 rounds give each agent's PPO
-  update one 32-row and one 8-row minibatch per epoch.
+  update one 32-row and one 8-row minibatch per epoch;
+* ``simulate_platoon`` positions and speeds for three cruising platoons
+  and one whose leader brakes to a standstill, so that every vehicle
+  takes the stop-within-a-sub-step branch;
+* the ``race-wfl allocate`` table of seeded log-uniform profiles whose
+  rows reach the slack, interior-binding, power-capped and infeasible
+  outcomes.  The default scenario reaches only the first.
 
 Pinned with Python 3.11.7, numpy 2.4.6 and scipy-openblas 0.3.31.188.0
 (64-bit ints, DYNAMIC_ARCH) on x86_64 with AVX-512, at OpenBLAS's default
@@ -19,12 +27,16 @@ last bits, so the tests skip when either version differs; re-pin with
 the code as it stands.
 """
 
+import csv
 import hashlib
+import io
 
 import numpy as np
 import pytest
 
+from race_wfl.cli import main
 from race_wfl.config import config_from_dict
+from race_wfl.platoon import IdmParams, init_platoon, simulate_platoon
 from race_wfl.simulation import run_experiment
 from race_wfl.tsfen import TsfenConfig, TsfenNetwork
 
@@ -111,6 +123,25 @@ TRAIN_CONFIG = {
 }
 
 
+PLATOON_HASHES = {
+    "cruise-0":
+        "b1ff78e554641052c52f804611fc8394e24caa545ce9fa97f8ee5568d23ff2e1",
+    "cruise-1":
+        "a3c3f393eb9fa255ce426afe7ad5bf7c03112f2ed2bc6c1698a29a8ddead5120",
+    "cruise-2":
+        "bc59b3234fb15304f013a402c2e1e83834b6438e529add66969700bdea5445e5",
+    "stop-3":
+        "bd367e0ace4d8bbd5f94524011df508bf2460254c2677cc46c9bb6b45e5a6a41",
+}
+
+ALLOCATE_HASH = (
+    "9bbefe5d1743c3f858d2f86bf2a3c80e7f11b861416d8d281467192fe0eb7717")
+
+ALLOCATE_COLUMNS = ("sample_count", "cycles_per_sample", "cpu_hz",
+                    "power_coeff", "max_power_w", "max_energy_j",
+                    "model_bits", "gain")
+
+
 def _blas_version():
     try:
         return np.show_config(mode="dicts")["Build Dependencies"]["blas"][
@@ -153,6 +184,49 @@ def train_hashes(out_dir) -> dict:
             for name in ("rounds.csv", "checkpoint_final.bin")}
 
 
+def platoon_hashes() -> dict:
+    """{case: SHA-256 of its position then speed trajectory bytes}."""
+    stop = np.concatenate([np.full(10, 18.0), np.zeros(70)])
+    cases = {f"cruise-{seed}": (seed, 100, 18.0) for seed in range(3)}
+    cases["stop-3"] = (3, len(stop), stop)
+    out = {}
+    for name, (seed, steps, targets) in cases.items():
+        state = init_platoon(20, np.random.default_rng(seed))
+        tx, tv = simulate_platoon(state, IdmParams(), steps, targets)
+        out[name] = _sha(tx.tobytes() + tv.tobytes())
+    return out
+
+
+def write_allocate_profiles(path, rows: int = 60):
+    """Seeded log-uniform profiles at a 1 MHz bandwidth; the last row's
+    budget is below the transmission-energy infimum."""
+    rng = np.random.default_rng(11)
+    cols = {
+        "sample_count": rng.integers(20, 101, rows),
+        "cycles_per_sample": np.full(rows, 1e7),
+        "cpu_hz": 10 ** rng.uniform(8.5, 9.5, rows),
+        "power_coeff": np.full(rows, 1e-28),
+        "max_power_w": 10 ** rng.uniform(-2.5, -0.5, rows),
+        "max_energy_j": 10 ** rng.uniform(-2.5, -0.5, rows),
+        "model_bits": 10 ** rng.uniform(5, 7, rows),
+        "gain": 10 ** rng.uniform(4, 9, rows),
+    }
+    cols["max_energy_j"][-1] = 1e-9
+    lines = [",".join(ALLOCATE_COLUMNS)]
+    lines += [",".join(repr(cols[c][i].item()) for c in ALLOCATE_COLUMNS)
+              for i in range(rows)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def allocate_table(tmp_dir) -> bytes:
+    profiles = tmp_dir / "profiles.csv"
+    out = tmp_dir / "allocation.csv"
+    write_allocate_profiles(profiles)
+    assert main(["allocate", "--profiles", str(profiles), "--bandwidth",
+                 "1e6", "--out", str(out)]) == 3
+    return out.read_bytes()
+
+
 @pytest.mark.parametrize("batch", sorted(NETWORK_HASHES))
 def test_network_logits_and_gradients_are_pinned(batch):
     _skip_unless_pinned_build()
@@ -164,6 +238,22 @@ def test_training_run_outputs_are_pinned(tmp_path):
     assert train_hashes(tmp_path) == TRAIN_HASHES
 
 
+def test_platoon_trajectories_are_pinned():
+    _skip_unless_pinned_build()
+    assert platoon_hashes() == PLATOON_HASHES
+
+
+def test_allocate_table_is_pinned(tmp_path):
+    _skip_unless_pinned_build()
+    table = allocate_table(tmp_path)
+    rows = csv.DictReader(io.StringIO(table.decode()))
+    outcomes = {"infeasible" if r["feasible"] == "0"
+                else "capped" if r["binding"] == "binding" and r["rho"] == "1"
+                else r["binding"] for r in rows}
+    assert outcomes == {"slack", "binding", "capped", "infeasible"}
+    assert _sha(table) == ALLOCATE_HASH
+
+
 if __name__ == "__main__":
     import pprint
     import tempfile
@@ -173,3 +263,5 @@ if __name__ == "__main__":
     pprint.pprint({b: network_hashes(b) for b in sorted(NETWORK_HASHES)})
     with tempfile.TemporaryDirectory() as tmp:
         pprint.pprint(train_hashes(Path(tmp)))
+        pprint.pprint(platoon_hashes())
+        print(_sha(allocate_table(Path(tmp))))

@@ -158,6 +158,21 @@ def test_order_preservation_over_500_steps_100_seeds():
         assert gaps.min() > 0.0, f"seed {seed} lost ordering"
 
 
+def test_simulate_equals_repeated_steps_bit_for_bit():
+    # cruising, then braking to a standstill: every vehicle stops
+    targets = np.concatenate([np.full(10, 18.0), np.zeros(70)])
+    for seed in range(3):
+        state = init_platoon(20, np.random.default_rng(seed))
+        tx, tv = simulate_platoon(state, P, len(targets), targets)
+        assert (tv[-1] == 0.0).all()
+        for s, target in enumerate(targets):
+            assert tx[s].tobytes() == state.positions.tobytes()
+            assert tv[s].tobytes() == state.speeds.tobytes()
+            state = step_platoon(state, P, leader_target=target)
+        assert tx[-1].tobytes() == state.positions.tobytes()
+        assert tv[-1].tobytes() == state.speeds.tobytes()
+
+
 def test_leader_tracks_piecewise_profile():
     rng = np.random.default_rng(3)
     state = init_platoon(2, rng, leader_speed=18.0)

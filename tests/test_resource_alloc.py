@@ -187,6 +187,26 @@ class TestOptimalAllocation:
         with pytest.raises(InfeasibleError):
             optimal_allocation(prof, BINDING_GAIN, BINDING_B)
 
+    def test_binding_solves_stay_within_the_energy_budget(self):
+        # the round loop aborts a device over budget by more than 1e-9
+        # relative, tighter than the root-finder's residual tolerance, so
+        # a converged binding root must sit on the feasible side
+        rng = np.random.default_rng(5)
+        binding = 0
+        for _ in range(2000):
+            prof = DeviceProfile(
+                sample_count=int(rng.integers(20, 101)),
+                cycles_per_sample=1e7, cpu_hz=10 ** rng.uniform(8.5, 9.5),
+                power_coeff=1e-28, max_power_w=10 ** rng.uniform(-2.5, -0.5),
+                max_energy_j=10 ** rng.uniform(-2.5, -0.5),
+                model_bits=10 ** rng.uniform(5, 7),
+            )
+            res = optimal_allocation(prof, 10 ** rng.uniform(4, 9), 1e6)
+            if res.binding is Binding.ENERGY_BINDING:
+                binding += 1
+                assert res.energy <= prof.max_energy_j * (1 + 1e-9)
+        assert binding > 500
+
     def test_slack_case_kkt_consistency(self):
         # with no energy pressure, interior stationarity in chi cannot hold:
         # the would-be multiplier on chi >= 0 is negative for every chi < 1

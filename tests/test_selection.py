@@ -296,15 +296,6 @@ class TestBaselines:
             got = [a for a in actions if a >= 0]
             assert got == expected
 
-    def test_convex_greedy_selects_like_greedy(self):
-        state = np.zeros((1, 4, 3))
-        state[0, :, 2] = [1.0, 4.0, 2.0, 3.0]
-        a1, _ = baseline_policy("greedy_aoi", state, np.ones(4), 2,
-                                np.random.default_rng(0))
-        a2, _ = baseline_policy("convex_greedy", state, np.ones(4), 2,
-                                np.random.default_rng(0))
-        assert (a1 == a2).all()
-
     def test_round_robin_cycles_through_eligible(self):
         state = np.zeros((1, 4, 3))
         mask = np.ones(4)

@@ -170,6 +170,17 @@ class TestRunExperiment:
                      < rr.summary["cumulative_sum_aoi_mean"])
         assert wins >= 16  # at least 80% of paired seeds
 
+    def test_energy_binding_scenario_completes(self, tmp_path):
+        # a 10 mJ budget makes most allocations energy-binding; every
+        # selected device must pass the round loop's 1e-9 budget guard
+        cfg = config_from_dict({
+            "cost": {"max_energy_j": 0.01},
+            "run": {"episodes": 1, "rounds_per_episode": 5, "seed": 0}})
+        report = run_experiment(cfg, "greedy_aoi", tmp_path / "e",
+                                log_every=0)
+        rows = Path(report.csv_path).read_text().strip().splitlines()
+        assert len(rows) == 6
+
     def test_summary_and_config_hash_written(self, tmp_path):
         cfg = tiny_cfg()
         report = run_experiment(cfg, "round_robin", tmp_path / "rr",
