@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CheckpointError, RaceError
 from .tsfen import (
-    AdamState, TsfenConfig, TsfenNetwork, adam_init, adam_step,
+    AdamState, TsfenConfig, TsfenNetwork, Workspace, adam_init, adam_step,
     load_params, save_params,
 )
 
@@ -185,19 +185,21 @@ def actions_to_assignment(actions: np.ndarray, n_devices: int) -> np.ndarray:
     return phi
 
 
-def _critic_values(bundle: AgentBundle, states: np.ndarray) -> np.ndarray:
+def _critic_values(bundle: AgentBundle, states: np.ndarray,
+                   workspace: Workspace = None) -> np.ndarray:
     # minibatch-sized chunks: a row's value does not depend on its batch,
     # and no whole-episode activation cache is held at once
     size = bundle.hyper.batch_size
-    return np.concatenate([bundle.critic.value(states[i:i + size])[0]
-                           for i in range(0, len(states), size)])
+    return np.concatenate([
+        bundle.critic.value(states[i:i + size], workspace)[0]
+        for i in range(0, len(states), size)])
 
 
 def _actor_step(bundle: AgentBundle, states, masks, actions, old_probs,
-                advantages):
+                advantages, workspace: Workspace = None):
     """One clipped-surrogate ascent step on a minibatch."""
     hyper = bundle.hyper
-    probs, caches = bundle.actor.policy(states, masks)
+    probs, caches = bundle.actor.policy(states, masks, workspace)
     rows = np.arange(len(actions))
     p_new = probs[rows, actions]
     ratio = p_new / old_probs
@@ -213,8 +215,9 @@ def _actor_step(bundle: AgentBundle, states, masks, actions, old_probs,
     return ratio
 
 
-def _critic_step(bundle: AgentBundle, states, targets):
-    values, cache = bundle.critic.value(states)
+def _critic_step(bundle: AgentBundle, states, targets,
+                 workspace: Workspace = None):
+    values, cache = bundle.critic.value(states, workspace)
     err = values - targets
     dlogits = np.zeros((len(targets), 1))
     dlogits[:, 0] = err / len(targets)
@@ -229,14 +232,17 @@ def ppo_update(bundle: AgentBundle, rng: np.random.Generator) -> dict:
 
     Advantages and critic targets are computed per episode from the
     pre-update critic (terminal value zero), then both networks take
-    ``ppo_epochs`` passes of shuffled minibatches.
+    ``ppo_epochs`` passes of shuffled minibatches.  Every forward of the
+    update draws its attention buffers from one workspace, which is
+    dropped on return.
     """
     hyper = bundle.hyper
     if not bundle.episodes:
         raise RaceError("ppo_update called with an empty trajectory buffer")
+    workspace = Workspace()
     states, masks, actions, old_probs, advs, targets = [], [], [], [], [], []
     for ep in bundle.episodes:
-        values = _critic_values(bundle, ep["states"])
+        values = _critic_values(bundle, ep["states"], workspace)
         # episodes end by horizon truncation, not termination: bootstrap
         # the cut with the last state's own value estimate
         v_next = np.append(values[1:], values[-1])
@@ -269,10 +275,11 @@ def ppo_update(bundle: AgentBundle, rng: np.random.Generator) -> dict:
             if len(act_sel):
                 ratio = _actor_step(
                     bundle, states[act_sel], masks[act_sel],
-                    actions[act_sel], old_probs[act_sel], advs[act_sel])
+                    actions[act_sel], old_probs[act_sel], advs[act_sel],
+                    workspace)
                 stats["mean_ratio"] = float(ratio.mean())
             stats["critic_loss"] = _critic_step(bundle, states[sel],
-                                                targets[sel])
+                                                targets[sel], workspace)
     bundle.episodes = []
     return stats
 

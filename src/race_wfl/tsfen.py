@@ -9,7 +9,10 @@ critic reuses the same trunk with a scalar head.
 
 Everything is float64 numpy with hand-written reverse-mode gradients:
 each layer's ``forward`` returns an output plus a cache, and ``backward``
-consumes the cache and the upstream gradient.  The masked softmax maps a
+consumes the cache and the upstream gradient.  The attention's large
+intermediates come from a ``Workspace`` that the caller may keep across
+steps of one update, so that consecutive minibatches reuse its memory
+instead of faulting fresh pages in.  The masked softmax maps a
 zero mask entry to exactly zero probability (additive log-mask), and
 probabilities of maskable entries are floored at ``prob_floor`` and
 renormalized for numerical stability.
@@ -36,14 +39,40 @@ def _attn_softmax(scores):
     return scores
 
 
-def _attn_softmax_backward(attn, dattn, inv_scale):
+def _attn_softmax_backward(attn, dattn, inv_scale, product):
     """Softmax backward over the last axis; overwrites ``dattn`` with the
-    score gradient scaled by ``inv_scale``."""
-    dot = (dattn * attn).sum(axis=-1, keepdims=True)
+    score gradient scaled by ``inv_scale``.  ``product`` is scratch of
+    ``attn``'s shape."""
+    dot = np.multiply(dattn, attn, out=product).sum(axis=-1, keepdims=True)
     dattn -= dot
     dattn *= attn
     dattn *= inv_scale
     return dattn
+
+
+class Workspace:
+    """Float64 scratch buffers handed out by name.
+
+    Each name owns one flat array that grows to the largest size ever
+    requested for it; ``take`` returns a C-contiguous view of its prefix,
+    so smaller batches reuse the memory of larger ones.  ``allocations``
+    counts the arrays made.  ``generation`` is advanced by every MHSA
+    forward that draws from the workspace; a cache stamped with an older
+    generation points at overwritten buffers.
+    """
+
+    def __init__(self):
+        self._flat = {}
+        self.allocations = 0
+        self.generation = 0
+
+    def take(self, name: str, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size)
+            self.allocations += 1
+        return flat[:size].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -110,7 +139,10 @@ class MhsaLayer:
     Input (B, M, N, D); attention runs independently per (batch,
     sub-period) pair with parameters shared across sub-periods.  The
     query/key/value projections live in one fused (D, 3D) matrix whose
-    column blocks are the per-head projections.
+    column blocks are the per-head projections.  The projection, the
+    attention weights, the context and their gradients live in a
+    ``Workspace``; the layer output and every gradient it returns are
+    fresh arrays.
     """
 
     def __init__(self, d_model, n_heads, rng, prefix):
@@ -124,38 +156,49 @@ class MhsaLayer:
             f"{prefix}.Wo": _uniform_init(rng, d_model, (d_model, d_model)),
         }
 
-    def forward(self, x, params):
+    def forward(self, x, params, workspace=None):
+        ws = Workspace() if workspace is None else workspace
+        ws.generation += 1
         p = self.prefix
         b, m, n, d = x.shape
         bm, h, dh = b * m, self.h, self.dh
         xf = x.reshape(bm, n, d)
-        qkv = (xf @ params[f"{p}.Wqkv"]).reshape(bm, n, 3, h, dh)
+        qkv = ws.take("mhsa.qkv", (bm, n, 3 * d))
+        np.matmul(xf, params[f"{p}.Wqkv"], out=qkv)
         # q, k and v are (B*, H, N, Dh) head views of the fused projection
-        q, k, v = qkv.transpose(2, 0, 3, 1, 4)
-        scores = q @ k.transpose(0, 1, 3, 2)
+        q, k, v = qkv.reshape(bm, n, 3, h, dh).transpose(2, 0, 3, 1, 4)
+        scores = ws.take("mhsa.attn", (bm, h, n, n))
+        np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
         scores *= 1.0 / np.sqrt(dh)
         attn = _attn_softmax(scores)
-        ctx = np.empty((bm, n, h, dh))
+        ctx = ws.take("mhsa.ctx", (bm, n, h, dh))
         np.matmul(attn, v, out=ctx.transpose(0, 2, 1, 3))
         ctx = ctx.reshape(bm, n, d)
         out = (ctx @ params[f"{p}.Wo"]).reshape(b, m, n, d)
-        return out, (x, xf, q, k, v, attn, ctx)
+        return out, (x, xf, q, k, v, attn, ctx, ws, ws.generation)
 
     def backward(self, cache, dout, params, grads):
         p = self.prefix
-        x, xf, q, k, v, attn, ctx = cache
+        x, xf, q, k, v, attn, ctx, ws, generation = cache
+        if ws.generation != generation:
+            raise RaceError("stale MHSA cache: a later forward has reused "
+                            "its workspace buffers")
         b, m, n, d = x.shape
         bm, h, _, dh = q.shape
         dflat = dout.reshape(-1, d)
         grads[f"{p}.Wo"] = ctx.reshape(-1, d).T @ dflat
-        dheads = (dflat @ params[f"{p}.Wo"].T).reshape(
-            bm, n, h, dh).transpose(0, 2, 1, 3)
-        dattn = dheads @ v.transpose(0, 1, 3, 2)
+        dheads = ws.take("mhsa.dheads", (bm * n, d))
+        np.matmul(dflat, params[f"{p}.Wo"].T, out=dheads)
+        dheads = dheads.reshape(bm, n, h, dh).transpose(0, 2, 1, 3)
+        dattn = ws.take("mhsa.dattn", (bm, h, n, n))
+        np.matmul(dheads, v.transpose(0, 1, 3, 2), out=dattn)
         # dq, dk and dv are written straight into the fused gradient
-        dqkv = np.empty((bm, n, 3, h, dh))
+        dqkv = ws.take("mhsa.dqkv", (bm, n, 3, h, dh))
         dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
         np.matmul(attn.transpose(0, 1, 3, 2), dheads, out=dv)
-        dscores = _attn_softmax_backward(attn, dattn, 1.0 / np.sqrt(dh))
+        dscores = _attn_softmax_backward(
+            attn, dattn, 1.0 / np.sqrt(dh),
+            ws.take("mhsa.dattn_attn", attn.shape))
         np.matmul(dscores, k, out=dq)
         np.matmul(dscores.transpose(0, 1, 3, 2), q, out=dk)
         dqkv = dqkv.reshape(-1, 3 * d)
@@ -315,12 +358,17 @@ class TsfenNetwork:
             out[..., j] = (col - c.feature_center[j]) / c.feature_scale[j]
         return out
 
-    def forward(self, states: np.ndarray):
-        """states (B, M, N, F) -> logits (B, out_dim) plus cache."""
+    def forward(self, states: np.ndarray, workspace: Workspace = None):
+        """states (B, M, N, F) -> logits (B, out_dim) plus cache.
+
+        With a ``workspace``, the cache refers to its buffers until the
+        next forward on the same workspace; ``backward`` must come first.
+        Without one, the buffers are this call's own.
+        """
         x = self.preprocess(states)
         p = self.params
         e, c_embed = self.embed.forward(x, p)
-        a, c_mhsa = self.mhsa.forward(e, p)
+        a, c_mhsa = self.mhsa.forward(e, p, workspace)
         s, c_squeeze = self.squeeze.forward(a, p)
         b, m, n, dsq = s.shape
         seq = s.reshape(b, m, n * dsq)
@@ -354,9 +402,10 @@ class TsfenNetwork:
         self.embed.backward(c_embed, de, p, grads)
         return grads
 
-    def policy(self, states: np.ndarray, mask: np.ndarray):
+    def policy(self, states: np.ndarray, mask: np.ndarray,
+               workspace: Workspace = None):
         """Masked selection probabilities (B, N) plus caches."""
-        logits, cache = self.forward(states)
+        logits, cache = self.forward(states, workspace)
         probs, sm_cache = masked_softmax(logits, mask,
                                          self.config.prob_floor)
         return probs, (cache, sm_cache)
@@ -366,9 +415,9 @@ class TsfenNetwork:
         dlogits = masked_softmax_backward(sm_cache, dprobs)
         return self.backward(cache, dlogits)
 
-    def value(self, states: np.ndarray):
+    def value(self, states: np.ndarray, workspace: Workspace = None):
         """Scalar state values (B,) plus cache (critic head)."""
-        logits, cache = self.forward(states)
+        logits, cache = self.forward(states, workspace)
         return logits[:, 0], cache
 
 
@@ -399,16 +448,20 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float = 1e-4,
     for k, g in grads.items():
         m = state.m[k]
         v = state.v[k]
+        # one scratch array carries each term in turn
+        tmp = np.multiply(1.0 - beta1, g)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - beta2
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        denom = np.sqrt(v)
-        denom *= inv_sqrt_bc2
-        denom += eps
-        np.divide(m, denom, out=denom)
-        denom *= scale
-        params[k] -= denom
+        v += tmp
+        np.sqrt(v, out=tmp)
+        tmp *= inv_sqrt_bc2
+        tmp += eps
+        np.divide(m, tmp, out=tmp)
+        tmp *= scale
+        params[k] -= tmp
 
 
 # --- checkpoints -----------------------------------------------------------

@@ -12,6 +12,9 @@ the same.  These tests pin SHA-256 hashes of
 * ``rounds.csv`` and ``checkpoint_final.bin`` of a 1-episode, 40-round
   training run on the default scenario.  40 rounds give each agent's PPO
   update one 32-row and one 8-row minibatch per epoch;
+* the same two files of a 2-episode, 20-round run that updates after
+  every episode, so the second episode's rounds are chosen by a policy
+  that has taken a PPO update and drawn its minibatch permutations;
 * ``simulate_platoon`` positions and speeds for three cruising platoons
   and one whose leader brakes to a standstill, so that every vehicle
   takes the stop-within-a-sub-step branch;
@@ -122,6 +125,18 @@ TRAIN_CONFIG = {
     "run": {"episodes": 1, "rounds_per_episode": 40, "seed": 1},
 }
 
+UPDATED_TRAIN_HASHES = {
+    "checkpoint_final.bin":
+        "cd8c1cf3ec5fd5cabbd29c813b78e4a37be5c180370764ae6fd75c460254a715",
+    "rounds.csv":
+        "e376118fc7cbf2e1b9a7c8e5bccb59719d4632ec14e5cb93f73b0dba486e97fb",
+}
+
+UPDATED_TRAIN_CONFIG = {
+    "mappo": {"episodes_per_update": 1},
+    "run": {"episodes": 2, "rounds_per_episode": 20, "seed": 1},
+}
+
 
 PLATOON_HASHES = {
     "cruise-0":
@@ -177,8 +192,8 @@ def network_hashes(batch: int) -> dict:
     return out
 
 
-def train_hashes(out_dir) -> dict:
-    cfg = config_from_dict(TRAIN_CONFIG)
+def train_hashes(out_dir, config=TRAIN_CONFIG) -> dict:
+    cfg = config_from_dict(config)
     run_experiment(cfg, "mappo", out_dir, train=True, log_every=0)
     return {name: _sha((out_dir / name).read_bytes())
             for name in ("rounds.csv", "checkpoint_final.bin")}
@@ -238,6 +253,12 @@ def test_training_run_outputs_are_pinned(tmp_path):
     assert train_hashes(tmp_path) == TRAIN_HASHES
 
 
+def test_rollout_after_an_update_is_pinned(tmp_path):
+    _skip_unless_pinned_build()
+    assert train_hashes(tmp_path, UPDATED_TRAIN_CONFIG) \
+        == UPDATED_TRAIN_HASHES
+
+
 def test_platoon_trajectories_are_pinned():
     _skip_unless_pinned_build()
     assert platoon_hashes() == PLATOON_HASHES
@@ -263,5 +284,6 @@ if __name__ == "__main__":
     pprint.pprint({b: network_hashes(b) for b in sorted(NETWORK_HASHES)})
     with tempfile.TemporaryDirectory() as tmp:
         pprint.pprint(train_hashes(Path(tmp)))
+        pprint.pprint(train_hashes(Path(tmp), UPDATED_TRAIN_CONFIG))
         pprint.pprint(platoon_hashes())
         print(_sha(allocate_table(Path(tmp))))

@@ -4,7 +4,7 @@ import pytest
 from race_wfl.errors import CheckpointError, RaceError
 from race_wfl.tsfen import (
     AdamState, DenseLayer, LstmLayer, MhsaLayer, TsfenConfig, TsfenNetwork,
-    adam_init, adam_step, load_params, masked_softmax,
+    Workspace, adam_init, adam_step, load_params, masked_softmax,
     masked_softmax_backward, save_params, _sigmoid,
 )
 
@@ -214,6 +214,70 @@ class TestNetworkGradients:
         out = net.preprocess(states)
         assert np.isfinite(out).all()
         assert np.abs(out).max() < 10.0
+
+
+def _states(rng, cfg, batch):
+    shape = (batch, cfg.history, cfg.n_devices)
+    return np.stack([rng.uniform(0.0, 0.5, shape),
+                     10.0 ** rng.uniform(8.0, 16.0, shape),
+                     rng.uniform(0.0, 5.0, shape)], axis=-1)
+
+
+class TestWorkspace:
+    def test_shared_workspace_gives_the_same_bits_at_every_batch(self):
+        rng = np.random.default_rng(7)
+        cfg = TsfenConfig(n_devices=20)
+        net = TsfenNetwork(cfg, rng)
+        ws = Workspace()
+        for batch in (32, 4, 1):   # smaller batches reuse the grown buffers
+            states = _states(rng, cfg, batch)
+            dlogits = rng.standard_normal((batch, cfg.out_dim))
+            logits, cache = net.forward(states)
+            grads = net.backward(cache, dlogits)
+            logits_ws, cache_ws = net.forward(states, ws)
+            grads_ws = net.backward(cache_ws, dlogits)
+            assert logits_ws.tobytes() == logits.tobytes()
+            assert grads_ws.keys() == grads.keys()
+            for name, g in grads.items():
+                assert grads_ws[name].tobytes() == g.tobytes(), name
+
+    def test_backward_after_a_later_forward_raises(self):
+        rng = np.random.default_rng(8)
+        cfg = plain_config()
+        net = TsfenNetwork(cfg, rng)
+        ws = Workspace()
+        logits_a, cache_a = net.forward(_states(rng, cfg, 3), ws)
+        logits_b, cache_b = net.forward(_states(rng, cfg, 3), ws)
+        with pytest.raises(RaceError, match="stale"):
+            net.backward(cache_a, np.ones_like(logits_a))
+        net.backward(cache_b, np.ones_like(logits_b))
+
+    def test_repeated_steps_allocate_no_new_buffer(self):
+        rng = np.random.default_rng(9)
+        cfg = plain_config()
+        net = TsfenNetwork(cfg, rng)
+        ws = Workspace()
+
+        def step(batch):
+            logits, cache = net.forward(_states(rng, cfg, batch), ws)
+            net.backward(cache, np.ones_like(logits))
+
+        step(8)
+        grown = ws.allocations
+        assert grown > 0
+        for batch in (8, 5, 1, 8):
+            step(batch)
+        assert ws.allocations == grown
+
+    def test_returned_output_survives_a_later_forward(self):
+        rng = np.random.default_rng(10)
+        layer = MhsaLayer(8, 2, rng, "m")
+        ws = Workspace()
+        out, _ = layer.forward(rng.standard_normal((2, 3, 5, 8)),
+                               layer.params, ws)
+        kept = out.copy()
+        layer.forward(rng.standard_normal((2, 3, 5, 8)), layer.params, ws)
+        assert out.tobytes() == kept.tobytes()
 
 
 class TestAdam:
