@@ -9,38 +9,19 @@ power so that the stored gain is an SNR per watt: the achievable rate is
 """
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import RaceError
 
+if TYPE_CHECKING:
+    from .config import ChannelSection
+
 
 def dbm_to_watts(dbm: float) -> float:
     """Convert a power level in dBm to linear watts."""
     return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    bandwidth: float = 1e6                # per-subchannel bandwidth, Hz
-    path_loss_exponent: float = 3.76
-    frequency_factor: float = 1.0
-    noise_variance_dbm: float = -174.0
-    estimation_error_variance: float = 0.1   # in [0, 1]
-
-    def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be > 0")
-        if self.path_loss_exponent <= 0:
-            raise ValueError("path_loss_exponent must be > 0")
-        if self.frequency_factor <= 0:
-            raise ValueError("frequency_factor must be > 0")
-        if not 0.0 <= self.estimation_error_variance <= 1.0:
-            raise ValueError("estimation_error_variance must lie in [0, 1]")
-
-    @property
-    def noise_watts(self) -> float:
-        return dbm_to_watts(self.noise_variance_dbm)
 
 
 @dataclass(frozen=True)
@@ -59,7 +40,7 @@ def _fading_sq(rng: np.random.Generator) -> float:
     return 0.5 * (re * re + im * im)
 
 
-def realize_channel(distance: float, p: ChannelParams,
+def realize_channel(distance: float, p: "ChannelSection",
                     rng: np.random.Generator) -> ChannelRealization:
     """Draw estimated and error gains at ``distance`` and blend them.
 
@@ -70,7 +51,7 @@ def realize_channel(distance: float, p: ChannelParams,
     if distance <= 0:
         raise RaceError(f"distance must be > 0, got {distance!r}")
     scale = (p.frequency_factor * distance ** (-p.path_loss_exponent)
-             / p.noise_watts)
+             / dbm_to_watts(p.noise_variance_dbm))
     est = _fading_sq(rng) * scale
     err = _fading_sq(rng) * scale
     pe = p.estimation_error_variance
@@ -83,7 +64,7 @@ def realize_channel(distance: float, p: ChannelParams,
     )
 
 
-def realize_gains(distances: np.ndarray, p: ChannelParams,
+def realize_gains(distances: np.ndarray, p: "ChannelSection",
                   rng: np.random.Generator) -> np.ndarray:
     """Vectorized composite gains for many devices at once.
 
@@ -98,7 +79,7 @@ def realize_gains(distances: np.ndarray, p: ChannelParams,
     est_sq = 0.5 * (draws[:, 0] ** 2 + draws[:, 1] ** 2)
     err_sq = 0.5 * (draws[:, 2] ** 2 + draws[:, 3] ** 2)
     scale = (p.frequency_factor * distances ** (-p.path_loss_exponent)
-             / p.noise_watts)
+             / dbm_to_watts(p.noise_variance_dbm))
     pe = p.estimation_error_variance
     return np.sqrt(1.0 - pe) * est_sq * scale + np.sqrt(pe) * err_sq * scale
 

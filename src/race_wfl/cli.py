@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -22,9 +23,7 @@ import numpy as np
 
 from .config import ScenarioConfig, config_hash, load_config
 from .errors import ConfigError, InfeasibleError, RaceError
-from .resource_alloc import (
-    Binding, SolverSettings, check_feasibility, optimal_allocation,
-)
+from .resource_alloc import Binding, check_feasibility, optimal_allocation
 from .cost_model import DeviceProfile
 from .simulation import BASELINE_KINDS, run_experiment
 from . import theory_checks as tc
@@ -52,39 +51,49 @@ def _resolve_out_dir(args, default_name: str) -> Path:
     return _out_root() / default_name
 
 
+def _row_number(idx, column, text) -> float:
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"profile row {idx}, column {column}: "
+                          f"{text!r} is not a finite number")
+    return value
+
+
 def cmd_allocate(args) -> int:
     cfg = _load_config(args)
     bandwidth = args.bandwidth or cfg.channel.bandwidth
-    rows = []
-    with open(args.profiles, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(_PROFILE_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ConfigError(
-                f"profile file missing columns: {sorted(missing)}")
-        for raw in reader:
-            rows.append(raw)
-    settings = SolverSettings()
+    try:
+        with open(args.profiles, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            missing = set(_PROFILE_COLUMNS) - set(reader.fieldnames or ())
+            if missing:
+                raise ConfigError(
+                    f"profile file missing columns: {sorted(missing)}")
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read profile file: {exc}") from exc
     out_rows = []
     any_infeasible = False
     for idx, raw in enumerate(rows):
-        gain = float(raw["gain"])
-        bw = float(raw.get("bandwidth") or bandwidth)
-        prof = DeviceProfile(
-            sample_count=int(float(raw["sample_count"])),
-            cycles_per_sample=float(raw["cycles_per_sample"]),
-            cpu_hz=float(raw["cpu_hz"]),
-            power_coeff=float(raw["power_coeff"]),
-            max_power_w=float(raw["max_power_w"]),
-            max_energy_j=float(raw["max_energy_j"]),
-            model_bits=float(raw["model_bits"]),
-        )
-        if not check_feasibility(prof.model_bits, prof.max_energy_j, bw,
-                                 gain):
+        values = {col: _row_number(idx, col, raw[col])
+                  for col in _PROFILE_COLUMNS}
+        gain = values.pop("gain")
+        bw = _row_number(idx, "bandwidth", raw["bandwidth"]) \
+            if raw.get("bandwidth") else bandwidth
+        try:
+            prof = DeviceProfile(**values)
+            res = optimal_allocation(prof, gain, bw) if check_feasibility(
+                prof.model_bits, prof.max_energy_j, bw, gain) else None
+        except (ValueError, ArithmeticError) as exc:
+            # a rejected profile, or values beyond the solver's float range
+            raise ConfigError(f"profile row {idx}: {exc}") from exc
+        if res is None:
             any_infeasible = True
             out_rows.append([idx, 0, "", "", "", "", "", "", ""])
             continue
-        res = optimal_allocation(prof, gain, bw, settings)
         residual = res.energy - prof.max_energy_j \
             if res.binding is Binding.ENERGY_BINDING else 0.0
         out_rows.append([

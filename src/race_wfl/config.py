@@ -16,12 +16,17 @@ stream's draws.
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from . import aoi_metrics, fl_engine, selection
+from .channel import dbm_to_watts
+from .cost_model import DeviceProfile
+from .errors import ConfigError, RaceError
+from .tsfen import TsfenConfig
 
 SCHEMA_VERSION = 1
 
@@ -47,6 +52,12 @@ def named_rng(root_seed: int, stream: str,
     return np.random.default_rng(seq)
 
 
+def _require_positive(section, names):
+    for name in names:
+        if not getattr(section, name) > 0:
+            raise ValueError(f"{name} must be > 0")
+
+
 @dataclass(frozen=True)
 class PlatoonSection:
     n_followers: int = 20
@@ -56,23 +67,40 @@ class PlatoonSection:
     gap_max: float = 15.0
     vehicle_length: float = 5.0
     leader_speed: float = 18.0
-    a_max: float = 0.73
-    b_max: float = 1.67
-    d_min: float = 2.0
-    t_min: float = 1.5
-    v_des: float = 30.0
-    sensitivity_exponent: float = 4.0
-    update_interval: float = 1.0
-    substeps: int = 10
+    a_max: float = 0.73        # maximum acceleration, m/s^2
+    b_max: float = 1.67        # maximum comfortable deceleration, m/s^2
+    d_min: float = 2.0         # minimum inter-vehicle space, m
+    t_min: float = 1.5         # minimum reaction time, s
+    v_des: float = 30.0        # desired velocity, m/s
+    sensitivity_exponent: float = 4.0   # driver sensitivity, in [1, 5]
+    update_interval: float = 1.0        # integration step tau, s
+    substeps: int = 10         # Euler sub-steps per update interval
+
+    def __post_init__(self):
+        _require_positive(self, ("n_followers", "a_max", "b_max", "d_min",
+                                 "t_min", "v_des", "update_interval",
+                                 "substeps"))
+        if not 0 <= self.speed_min <= self.speed_max:
+            raise ValueError("need 0 <= speed_min <= speed_max")
+        if not 0 < self.gap_min <= self.gap_max:
+            raise ValueError("need 0 < gap_min <= gap_max")
+        if not 1.0 <= self.sensitivity_exponent <= 5.0:
+            raise ValueError("sensitivity_exponent must lie in [1, 5]")
 
 
 @dataclass(frozen=True)
 class ChannelSection:
-    bandwidth: float = 1e6
+    bandwidth: float = 1e6                # per-subchannel bandwidth, Hz
     path_loss_exponent: float = 3.76
     frequency_factor: float = 1.0
     noise_variance_dbm: float = -174.0
-    estimation_error_variance: float = 0.1
+    estimation_error_variance: float = 0.1   # in [0, 1]
+
+    def __post_init__(self):
+        _require_positive(self, ("bandwidth", "path_loss_exponent",
+                                 "frequency_factor"))
+        if not 0.0 <= self.estimation_error_variance <= 1.0:
+            raise ValueError("estimation_error_variance must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -83,6 +111,9 @@ class CostSection:
     max_power_dbm: float = 15.0
     max_energy_j: float = 0.1
     model_bits: float = 1e6
+
+    def __post_init__(self):
+        device_profile(self, 1)    # runs DeviceProfile's checks
 
 
 @dataclass(frozen=True)
@@ -98,6 +129,15 @@ class TaskSection:
     adversary_devices: tuple = ()
     adversary_factor: float = 1.0
 
+    def __post_init__(self):
+        if self.n_classes < 2:
+            raise ValueError("n_classes must be >= 2")
+        if self.model_dim < 1 or self.model_dim % self.n_classes != 0:
+            raise ValueError("model_dim must be a positive multiple of "
+                             "n_classes")
+        _require_positive(self, ("concentration", "n_samples",
+                                 "eval_samples", "init_norm"))
+
 
 @dataclass(frozen=True)
 class ThresholdSection:
@@ -107,6 +147,12 @@ class ThresholdSection:
     lam_max: float = 0.5
     adapt_rate: float = 1.0
 
+    def __post_init__(self):
+        if self.mode not in ("fixed", "adaptive"):
+            raise ValueError("mode must be 'fixed' or 'adaptive'")
+        fl_engine.adaptive_threshold(1.0, 1.0, self.lam_min, self.lam_max,
+                                     self.adapt_rate)   # its range checks
+
 
 @dataclass(frozen=True)
 class SelectionSection:
@@ -115,6 +161,15 @@ class SelectionSection:
     mask: str = "binary"           # binary | adaptive
     temperature: float = 1.0
     pl_ratio: float = 0.1
+
+    def __post_init__(self):
+        if self.n_subchannels < 0:
+            raise ValueError("n_subchannels must be >= 0")
+        _require_positive(self, ("subperiods",))
+        if self.mask not in ("binary", "adaptive"):
+            raise ValueError("mask must be 'binary' or 'adaptive'")
+        selection.adaptive_mask(np.zeros(1), 0.0, self.temperature,
+                                self.pl_ratio, 0)   # its range checks
 
 
 @dataclass(frozen=True)
@@ -132,6 +187,9 @@ class MappoSection:
     lstm_hidden: int = 128
     fc_hidden: int = 128
 
+    def __post_init__(self):
+        _require_positive(self, ("batch_size",))
+
 
 @dataclass(frozen=True)
 class RunSection:
@@ -141,6 +199,13 @@ class RunSection:
     alpha: float = 1.0
     beta: float = 10.0
     checkpoint_every: int = 100
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        _require_positive(self, ("episodes", "rounds_per_episode"))
+        aoi_metrics.reward(np.zeros(1), np.zeros(1), self.alpha, self.beta,
+                           1, 1)   # its range checks
 
 
 @dataclass(frozen=True)
@@ -158,6 +223,13 @@ class ScenarioConfig:
 _SECTIONS = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
 
 
+def _fits(value, kind) -> bool:
+    if kind is float and isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, (int, float) if kind is float else kind) \
+        and not isinstance(value, bool)
+
+
 def _build_section(cls, data, path):
     known = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
@@ -166,10 +238,14 @@ def _build_section(cls, data, path):
             raise ConfigError(f"unknown key {path}.{key}")
         if isinstance(value, list):
             value = tuple(value)
+        kind = known[key].type
+        if not _fits(value, kind):
+            raise ConfigError(
+                f"{path}.{key} = {value!r} is not a valid {kind.__name__}")
         kwargs[key] = value
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (ValueError, ArithmeticError, RaceError) as exc:
         raise ConfigError(f"bad value in section {path}: {exc}") from exc
 
 
@@ -192,27 +268,47 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     return cfg
 
 
+def device_profile(cost: CostSection, sample_count: int) -> DeviceProfile:
+    """Resources of a device holding ``sample_count`` training samples."""
+    return DeviceProfile(
+        sample_count=sample_count,
+        cycles_per_sample=cost.cycles_per_sample,
+        cpu_hz=cost.cpu_hz, power_coeff=cost.power_coeff,
+        max_power_w=dbm_to_watts(cost.max_power_dbm),
+        max_energy_j=cost.max_energy_j, model_bits=cost.model_bits,
+    )
+
+
+def network_config(cfg: ScenarioConfig) -> TsfenConfig:
+    """Shape of every actor and critic network in the scenario."""
+    m = cfg.mappo
+    return TsfenConfig(
+        n_devices=cfg.platoon.n_followers,
+        history=cfg.selection.subperiods, d_model=m.d_model,
+        n_heads=m.n_heads, squeeze_dim=m.squeeze_dim,
+        lstm_hidden=m.lstm_hidden, fc_hidden=m.fc_hidden,
+    )
+
+
 def _validate(cfg: ScenarioConfig) -> None:
-    if cfg.thresholds.mode not in ("fixed", "adaptive"):
-        raise ConfigError("thresholds.mode must be 'fixed' or 'adaptive'")
-    if cfg.selection.mask not in ("binary", "adaptive"):
-        raise ConfigError("selection.mask must be 'binary' or 'adaptive'")
-    if cfg.selection.n_subchannels < 0:
-        raise ConfigError("selection.n_subchannels must be >= 0")
     if cfg.selection.n_subchannels > cfg.platoon.n_followers:
         raise ConfigError("more sub-channels than follower devices")
-    if cfg.task.model_dim % cfg.task.n_classes != 0:
-        raise ConfigError("task.model_dim must divide by task.n_classes")
-    if not 0 < cfg.selection.pl_ratio < 1:
-        raise ConfigError("selection.pl_ratio must lie in (0, 1)")
     for dev in cfg.task.adversary_devices:
-        if not 0 <= int(dev) < cfg.platoon.n_followers:
-            raise ConfigError("adversary device index out of range")
+        if not (_fits(dev, int) and 0 <= dev < cfg.platoon.n_followers):
+            raise ConfigError(f"adversary device index {dev!r} out of range")
+    try:
+        network_config(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"bad value in section mappo: {exc}") from exc
 
 
 def load_config(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"cannot read config {path}: "
+                          f"{' '.join(str(exc).split())}") from exc
     if data is None:
         data = {}
     if not isinstance(data, dict):

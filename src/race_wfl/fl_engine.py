@@ -53,14 +53,8 @@ def generate_task(seed: int, n_devices: int, n_classes: int, model_dim: int,
 
     Every class is represented globally and every device shard is
     non-empty; degenerate draws are retried up to ``max_resamples`` times
-    before erroring.
+    before erroring.  The arguments obey ``config.TaskSection``'s rules.
     """
-    if concentration <= 0:
-        raise ValueError("concentration must be > 0")
-    if n_classes < 2:
-        raise ValueError("need at least two classes")
-    if model_dim % n_classes != 0:
-        raise ValueError("model_dim must be a multiple of n_classes")
     if class_weights is None:
         class_weights = (AI4MARS_CLASS_MIX if n_classes == 4
                          else np.full(n_classes, 1.0 / n_classes))

@@ -18,31 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PlatoonSection
 from .errors import CollisionError
-
-
-@dataclass(frozen=True)
-class IdmParams:
-    """Car-following parameters. All values strictly positive."""
-
-    a_max: float = 0.73        # maximum acceleration, m/s^2
-    b_max: float = 1.67        # maximum comfortable deceleration, m/s^2
-    d_min: float = 2.0         # minimum inter-vehicle space, m
-    t_min: float = 1.5         # minimum reaction time, s
-    v_des: float = 30.0        # desired velocity, m/s
-    sensitivity_exponent: float = 4.0   # driver sensitivity, in [1, 5]
-    update_interval: float = 1.0        # integration step tau, s
-    substeps: int = 10         # Euler sub-steps per update interval
-
-    def __post_init__(self):
-        for name in ("a_max", "b_max", "d_min", "t_min", "v_des",
-                     "sensitivity_exponent", "update_interval"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"IdmParams.{name} must be > 0")
-        if not 1.0 <= self.sensitivity_exponent <= 5.0:
-            raise ValueError("sensitivity_exponent must lie in [1, 5]")
-        if self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
 
 
 @dataclass
@@ -59,12 +36,13 @@ class PlatoonState:
         return (self.positions[:-1] - self.positions[1:] - self.lengths[:-1])
 
 
-def safe_distance(v: float, dv: float, p: IdmParams) -> float:
+def safe_distance(v: float, dv: float, p: PlatoonSection) -> float:
     """Dynamic safe distance for a vehicle at speed ``v`` closing at ``dv``."""
     return p.d_min + p.t_min * v + v * dv / (2.0 * np.sqrt(p.a_max * p.b_max))
 
 
-def idm_acceleration(v: float, dv: float, dx: float, p: IdmParams) -> float:
+def idm_acceleration(v: float, dv: float, dx: float,
+                     p: PlatoonSection) -> float:
     """Follower acceleration given speed, closing speed, and gap ``dx`` > 0."""
     if dx <= 0.0:
         raise CollisionError(f"non-positive gap {dx!r}")
@@ -119,7 +97,7 @@ def _step_kernel(x, v, acc, lengths, p, leader_target):
     return 0
 
 
-def step_platoon(state: PlatoonState, p: IdmParams,
+def step_platoon(state: PlatoonState, p: PlatoonSection,
                  leader_target: float | None = None) -> PlatoonState:
     """Advance the platoon by one update interval.
 
@@ -143,7 +121,7 @@ def step_platoon(state: PlatoonState, p: IdmParams,
                         state.lengths.copy())
 
 
-def simulate_platoon(state: PlatoonState, p: IdmParams, n_steps: int,
+def simulate_platoon(state: PlatoonState, p: PlatoonSection, n_steps: int,
                      leader_targets: np.ndarray | float | None = None):
     """Run ``n_steps`` updates; returns (positions, speeds) trajectories
     of shape (n_steps + 1, n), row 0 the initial state. Raises
@@ -169,17 +147,15 @@ def simulate_platoon(state: PlatoonState, p: IdmParams, n_steps: int,
     return np.array(traj_x), np.array(traj_v)
 
 
-def init_platoon(n_followers: int, rng: np.random.Generator,
-                 speed_range=(15.0, 20.0), gap_range=(10.0, 15.0),
-                 vehicle_length: float = 5.0,
+def init_platoon(p: PlatoonSection, rng: np.random.Generator,
                  leader_speed: float | None = None) -> PlatoonState:
     """Random initial platoon: speeds and bumper gaps drawn uniformly."""
-    n = n_followers + 1
-    speeds = rng.uniform(*speed_range, size=n)
+    n = p.n_followers + 1
+    speeds = rng.uniform(p.speed_min, p.speed_max, size=n)
     if leader_speed is not None:
         speeds[0] = leader_speed
-    gaps = rng.uniform(*gap_range, size=n_followers)
-    lengths = np.full(n, vehicle_length)
+    gaps = rng.uniform(p.gap_min, p.gap_max, size=p.n_followers)
+    lengths = np.full(n, p.vehicle_length)
     positions = np.empty(n)
     positions[0] = 0.0
     for i in range(1, n):

@@ -34,34 +34,19 @@ from .errors import ConvergenceError, InfeasibleError, RaceError, RegimeError
 LN2 = 0.6931471805599453
 _EPS = 2.220446049250313e-16
 
+# Root-finder controls.  ROOT_TOLERANCE bounds both the bracket width
+# (seconds) and the relative energy residual at a binding solution;
+# BRACKET_SCALE sets the initial upper bracket as a multiple of the
+# full-power transmission time (expanded geometrically if the residual
+# has not changed sign yet).
+ROOT_TOLERANCE = 1e-6
+MAX_ITERATIONS = 100
+BRACKET_SCALE = 1e3
+
 
 class Binding(Enum):
     ENERGY_SLACK = "slack"
     ENERGY_BINDING = "binding"
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    """Root-finder controls.
-
-    ``root_tolerance`` bounds both the bracket width (seconds) and the
-    relative energy residual at a binding solution; ``bracket_scale``
-    sets the initial upper bracket as a multiple of the full-power
-    transmission time (expanded geometrically if the residual has not
-    changed sign yet).
-    """
-
-    root_tolerance: float = 1e-6
-    max_iterations: int = 100
-    bracket_scale: float = 1e3
-
-    def __post_init__(self):
-        if self.root_tolerance <= 0:
-            raise ValueError("root_tolerance must be > 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.bracket_scale <= 1:
-            raise ValueError("bracket_scale must be > 1")
 
 
 @dataclass(frozen=True)
@@ -110,12 +95,12 @@ def _binding_residual(delta, ecp, bits, bandwidth, gain, emax):
     return ecp + delta * math.expm1(LN2 * u) / gain - emax
 
 
-def _binding_bracket(lo, ecp, bits, bandwidth, gain, emax, scale):
+def _binding_bracket(lo, ecp, bits, bandwidth, gain, emax):
     """Upper end of a bracket ``[lo, hi]`` on which the binding residual
-    turns negative: ``scale * lo``, grown tenfold while the residual has
-    not changed sign (near-boundary instances need very long transmission
-    times)."""
-    hi = scale * lo
+    turns negative: ``BRACKET_SCALE * lo``, grown tenfold while the
+    residual has not changed sign (near-boundary instances need very long
+    transmission times)."""
+    hi = BRACKET_SCALE * lo
     for _ in range(60):
         if _binding_residual(hi, ecp, bits, bandwidth, gain, emax) < 0.0:
             return hi
@@ -123,16 +108,16 @@ def _binding_bracket(lo, ecp, bits, bandwidth, gain, emax, scale):
     raise InfeasibleError("energy constraint cannot be met on any bracket")
 
 
-def _brent_binding(ecp, bits, bandwidth, gain, emax, a, b,
-                   width_tol, res_tol, max_iter):
+def _brent_binding(ecp, bits, bandwidth, gain, emax, a, b):
     """Brent root of the binding-energy residual on [a, b].
 
     The residual falls as the transmission time grows, so a converged
     root is returned from the bracket end whose residual is <= 0: the
     solve never overshoots its budget.  Raises InfeasibleError when the
     residual does not change sign on [a, b] and ConvergenceError when the
-    iteration cap leaves the residual above ``res_tol``.
+    iteration cap leaves the residual above ``ROOT_TOLERANCE * emax``.
     """
+    res_tol = ROOT_TOLERANCE * emax
     fa = _binding_residual(a, ecp, bits, bandwidth, gain, emax)
     fb = _binding_residual(b, ecp, bits, bandwidth, gain, emax)
     if fa == 0.0:
@@ -145,7 +130,7 @@ def _brent_binding(ecp, bits, bandwidth, gain, emax, a, b,
     fc = fa
     e = b - a
     d = e
-    for _ in range(max_iter):
+    for _ in range(MAX_ITERATIONS):
         if abs(fc) < abs(fb):
             a = b
             b = c
@@ -157,7 +142,7 @@ def _brent_binding(ecp, bits, bandwidth, gain, emax, a, b,
         # decide when the current iterate counts as converged
         step_tol = 2.0 * _EPS * abs(b) + 1e-30
         m = 0.5 * (c - b)
-        width_ok = abs(m) <= max(width_tol, 2.0 * step_tol)
+        width_ok = abs(m) <= max(ROOT_TOLERANCE, 2.0 * step_tol)
         if fb == 0.0 or (abs(fb) <= res_tol and width_ok):
             return c if fb > 0.0 else b
         if abs(m) <= step_tol:
@@ -257,12 +242,11 @@ def _stationary_rate(kappa, mz, cpu_hz, bits, bandwidth, gain, emax):
 
 
 def solve_binding_delta(chi: float, profile: DeviceProfile, gain: float,
-                        bandwidth: float,
-                        settings: SolverSettings = SolverSettings()) -> float:
+                        bandwidth: float) -> float:
     """Transmission time that exactly exhausts the energy budget at ``chi``.
 
     The bracket starts at the full-power transmission time and extends to
-    ``bracket_scale`` times it, expanding geometrically while the residual
+    ``BRACKET_SCALE`` times it, expanding geometrically while the residual
     has not changed sign.
     """
     if not 0.0 < chi <= 1.0:
@@ -277,12 +261,8 @@ def solve_binding_delta(chi: float, profile: DeviceProfile, gain: float,
         raise InfeasibleError(
             "no sign change on bracket: energy is slack at full power"
         )
-    hi = _binding_bracket(lo, ecp, bits, bandwidth, gain, emax,
-                          settings.bracket_scale)
-    return float(_brent_binding(ecp, bits, bandwidth, gain, emax, lo, hi,
-                                settings.root_tolerance,
-                                settings.root_tolerance * emax,
-                                settings.max_iterations))
+    hi = _binding_bracket(lo, ecp, bits, bandwidth, gain, emax)
+    return float(_brent_binding(ecp, bits, bandwidth, gain, emax, lo, hi))
 
 
 def _result(profile, chi, rho, delta, binding, multipliers):
@@ -296,9 +276,8 @@ def _result(profile, chi, rho, delta, binding, multipliers):
     )
 
 
-def optimal_allocation(profile: DeviceProfile, gain: float, bandwidth: float,
-                       settings: SolverSettings = SolverSettings()
-                       ) -> AllocationResult:
+def optimal_allocation(profile: DeviceProfile, gain: float,
+                       bandwidth: float) -> AllocationResult:
     """Delay-optimal (chi, rho) for one device under its energy budget."""
     kappa = profile.power_coeff
     mz = profile.work_cycles
@@ -344,12 +323,9 @@ def optimal_allocation(profile: DeviceProfile, gain: float, bandwidth: float,
     h = u_star * LN2 * math.exp(LN2 * u_star) - math.expm1(LN2 * u_star)
     lam1 = gain / h
     try:
-        hi = _binding_bracket(delta_full, ecp, bits, bandwidth, gain, emax,
-                              settings.bracket_scale)
+        hi = _binding_bracket(delta_full, ecp, bits, bandwidth, gain, emax)
         delta = _brent_binding(ecp, bits, bandwidth, gain, emax, delta_full,
-                               hi, settings.root_tolerance,
-                               settings.root_tolerance * emax,
-                               settings.max_iterations)
+                               hi)
     except InfeasibleError as exc:
         # chi lies on the stationarity path, whose budget is reachable: a
         # bracket without a sign change is a solver failure

@@ -18,6 +18,7 @@ import dataclasses
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,6 +27,9 @@ from .tsfen import (
     AdamState, TsfenConfig, TsfenNetwork, Workspace, adam_init, adam_step,
     load_params, save_params,
 )
+
+if TYPE_CHECKING:
+    from .config import MappoSection
 
 log = logging.getLogger(__name__)
 
@@ -90,17 +94,6 @@ def gae(residuals: np.ndarray, gamma: float, lam: float) -> np.ndarray:
     return adv
 
 
-@dataclass(frozen=True)
-class MappoHyper:
-    gamma: float = 0.98
-    gae_lambda: float = 0.95
-    clip: float = 0.2
-    lr: float = 1e-4
-    batch_size: int = 32
-    ppo_epochs: int = 4
-    episodes_per_update: int = 10
-
-
 @dataclass
 class AgentBundle:
     """Actor/critic parameters, optimizer state, and trajectory buffer."""
@@ -109,7 +102,7 @@ class AgentBundle:
     critic: TsfenNetwork
     actor_opt: AdamState
     critic_opt: AdamState
-    hyper: MappoHyper
+    hyper: "MappoSection"
     episodes: list = field(default_factory=list)
     _open: dict = field(default=None)
 
@@ -138,7 +131,7 @@ class AgentBundle:
         self._open = None
 
 
-def make_bundle(net_config: TsfenConfig, hyper: MappoHyper,
+def make_bundle(net_config: TsfenConfig, hyper: "MappoSection",
                 rng: np.random.Generator) -> AgentBundle:
     actor = TsfenNetwork(net_config, rng)
     critic = TsfenNetwork(dataclasses.replace(net_config, output_dim=1), rng)
@@ -211,7 +204,8 @@ def _actor_step(bundle: AgentBundle, states, masks, actions, old_probs,
     dprobs = np.zeros_like(probs)
     dprobs[rows, actions] = -coeff  # minimize the negative surrogate
     grads = bundle.actor.policy_backward(caches, dprobs)
-    adam_step(bundle.actor.params, grads, bundle.actor_opt, hyper.lr)
+    adam_step(bundle.actor.params, grads, bundle.actor_opt,
+              hyper.learning_rate)
     return ratio
 
 
@@ -223,7 +217,7 @@ def _critic_step(bundle: AgentBundle, states, targets,
     dlogits[:, 0] = err / len(targets)
     grads = bundle.critic.backward(cache, dlogits)
     adam_step(bundle.critic.params, grads, bundle.critic_opt,
-              bundle.hyper.lr)
+              bundle.hyper.learning_rate)
     return float(0.5 * (err ** 2).mean())
 
 

@@ -12,6 +12,7 @@ reruns with the same config and seed are byte-identical, and swapping the
 selection policy never perturbs the platoon, channel, or task draws.
 """
 
+import dataclasses
 import json
 import logging
 import time
@@ -23,15 +24,15 @@ import numpy as np
 
 from . import aoi_metrics, fl_engine, selection as sel
 from .aoi_metrics import RoundLedger
-from .channel import ChannelParams, dbm_to_watts, realize_gains
-from .config import ScenarioConfig, config_hash, config_to_dict, named_rng
-from .cost_model import DeviceProfile, round_delay
-from .errors import RaceError
-from .platoon import IdmParams, init_platoon, step_platoon
-from .resource_alloc import (
-    Binding, SolverSettings, check_feasibility, optimal_allocation,
+from .channel import realize_gains
+from .config import (
+    ScenarioConfig, config_hash, config_to_dict, device_profile,
+    named_rng, network_config,
 )
-from .tsfen import TsfenConfig
+from .cost_model import round_delay
+from .errors import ConfigError, RaceError
+from .platoon import init_platoon, step_platoon
+from .resource_alloc import check_feasibility, optimal_allocation
 
 log = logging.getLogger(__name__)
 
@@ -53,18 +54,6 @@ class World:
         self.cfg = cfg
         self.seed = cfg.run.seed if seed is None else int(seed)
         p = cfg.platoon
-        self.idm = IdmParams(
-            a_max=p.a_max, b_max=p.b_max, d_min=p.d_min, t_min=p.t_min,
-            v_des=p.v_des, sensitivity_exponent=p.sensitivity_exponent,
-            update_interval=p.update_interval, substeps=p.substeps,
-        )
-        self.channel_params = ChannelParams(
-            bandwidth=cfg.channel.bandwidth,
-            path_loss_exponent=cfg.channel.path_loss_exponent,
-            frequency_factor=cfg.channel.frequency_factor,
-            noise_variance_dbm=cfg.channel.noise_variance_dbm,
-            estimation_error_variance=cfg.channel.estimation_error_variance,
-        )
         task_rng = named_rng(self.seed, "task")
         self.task = fl_engine.generate_task(
             seed=int(task_rng.integers(2 ** 31)),
@@ -78,22 +67,11 @@ class World:
         winit = named_rng(self.seed, "weights-init")
         w0 = winit.standard_normal(cfg.task.model_dim)
         self.model0 = w0 * (cfg.task.init_norm / np.linalg.norm(w0))
-        power_w = dbm_to_watts(cfg.cost.max_power_dbm)
-        self.profiles = [
-            DeviceProfile(
-                sample_count=int(n_samp),
-                cycles_per_sample=cfg.cost.cycles_per_sample,
-                cpu_hz=cfg.cost.cpu_hz, power_coeff=cfg.cost.power_coeff,
-                max_power_w=power_w, max_energy_j=cfg.cost.max_energy_j,
-                model_bits=cfg.cost.model_bits,
-            )
-            for n_samp in self.task.shard_sizes()
-        ]
-        self.solver = SolverSettings()
+        self.profiles = [device_profile(cfg.cost, int(n_samp))
+                         for n_samp in self.task.shard_sizes()]
         self.adversaries = set(int(d) for d in cfg.task.adversary_devices)
         self.n_devices = p.n_followers
         self.n_agents = cfg.selection.n_subchannels
-        self.subperiods = cfg.selection.subperiods
         self.episode = -1
 
     def _draw_eval_set(self, rng):
@@ -110,18 +88,13 @@ class World:
         cfg = self.cfg
         self.episode = episode
         self.platoon = init_platoon(
-            cfg.platoon.n_followers,
-            named_rng(self.seed, "platoon-init", episode),
-            speed_range=(cfg.platoon.speed_min, cfg.platoon.speed_max),
-            gap_range=(cfg.platoon.gap_min, cfg.platoon.gap_max),
-            vehicle_length=cfg.platoon.vehicle_length,
-        )
+            cfg.platoon, named_rng(self.seed, "platoon-init", episode))
         self.channel_rng = named_rng(self.seed, "channel", episode)
         self.model = self.model0.copy()
         self.aoi = np.zeros(self.n_devices)
         self.round_index = 0
         self.grad_norm_init = None
-        self.snapshots = deque(maxlen=self.subperiods)
+        self.snapshots = deque(maxlen=cfg.selection.subperiods)
 
     def current_threshold(self) -> float:
         th = self.cfg.thresholds
@@ -146,9 +119,10 @@ class World:
         cfg = self.cfg
         n = self.n_devices
         lr = cfg.task.learning_rate
+        subperiods = cfg.selection.subperiods
 
         prev_pos = self.platoon.positions.copy()
-        self.platoon = step_platoon(self.platoon, self.idm,
+        self.platoon = step_platoon(self.platoon, cfg.platoon,
                                     cfg.platoon.leader_speed)
         new_pos = self.platoon.positions
 
@@ -176,16 +150,15 @@ class World:
         threshold = self.current_threshold()
 
         # channel per sub-period along the interpolated trajectory
-        gains = np.empty((self.subperiods, n))
-        for m in range(self.subperiods):
-            frac = (m + 1) / self.subperiods
+        gains = np.empty((subperiods, n))
+        for m in range(subperiods):
+            frac = (m + 1) / subperiods
             pos = prev_pos + frac * (new_pos - prev_pos)
             dists = pos[0] - pos[1:]
-            gains[m] = realize_gains(dists, self.channel_params,
-                                     self.channel_rng)
+            gains[m] = realize_gains(dists, cfg.channel, self.channel_rng)
             self.snapshots.append(
                 np.stack([drift, gains[m], self.aoi], axis=1))
-        state = sel.build_state(self.snapshots, self.subperiods)
+        state = sel.build_state(self.snapshots, subperiods)
 
         # per-device resource allocation at the latest gains
         gain_now = gains[-1]
@@ -197,8 +170,7 @@ class World:
             if not check_feasibility(prof.model_bits, prof.max_energy_j,
                                      bw, gain_now[dev]):
                 continue
-            alloc[dev] = optimal_allocation(prof, gain_now[dev], bw,
-                                            self.solver)
+            alloc[dev] = optimal_allocation(prof, gain_now[dev], bw)
             feasible[dev] = 1.0
 
         if cfg.selection.mask == "binary":
@@ -240,7 +212,7 @@ class World:
 
         # an agentless round has no reward recipients
         r = aoi_metrics.reward(self.aoi, drift, cfg.run.alpha, cfg.run.beta,
-                               self.subperiods, self.n_agents) \
+                               subperiods, self.n_agents) \
             if self.n_agents else 0.0
         ledger = RoundLedger(
             round_index=self.round_index, aoi=self.aoi.copy(),
@@ -264,25 +236,13 @@ class MappoPolicy:
     """Per-sub-channel actor/critic agents with trajectory recording."""
 
     def __init__(self, cfg: ScenarioConfig, seed: int, train: bool = True):
-        m = cfg.mappo
-        net_cfg = TsfenConfig(
-            n_devices=cfg.platoon.n_followers,
-            history=cfg.selection.subperiods, d_model=m.d_model,
-            n_heads=m.n_heads, squeeze_dim=m.squeeze_dim,
-            lstm_hidden=m.lstm_hidden, fc_hidden=m.fc_hidden,
-        )
-        hyper = sel.MappoHyper(
-            gamma=m.gamma, gae_lambda=m.gae_lambda, clip=m.clip,
-            lr=m.learning_rate, batch_size=m.batch_size,
-            ppo_epochs=m.ppo_epochs,
-            episodes_per_update=m.episodes_per_update,
-        )
+        net_cfg = network_config(cfg)
         winit = named_rng(seed, "weights-init", 1)
-        self.agents = [sel.make_bundle(net_cfg, hyper, winit)
+        self.agents = [sel.make_bundle(net_cfg, cfg.mappo, winit)
                        for _ in range(cfg.selection.n_subchannels)]
         self.rng = named_rng(seed, "policy" if train else "eval")
         self.train = train
-        self.hyper = hyper
+        self.cfg = cfg
         self._episodes_since_update = 0
         self._pending = None
         self.update_stats = []
@@ -315,7 +275,7 @@ class MappoPolicy:
                 bundle.episodes.clear()
             return
         self._episodes_since_update += 1
-        if self._episodes_since_update >= self.hyper.episodes_per_update:
+        if self._episodes_since_update >= self.cfg.mappo.episodes_per_update:
             stats = [sel.ppo_update(bundle, self.rng)
                      for bundle in self.agents]
             self.update_stats.append(stats)
@@ -365,10 +325,15 @@ def run_experiment(cfg: ScenarioConfig, policy_kind: str, out_dir,
                    log_every: int = 25) -> RunReport:
     """Run (and optionally train) a policy; emit per-round CSV, summary
     JSON, and checkpoints.  Deterministic given (config, seed)."""
+    try:
+        run = dataclasses.replace(
+            cfg.run, seed=cfg.run.seed if seed is None else int(seed),
+            episodes=cfg.run.episodes if episodes is None else int(episodes))
+    except ValueError as exc:
+        raise ConfigError(f"bad run override: {exc}") from exc
+    seed, episodes = run.seed, run.episodes
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = cfg.run.seed if seed is None else int(seed)
-    episodes = cfg.run.episodes if episodes is None else int(episodes)
     if train is None:
         train = policy_kind == "mappo" and checkpoint_in is None
     world = World(cfg, seed)

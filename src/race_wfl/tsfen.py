@@ -93,10 +93,12 @@ class TsfenConfig:
     feature_scale: tuple = (0.2, 3.0, 1.0)
 
     def __post_init__(self):
+        sizes = (self.n_devices, self.history, self.d_model, self.n_heads,
+                 self.squeeze_dim, self.lstm_hidden, self.fc_hidden)
+        if min(sizes) < 1:
+            raise ValueError("network sizes must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
-        if self.history < 1 or self.n_devices < 1:
-            raise ValueError("need at least one sub-period and one device")
 
     @property
     def out_dim(self) -> int:

@@ -4,14 +4,15 @@ from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
 from race_wfl.channel import (
-    ChannelParams, ChannelRealization, data_rate, dbm_to_watts,
-    realize_channel, realize_gains,
+    ChannelRealization, data_rate, dbm_to_watts, realize_channel,
+    realize_gains,
 )
+from race_wfl.config import ChannelSection
 from race_wfl.errors import RaceError
 
 
 def params(**kw):
-    return ChannelParams(**kw)
+    return ChannelSection(**kw)
 
 
 def test_dbm_conversion():
@@ -51,7 +52,8 @@ def test_fading_power_is_unit_mean():
     p = params(estimation_error_variance=0.0)
     rng = np.random.default_rng(1234)
     d = 50.0
-    scale = p.frequency_factor * d ** (-p.path_loss_exponent) / p.noise_watts
+    scale = (p.frequency_factor * d ** (-p.path_loss_exponent)
+             / dbm_to_watts(p.noise_variance_dbm))
     gains = realize_gains(np.full(10 ** 5, d), p, rng)
     fading = gains / scale
     assert 0.99 <= fading.mean() <= 1.01

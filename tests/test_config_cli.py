@@ -234,6 +234,66 @@ class TestCli:
         assert main(["baseline", "--policy", "random", "--config",
                      str(bad), "--out-dir", str(tmp_path / "r")]) == 2
 
+    @pytest.mark.parametrize("command, edit, flags", [
+        ("baseline", {"channel": {"bandwidth": -1}}, []),
+        ("baseline", {"channel": {"estimation_error_variance": 2}}, []),
+        ("baseline", {"channel": {"bandwidth": "abc"}}, []),
+        ("baseline", {"platoon": {"a_max": -1}}, []),
+        ("baseline", {"platoon": {"substeps": 0}}, []),
+        ("baseline", {"platoon": {"speed_min": 30, "speed_max": 10}}, []),
+        ("baseline", {"platoon": {"gap_min": 20, "gap_max": 10}}, []),
+        ("baseline", {"cost": {"max_energy_j": -1}}, []),
+        ("train", {"mappo": {"n_heads": 7}}, []),
+        ("train", {"mappo": {"batch_size": 0}}, []),
+        ("baseline", {"task": {"n_classes": 0}}, []),
+        ("baseline", {"run": {"seed": -1}}, []),
+        ("baseline", {"run": {"episodes": 0}}, []),
+        ("baseline", {"run": {"rounds_per_episode": 0}}, []),
+        ("baseline", {"selection": {"subperiods": 0}}, []),
+        ("baseline", {}, ["--seed", "-1"]),
+        ("baseline", {}, ["--episodes", "0"]),
+    ])
+    def test_out_of_range_scenario_value_exits_2(self, tmp_path, caplog,
+                                                  command, edit, flags):
+        data = json.loads(json.dumps(TINY))
+        for section, values in edit.items():
+            data.setdefault(section, {}).update(values)
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(data))
+        argv = [command, "--config", str(path), "--out-dir",
+                str(tmp_path / "r"), *flags]
+        if command == "baseline":
+            argv += ["--policy", "random"]
+        assert main(argv) == 2
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert errors[0].startswith("configuration error: ")
+        assert "\n" not in errors[0]
+        assert not (tmp_path / "r" / "rounds.csv").exists()
+
+    @pytest.mark.parametrize("row, column", [
+        ("100,1e7,0.5e9,1e-28,0.0316,-0.1,1e6,1e6", "max_energy_j"),
+        ("100,1e7,0.5e9,1e-28,0.0316,0.1,1e6,abc", "gain"),
+        ("100,1e7,0.5e9,1e-28,,0.1,1e6,1e6", "max_power_w"),
+        ("100,1e7,0.5e9,1e-28,0.0316,0.1,1e6,inf", "gain"),
+        ("100,1e7,0.5e9,nan,0.0316,0.1,1e6,1e6", "power_coeff"),
+        ("100.5,1e7,0.5e9,1e-28,0.0316,0.1,1e6,1e6", "sample_count"),
+        ("100,1e7,0.5e9,1e-28,0.0316,0.1", "model_bits"),
+    ])
+    def test_allocate_rejects_malformed_rows(self, tmp_path, caplog, row,
+                                             column):
+        profiles = tmp_path / "p.csv"
+        profiles.write_text(
+            "sample_count,cycles_per_sample,cpu_hz,power_coeff,"
+            "max_power_w,max_energy_j,model_bits,gain\n"
+            "100,1e7,0.5e9,1e-28,0.0316,0.1,1e6,1e6\n" + row + "\n")
+        assert main(["allocate", "--profiles", str(profiles), "--out",
+                     str(tmp_path / "a.csv")]) == 2
+        message = caplog.records[-1].getMessage()
+        assert message.startswith("configuration error: profile row 1")
+        assert column in message
+
     def test_report_of_a_run_without_aggregation(self, tiny_config,
                                                  tmp_path, capsys):
         idle = json.loads(json.dumps(TINY))

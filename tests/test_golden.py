@@ -38,8 +38,8 @@ import numpy as np
 import pytest
 
 from race_wfl.cli import main
-from race_wfl.config import config_from_dict
-from race_wfl.platoon import IdmParams, init_platoon, simulate_platoon
+from race_wfl.config import PlatoonSection, config_from_dict
+from race_wfl.platoon import init_platoon, simulate_platoon
 from race_wfl.simulation import run_experiment
 from race_wfl.tsfen import TsfenConfig, TsfenNetwork
 
@@ -206,8 +206,8 @@ def platoon_hashes() -> dict:
     cases["stop-3"] = (3, len(stop), stop)
     out = {}
     for name, (seed, steps, targets) in cases.items():
-        state = init_platoon(20, np.random.default_rng(seed))
-        tx, tv = simulate_platoon(state, IdmParams(), steps, targets)
+        state = init_platoon(PlatoonSection(), np.random.default_rng(seed))
+        tx, tv = simulate_platoon(state, PlatoonSection(), steps, targets)
         out[name] = _sha(tx.tobytes() + tv.tobytes())
     return out
 

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
+from race_wfl.config import PlatoonSection
 from race_wfl.errors import CollisionError
 from race_wfl.platoon import (
-    IdmParams, PlatoonState, idm_acceleration, init_platoon, safe_distance,
+    PlatoonState, idm_acceleration, init_platoon, safe_distance,
     simulate_platoon, step_platoon,
 )
 
-P = IdmParams()  # Table-II style defaults
+P = PlatoonSection()  # Table-II style defaults
 
 
 def test_safe_distance_stationary():
@@ -109,9 +110,9 @@ def test_constant_velocity_integration_is_exact():
 
 def test_collision_is_a_fault_not_a_clamp():
     # weak braking authority: follower overruns a stopped leader in one step
-    weak = IdmParams(a_max=0.01, b_max=1e6, d_min=0.1, t_min=0.1,
-                     v_des=31.0, sensitivity_exponent=4.0,
-                     update_interval=1.0)
+    weak = PlatoonSection(a_max=0.01, b_max=1e6, d_min=0.1, t_min=0.1,
+                          v_des=31.0, sensitivity_exponent=4.0,
+                          update_interval=1.0)
     state = PlatoonState(
         positions=np.array([0.0, -25.0]),
         speeds=np.array([0.0, 30.0]),
@@ -152,7 +153,7 @@ def test_order_preservation_over_500_steps_100_seeds():
     # Table-II style initialization keeps every gap positive
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        state = init_platoon(20, rng)
+        state = init_platoon(P, rng)
         tx, _ = simulate_platoon(state, P, 500, leader_targets=18.0)
         gaps = tx[:, :-1] - tx[:, 1:] - state.lengths[:-1]
         assert gaps.min() > 0.0, f"seed {seed} lost ordering"
@@ -162,7 +163,7 @@ def test_simulate_equals_repeated_steps_bit_for_bit():
     # cruising, then braking to a standstill: every vehicle stops
     targets = np.concatenate([np.full(10, 18.0), np.zeros(70)])
     for seed in range(3):
-        state = init_platoon(20, np.random.default_rng(seed))
+        state = init_platoon(P, np.random.default_rng(seed))
         tx, tv = simulate_platoon(state, P, len(targets), targets)
         assert (tv[-1] == 0.0).all()
         for s, target in enumerate(targets):
@@ -175,7 +176,8 @@ def test_simulate_equals_repeated_steps_bit_for_bit():
 
 def test_leader_tracks_piecewise_profile():
     rng = np.random.default_rng(3)
-    state = init_platoon(2, rng, leader_speed=18.0)
+    state = init_platoon(PlatoonSection(n_followers=2), rng,
+                         leader_speed=18.0)
     targets = np.concatenate([np.full(50, 18.0), np.full(100, 15.0)])
     tx, tv = simulate_platoon(state, P, 150, leader_targets=targets)
     assert tv[50, 0] == pytest.approx(18.0)

@@ -9,7 +9,7 @@ from race_wfl.channel import data_rate
 from race_wfl.cost_model import DeviceProfile
 from race_wfl.errors import InfeasibleError, RaceError, RegimeError
 from race_wfl.resource_alloc import (
-    Binding, SolverSettings, check_feasibility, grid_feasibility,
+    Binding, check_feasibility, grid_feasibility,
     grid_search_allocation, high_snr_delta, large_model_delta,
     optimal_allocation, rho_from_delta, solve_binding_delta,
     _binding_residual,

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from race_wfl.config import MappoSection
 from race_wfl.errors import CheckpointError, RaceError
 from race_wfl.selection import (
-    MappoHyper, actions_to_assignment, adaptive_mask, baseline_policy,
+    actions_to_assignment, adaptive_mask, baseline_policy,
     binary_mask, build_state, gae, greedy_aoi_actions, load_agents,
     make_bundle, ppo_update, save_agents, select_actions, td_residual,
     _actor_step, _critic_values,
@@ -23,7 +24,7 @@ SMALL_NET = dict(d_model=8, n_heads=2, squeeze_dim=3, lstm_hidden=5,
 def small_agents(n_devices, history, k_agents, seed=0, uniform=False):
     rng = np.random.default_rng(seed)
     cfg = TsfenConfig(n_devices=n_devices, history=history, **SMALL_NET)
-    agents = [make_bundle(cfg, MappoHyper(), rng) for _ in range(k_agents)]
+    agents = [make_bundle(cfg, MappoSection(), rng) for _ in range(k_agents)]
     if uniform:
         for b in agents:
             for p in b.actor.params.values():
@@ -350,7 +351,7 @@ def test_agent_checkpoint_of_another_shape_is_rejected(tmp_path):
 
 def test_critic_values_in_chunks_equal_one_whole_batch_forward():
     rng = np.random.default_rng(3)
-    bundle = make_bundle(TsfenConfig(n_devices=20), MappoHyper(), rng)
+    bundle = make_bundle(TsfenConfig(n_devices=20), MappoSection(), rng)
     shape = (40, 5, 20)  # one full minibatch-sized chunk and a partial one
     states = np.stack([rng.uniform(0.0, 0.5, shape),
                        10.0 ** rng.uniform(8.0, 16.0, shape),
