@@ -4,18 +4,19 @@ For one device the problem is: choose a CPU fraction ``chi`` and a power
 fraction ``rho`` (both in (0, 1]) minimizing computation-plus-transmission
 delay subject to the per-round energy budget.  After substituting the
 transmission time ``delta`` for ``rho`` the problem is convex, and the
-first-order conditions reduce to a single monotone scalar equation, which
-is solved here by safeguarded bisection with a Brent polish of the
-energy-binding transmission time.  The Brent root is taken from the side
-of its bracket that stays within the budget, so a binding solve never
-overshoots it.  Failures raise where they happen: ``InfeasibleError``
-when the budget is below the transmission-energy infimum,
-``ConvergenceError`` when a root-finder fails.
+first-order conditions reduce to a single monotone scalar equation in the
+rate exponent ``u = model_bits / (delta * bandwidth)``.  One bisection
+solves it; its feasible end gives chi and the energy-binding transmission
+time together, so an interior solve spends its budget to within about
+1e-12 relative.  Failures raise where they happen:
+``InfeasibleError`` when the budget is below the transmission-energy
+infimum, ``ConvergenceError`` when the bisection finds no bracket or a
+binding solve comes out more than ``ENERGY_GUARD_REL`` over budget.
 
 Outcomes:
   * energy slack: full allocation (chi = rho = 1) fits the budget;
   * energy binding, interior power: chi from the multiplier relation,
-    delta from the binding energy equation, rho < 1;
+    delta from the same rate exponent, rho < 1;
   * energy binding, power capped: rho = 1 and chi spends the remaining
     budget on computation.
 
@@ -32,16 +33,10 @@ from .cost_model import DeviceProfile
 from .errors import ConvergenceError, InfeasibleError, RaceError, RegimeError
 
 LN2 = 0.6931471805599453
-_EPS = 2.220446049250313e-16
 
-# Root-finder controls.  ROOT_TOLERANCE bounds both the bracket width
-# (seconds) and the relative energy residual at a binding solution;
-# BRACKET_SCALE sets the initial upper bracket as a multiple of the
-# full-power transmission time (expanded geometrically if the residual
-# has not changed sign yet).
-ROOT_TOLERANCE = 1e-6
-MAX_ITERATIONS = 100
-BRACKET_SCALE = 1e3
+# A binding solve whose energy exceeds its budget by more than this share
+# is a solver failure, not an allocation.
+ENERGY_GUARD_REL = 1e-9
 
 
 class Binding(Enum):
@@ -89,113 +84,23 @@ def rho_from_delta(tx_time: float, model_bits: float, bandwidth: float,
     return min(rho, 1.0)
 
 
-def _binding_residual(delta, ecp, bits, bandwidth, gain, emax):
-    """Energy overshoot at transmission time ``delta`` for fixed chi."""
-    u = bits / (delta * bandwidth)
-    return ecp + delta * math.expm1(LN2 * u) / gain - emax
+def _h(u):
+    """``x * e^x - expm1(x)`` at ``x = u * ln2``.
 
-
-def _binding_bracket(lo, ecp, bits, bandwidth, gain, emax):
-    """Upper end of a bracket ``[lo, hi]`` on which the binding residual
-    turns negative: ``BRACKET_SCALE * lo``, grown tenfold while the
-    residual has not changed sign (near-boundary instances need very long
-    transmission times)."""
-    hi = BRACKET_SCALE * lo
-    for _ in range(60):
-        if _binding_residual(hi, ecp, bits, bandwidth, gain, emax) < 0.0:
-            return hi
-        hi *= 10.0
-    raise InfeasibleError("energy constraint cannot be met on any bracket")
-
-
-def _brent_binding(ecp, bits, bandwidth, gain, emax, a, b):
-    """Brent root of the binding-energy residual on [a, b].
-
-    The residual falls as the transmission time grows, so a converged
-    root is returned from the bracket end whose residual is <= 0: the
-    solve never overshoots its budget.  Raises InfeasibleError when the
-    residual does not change sign on [a, b] and ConvergenceError when the
-    iteration cap leaves the residual above ``ROOT_TOLERANCE * emax``.
+    The two terms agree to first order and their difference cancels to
+    nothing as x -> 0, so below ``x = 1e-3`` its Taylor series replaces
+    them; the result stays within about 3e-13 relative of the exact value.
     """
-    res_tol = ROOT_TOLERANCE * emax
-    fa = _binding_residual(a, ecp, bits, bandwidth, gain, emax)
-    fb = _binding_residual(b, ecp, bits, bandwidth, gain, emax)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise InfeasibleError("no sign change on bracket")
-    c = a
-    fc = fa
-    e = b - a
-    d = e
-    for _ in range(MAX_ITERATIONS):
-        if abs(fc) < abs(fb):
-            a = b
-            b = c
-            c = a
-            fa = fb
-            fb = fc
-            fc = fa
-        # steps may shrink to machine precision; the user tolerances only
-        # decide when the current iterate counts as converged
-        step_tol = 2.0 * _EPS * abs(b) + 1e-30
-        m = 0.5 * (c - b)
-        width_ok = abs(m) <= max(ROOT_TOLERANCE, 2.0 * step_tol)
-        if fb == 0.0 or (abs(fb) <= res_tol and width_ok):
-            return c if fb > 0.0 else b
-        if abs(m) <= step_tol:
-            break
-        if abs(e) < step_tol or abs(fa) <= abs(fb):
-            # bisection
-            e = m
-            d = e
-        else:
-            s = fb / fa
-            if a == c:
-                # secant
-                p = 2.0 * m * s
-                q = 1.0 - s
-            else:
-                # inverse quadratic interpolation
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            if 2.0 * p < min(3.0 * m * q - abs(step_tol * q), abs(e * q)):
-                e = d
-                d = p / q
-            else:
-                e = m
-                d = e
-        a = b
-        fa = fb
-        if abs(d) > step_tol:
-            b += d
-        elif m > 0.0:
-            b += step_tol
-        else:
-            b -= step_tol
-        fb = _binding_residual(b, ecp, bits, bandwidth, gain, emax)
-        if (fb > 0.0) == (fc > 0.0):
-            c = a
-            fc = fa
-            e = b - a
-            d = e
-    if abs(fb) <= res_tol:
-        return c if fb > 0.0 else b
-    raise ConvergenceError("root-finder hit its iteration cap")
+    x = u * LN2
+    if x < 1e-3:
+        return x * x * (0.5 + x * (1.0 / 3.0 + x * (0.125 + x * (
+            1.0 / 30.0 + x / 144.0))))
+    return x * math.exp(x) - math.expm1(x)
 
 
 def _stationarity_chi(u, kappa, cpu_hz, gain):
     """Unconstrained chi from the multiplier relation at rate exponent u."""
-    h = u * LN2 * math.exp(LN2 * u) - math.expm1(LN2 * u)
-    return (h / (2.0 * kappa * cpu_hz ** 3 * gain)) ** (1.0 / 3.0)
+    return (_h(u) / (2.0 * kappa * cpu_hz ** 3 * gain)) ** (1.0 / 3.0)
 
 
 def _binding_overshoot(u, kappa, mz, cpu_hz, bits, bandwidth, gain, emax):
@@ -209,8 +114,9 @@ def _binding_overshoot(u, kappa, mz, cpu_hz, bits, bandwidth, gain, emax):
 
 
 def _stationary_rate(kappa, mz, cpu_hz, bits, bandwidth, gain, emax):
-    """Rate exponent u at which the stationarity path exactly spends the
-    budget, by bisection on a geometrically grown bracket."""
+    """Rate exponent u at which the stationarity path spends the budget,
+    by bisection on a geometrically grown bracket.  Returns the bracket's
+    feasible end, where the overshoot is <= 0."""
     u_lo = 1e-6
     for _ in range(200):
         if _binding_overshoot(u_lo, kappa, mz, cpu_hz, bits, bandwidth,
@@ -238,42 +144,24 @@ def _stationary_rate(kappa, mz, cpu_hz, bits, bandwidth, gain, emax):
             u_lo = mid
         if (u_hi - u_lo) <= 1e-14 * u_hi:
             break
-    return 0.5 * (u_lo + u_hi)
-
-
-def solve_binding_delta(chi: float, profile: DeviceProfile, gain: float,
-                        bandwidth: float) -> float:
-    """Transmission time that exactly exhausts the energy budget at ``chi``.
-
-    The bracket starts at the full-power transmission time and extends to
-    ``BRACKET_SCALE`` times it, expanding geometrically while the residual
-    has not changed sign.
-    """
-    if not 0.0 < chi <= 1.0:
-        raise RaceError("chi must lie in (0, 1]")
-    bits = profile.model_bits
-    emax = profile.max_energy_j
-    if not check_feasibility(bits, emax, bandwidth, gain):
-        raise InfeasibleError("energy budget below the transmission infimum")
-    ecp = profile.power_coeff * profile.work_cycles * (chi * profile.cpu_hz) ** 2
-    lo = bits / (bandwidth * math.log1p(profile.max_power_w * gain) / LN2)
-    if _binding_residual(lo, ecp, bits, bandwidth, gain, emax) < 0.0:
-        raise InfeasibleError(
-            "no sign change on bracket: energy is slack at full power"
-        )
-    hi = _binding_bracket(lo, ecp, bits, bandwidth, gain, emax)
-    return float(_brent_binding(ecp, bits, bandwidth, gain, emax, lo, hi))
+    return u_lo
 
 
 def _result(profile, chi, rho, delta, binding, multipliers):
     ecp = profile.power_coeff * profile.work_cycles * (
         chi * profile.cpu_hz) ** 2
-    return AllocationResult(
+    res = AllocationResult(
         chi=float(chi), rho=float(rho), tx_time=float(delta),
         binding=binding, multipliers=multipliers,
         comp_time=float(profile.work_cycles / (chi * profile.cpu_hz)),
         energy=float(ecp + rho * profile.max_power_w * delta),
     )
+    if (binding is Binding.ENERGY_BINDING and not res.energy
+            <= profile.max_energy_j * (1.0 + ENERGY_GUARD_REL)):
+        raise ConvergenceError(
+            "allocation solver failed to converge: a binding solve spends "
+            f"{res.energy!r} J of a {profile.max_energy_j!r} J budget")
+    return res
 
 
 def optimal_allocation(profile: DeviceProfile, gain: float,
@@ -285,7 +173,7 @@ def optimal_allocation(profile: DeviceProfile, gain: float,
     bits = profile.model_bits
     power = profile.max_power_w
     emax = profile.max_energy_j
-    if LN2 * bits >= emax * bandwidth * gain:
+    if not check_feasibility(bits, emax, bandwidth, gain):
         raise InfeasibleError(
             "infeasible device instance: budget below transmission infimum"
         )
@@ -300,38 +188,25 @@ def optimal_allocation(profile: DeviceProfile, gain: float,
 
     # Energy binds. The stationarity conditions tie chi and delta to one
     # multiplier; sweep the rate exponent u (monotone in the multiplier)
-    # until the budget is exactly spent.
+    # until the budget is spent.
     u_star = _stationary_rate(kappa, mz, cpu_hz, bits, bandwidth, gain,
                               emax)
-    chi = min(_stationarity_chi(u_star, kappa, cpu_hz, gain), 1.0)
-    ecp = kappa * mz * (chi * cpu_hz) ** 2
-    if (u_star > u_full
-            or _binding_residual(delta_full, ecp, bits, bandwidth, gain,
-                                 emax) < 0.0):
+    if u_star > u_full:
         # Power cap binds first: transmit at full power, spend what is
         # left of the budget on computation.
         etx = power * delta_full
         chi = min(math.sqrt((emax - etx) / (kappa * mz * cpu_hz ** 2)), 1.0)
         lam1 = 1.0 / (2.0 * kappa * cpu_hz ** 3 * chi ** 3)
         u = bits / (delta_full * bandwidth)
-        h = u * LN2 * math.exp(LN2 * u) - math.expm1(LN2 * u)
-        lam2 = max(0.0, (1.0 - lam1 * h / gain) * delta_full * power * gain
-                   / (u * LN2 * math.exp(LN2 * u)))
+        lam2 = max(0.0, (1.0 - lam1 * _h(u) / gain) * delta_full * power
+                   * gain / (u * LN2 * math.exp(LN2 * u)))
         return _result(profile, chi, 1.0, delta_full, Binding.ENERGY_BINDING,
                        (lam1, lam2, 0.0, 0.0))
 
-    h = u_star * LN2 * math.exp(LN2 * u_star) - math.expm1(LN2 * u_star)
-    lam1 = gain / h
-    try:
-        hi = _binding_bracket(delta_full, ecp, bits, bandwidth, gain, emax)
-        delta = _brent_binding(ecp, bits, bandwidth, gain, emax, delta_full,
-                               hi)
-    except InfeasibleError as exc:
-        # chi lies on the stationarity path, whose budget is reachable: a
-        # bracket without a sign change is a solver failure
-        raise ConvergenceError("allocation solver failed to converge") from exc
-    rho = min(math.expm1(LN2 * bits / (delta * bandwidth)) / (power * gain),
-              1.0)
+    chi = min(_stationarity_chi(u_star, kappa, cpu_hz, gain), 1.0)
+    delta = bits / (u_star * bandwidth)
+    rho = rho_from_delta(delta, bits, bandwidth, power, gain)
+    lam1 = gain / _h(u_star)
     lam4 = max(0.0, mz / cpu_hz * (1.0 - 2.0 * lam1 * kappa * cpu_hz ** 3)
                ) if chi >= 1.0 else 0.0
     return _result(profile, chi, rho, delta, Binding.ENERGY_BINDING,

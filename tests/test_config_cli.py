@@ -216,6 +216,31 @@ class TestCli:
                      "--bandwidth", "1e6", "--out",
                      str(tmp_path / "x.csv")]) == 3
 
+    @pytest.mark.parametrize("row, bandwidth", [
+        # the stationary chi plus the transmission infimum overshot the
+        # budget by a rounding residue, so a second root-finder found no
+        # bracket
+        ("7643179,1.03e12,1e6,5.71e-27,1.2e-7,7.22e-7,1.38e6,3.38e10",
+         "1e6"),
+        # a budget just above the transmission infimum, where x e^x -
+        # expm1(x) cancelled to 0 and the multiplier divided by it
+        ("28,2436932.9557931186,198255192.35334966,9.780809112616421e-29,"
+         "0.020583711282558117,5.096265109004979e-07,1181652.698635612,"
+         "2622610.008049046", "612815.2806843467"),
+    ])
+    def test_allocate_solves_feasible_edge_rows(self, tmp_path, row,
+                                                bandwidth):
+        profiles = tmp_path / "p.csv"
+        profiles.write_text(
+            "sample_count,cycles_per_sample,cpu_hz,power_coeff,"
+            "max_power_w,max_energy_j,model_bits,gain\n" + row + "\n")
+        out = tmp_path / "a.csv"
+        assert main(["allocate", "--profiles", str(profiles), "--bandwidth",
+                     bandwidth, "--out", str(out)]) == 0
+        fields = out.read_text().splitlines()[1].split(",")
+        assert fields[1:3] == ["1", "binding"]
+        assert float(fields[-1]) <= 1e-9 * float(row.split(",")[5])
+
     def test_allocate_rejects_missing_columns(self, tmp_path):
         broken = tmp_path / "broken.csv"
         broken.write_text("sample_count,gain\n1,2\n")

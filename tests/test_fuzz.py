@@ -92,7 +92,9 @@ def test_fuzzed_profile_csv_exits_with_a_documented_code(tmp_path, caplog,
                      str(tmp_path / "out.csv")])
     assert code in (0, 2, 3, 4)
     if code == 4:
-        # the solver's own failure, not a parse failure
+        # the solver's own failure, not a parse failure: a row whose
+        # magnitudes overflow the solver's arithmetic still reaches its
+        # energy guard
         assert "failed to converge" in caplog.records[-1].getMessage()
 
 

@@ -150,7 +150,7 @@ PLATOON_HASHES = {
 }
 
 ALLOCATE_HASH = (
-    "9bbefe5d1743c3f858d2f86bf2a3c80e7f11b861416d8d281467192fe0eb7717")
+    "7845a3e24d3f062a5979a1d0c41a831d5154d2d895b374633a6d3841dcb99758")
 
 ALLOCATE_COLUMNS = ("sample_count", "cycles_per_sample", "cpu_hz",
                     "power_coeff", "max_power_w", "max_energy_j",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,12 +8,13 @@ from mpmath import mp, mpf
 from conftest import random_instance
 from race_wfl.channel import data_rate
 from race_wfl.cost_model import DeviceProfile
-from race_wfl.errors import InfeasibleError, RaceError, RegimeError
+from race_wfl.errors import (
+    ConvergenceError, InfeasibleError, RaceError, RegimeError,
+)
 from race_wfl.resource_alloc import (
     Binding, check_feasibility, grid_feasibility,
     grid_search_allocation, high_snr_delta, large_model_delta,
-    optimal_allocation, rho_from_delta, solve_binding_delta,
-    _binding_residual,
+    optimal_allocation, rho_from_delta,
 )
 
 LN2 = math.log(2.0)
@@ -109,36 +111,29 @@ class TestRhoFromDelta:
 
 
 class TestBindingDelta:
+    """The interior-binding transmission time comes from the same rate
+    exponent as chi, so it lies on the binding energy curve at chi."""
+
     def test_residual_at_root(self):
         prof = binding_profile()
-        delta = solve_binding_delta(1.0, prof, BINDING_GAIN, BINDING_B)
-        ecp = prof.power_coeff * prof.work_cycles * prof.cpu_hz ** 2
-        g = _binding_residual(delta, ecp, prof.model_bits, BINDING_B,
-                              BINDING_GAIN, prof.max_energy_j)
-        assert abs(g) <= 1e-6 * prof.max_energy_j
+        res = optimal_allocation(prof, BINDING_GAIN, BINDING_B)
+        assert res.binding is Binding.ENERGY_BINDING and res.rho < 1.0
+        residual = res.energy - prof.max_energy_j
+        assert -1e-12 * prof.max_energy_j <= residual <= 0.0
 
     def test_against_million_point_grid(self):
         prof = binding_profile()
-        delta = solve_binding_delta(1.0, prof, BINDING_GAIN, BINDING_B)
+        res = optimal_allocation(prof, BINDING_GAIN, BINDING_B)
         lo = prof.model_bits / (
             BINDING_B * math.log2(1 + prof.max_power_w * BINDING_GAIN))
         grid = np.linspace(lo, 1e3 * lo, 10 ** 6)
-        ecp = prof.power_coeff * prof.work_cycles * prof.cpu_hz ** 2
+        ecp = prof.power_coeff * prof.work_cycles * (
+            res.chi * prof.cpu_hz) ** 2
         u = prof.model_bits / (grid * BINDING_B)
         resid = ecp + grid * np.expm1(LN2 * u) / BINDING_GAIN - prof.max_energy_j
         cross = np.argmax(resid <= 0)  # first grid point past the root
         step = grid[1] - grid[0]
-        assert abs(delta - grid[cross]) <= 2 * step
-
-    def test_energy_slack_bracket_errors(self):
-        prof = binding_profile(max_energy_j=10.0)
-        with pytest.raises(InfeasibleError):
-            solve_binding_delta(1.0, prof, BINDING_GAIN, BINDING_B)
-
-    def test_infeasible_instance_errors(self):
-        prof = binding_profile(max_energy_j=1e-9)
-        with pytest.raises(InfeasibleError):
-            solve_binding_delta(1.0, prof, BINDING_GAIN, BINDING_B)
+        assert abs(res.tx_time - grid[cross]) <= 2 * step
 
 
 class TestOptimalAllocation:
@@ -205,7 +200,39 @@ class TestOptimalAllocation:
             if res.binding is Binding.ENERGY_BINDING:
                 binding += 1
                 assert res.energy <= prof.max_energy_j * (1 + 1e-9)
+                if res.rho < 1.0:
+                    # an interior solve spends its whole budget
+                    assert res.energy >= prof.max_energy_j * (1 - 1e-12)
         assert binding > 500
+
+    def test_near_boundary_budgets_solve_within_budget(self):
+        # budgets just above the transmission-energy infimum push the rate
+        # exponent toward 0, where x e^x - expm1(x) cancels to nothing
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            prof, gain, bw = random_instance(rng)
+            emax = LN2 * prof.model_bits / (bw * gain) * (
+                1 + 10 ** rng.uniform(-16, -6))
+            if not check_feasibility(prof.model_bits, emax, bw, gain):
+                continue
+            res = optimal_allocation(
+                dataclasses.replace(prof, max_energy_j=emax), gain, bw)
+            assert res.binding is Binding.ENERGY_BINDING
+            assert res.chi > 0.0 and 0.0 < res.rho < 1.0
+            assert res.multipliers[0] > 0.0
+            assert res.energy <= emax * (1 + 1e-9)
+
+    def test_over_budget_solve_raises(self):
+        # u * bandwidth * gain overflows, so the stationarity path reads a
+        # transmission energy of 0 where the allocation spends ~1e74
+        # budgets; the solver reports that instead of returning it
+        prof = DeviceProfile(
+            sample_count=100, cycles_per_sample=1.0011302169771886e-138,
+            cpu_hz=5e8, power_coeff=1e-28, max_power_w=0.0316,
+            max_energy_j=1.9699149614688815e-278, model_bits=1e6,
+        )
+        with pytest.raises(ConvergenceError, match="failed to converge"):
+            optimal_allocation(prof, 1.9499599122022312e303, 1e6)
 
     def test_slack_case_kkt_consistency(self):
         # with no energy pressure, interior stationarity in chi cannot hold:
