@@ -158,6 +158,12 @@ def cmd_verify(args) -> int:
     quick = args.quick
     results = []
 
+    def record(name, passed, csv_name=None, header=None, rows=None,
+               gating=True):
+        if csv_name is not None:
+            _write_trace(out_dir / csv_name, header, rows)
+        results.append((name, passed, gating))
+
     # deviation bound: exhaustive enumeration over random instances
     n_inst = 10 if quick else 50
     rows = []
@@ -170,9 +176,8 @@ def cmd_verify(args) -> int:
             res = tc.verify_lemma3(prob, k, w)
             rows.append([seed, k, res.empirical, res.bound, int(res.holds)])
             ok &= res.holds
-    _write_trace(out_dir / "verify_deviation_bound.csv",
-                 ["seed", "k", "empirical", "bound", "holds"], rows)
-    results.append(("deviation-bound (enumeration)", ok, True))
+    record("deviation-bound (enumeration)", ok, "verify_deviation_bound.csv",
+           ["seed", "k", "empirical", "bound", "holds"], rows)
 
     # convergence bound along partial-participation descent
     seeds = 3 if quick else 10
@@ -187,9 +192,8 @@ def cmd_verify(args) -> int:
         ok &= tr.holds
         rows += [[seed, t, e, b] for t, e, b in
                  zip(tr.rounds, tr.empirical, tr.bound)]
-    _write_trace(out_dir / "verify_convergence_bound.csv",
-                 ["seed", "round", "empirical_gap", "bound"], rows)
-    results.append(("convergence-bound (descent)", ok, True))
+    record("convergence-bound (descent)", ok, "verify_convergence_bound.csv",
+           ["seed", "round", "empirical_gap", "bound"], rows)
 
     # heterogeneity bound: validity and ordering
     ok = True
@@ -201,10 +205,10 @@ def cmd_verify(args) -> int:
         ok &= tr.holds
         rows += [[seed, t, e, b5, b4] for t, e, b5, b4 in
                  zip(tr.rounds, tr.empirical, tr.bound, tr.extra["bound4"])]
-    _write_trace(out_dir / "verify_heterogeneity_bound.csv",
-                 ["seed", "round", "empirical_gap", "bound_worst_case",
-                  "bound_enumerated"], rows)
-    results.append(("heterogeneity-bound (ordering+validity)", ok, True))
+    record("heterogeneity-bound (ordering+validity)", ok,
+           "verify_heterogeneity_bound.csv",
+           ["seed", "round", "empirical_gap", "bound_worst_case",
+            "bound_enumerated"], rows)
 
     # stationary-point bound on the nonconvex task
     seeds = 5 if quick else 20
@@ -217,9 +221,8 @@ def cmd_verify(args) -> int:
         ok &= tr.holds
         rows.append([seed, tr.extra["min_grad_sq"], tr.extra["rhs"],
                      int(tr.holds)])
-    _write_trace(out_dir / "verify_stationary_bound.csv",
-                 ["seed", "min_grad_sq", "rhs", "holds"], rows)
-    results.append(("stationary-point bound", ok, True))
+    record("stationary-point bound", ok, "verify_stationary_bound.csv",
+           ["seed", "min_grad_sq", "rhs", "holds"], rows)
 
     # adaptive threshold: structural guarantees gate; the deviation chain
     # is reported but known not to hold universally
@@ -238,20 +241,19 @@ def cmd_verify(args) -> int:
         rows.append([seed, res.rounds_checked, res.rounds_skipped,
                      res.ratios.min() if len(res.ratios) else np.nan,
                      int(res.holds)])
-    _write_trace(out_dir / "verify_adaptive_threshold.csv",
-                 ["seed", "rounds_checked", "rounds_skipped", "min_ratio",
-                  "chain_holds"], rows)
-    results.append(("adaptive-threshold participation ratio",
-                    ok_struct, True))
-    results.append((f"adaptive-threshold deviation chain "
-                    f"({chain_holds}/{checked} instances; informational)",
-                    chain_holds > 0, False))
+    record("adaptive-threshold participation ratio", ok_struct,
+           "verify_adaptive_threshold.csv",
+           ["seed", "rounds_checked", "rounds_skipped", "min_ratio",
+            "chain_holds"], rows)
+    record(f"adaptive-threshold deviation chain "
+           f"({chain_holds}/{checked} instances; informational)",
+           chain_holds > 0, gating=False)
 
     # local-smoothness ball containment
     prob = tc.random_nonconvex_problem(np.random.default_rng(8))
     contained = tc.verify_local_smoothness_containment(
         prob, k=2, seeds=20 if quick else 100)
-    results.append(("local-smoothness ball containment", contained, True))
+    record("local-smoothness ball containment", contained)
 
     failed = False
     print(f"{'check':<55} result")

@@ -17,10 +17,6 @@ class InfeasibleError(RaceError):
     """A resource-allocation instance admits no feasible point."""
 
 
-class RegimeError(RaceError):
-    """A closed-form approximation was evaluated outside its regime."""
-
-
 class ConvergenceError(RaceError):
     """An iterative solver hit its iteration cap before converging."""
 

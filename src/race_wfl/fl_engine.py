@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AggregationError, RaceError
+from .errors import AggregationError, ConfigError, RaceError
 
 log = logging.getLogger(__name__)
 
@@ -53,7 +53,8 @@ def generate_task(seed: int, n_devices: int, n_classes: int, model_dim: int,
 
     Every class is represented globally and every device shard is
     non-empty; degenerate draws are retried up to ``max_resamples`` times
-    before erroring.  The arguments obey ``config.TaskSection``'s rules.
+    before a ``ConfigError`` names the scenario fields that cannot be met.
+    The arguments obey ``config.TaskSection``'s rules.
     """
     if class_weights is None:
         class_weights = (AI4MARS_CLASS_MIX if n_classes == 4
@@ -68,7 +69,9 @@ def generate_task(seed: int, n_devices: int, n_classes: int, model_dim: int,
         if len(np.unique(labels)) == n_classes:
             break
     else:
-        raise RaceError("could not draw every class globally")
+        raise ConfigError(
+            f"task.n_samples = {n_samples} did not draw all task.n_classes = "
+            f"{n_classes} classes in {max_resamples} attempts")
     means = feature_scale * rng.standard_normal((n_classes, feature_dim)) \
         / np.sqrt(feature_dim)
     features = means[labels] + rng.standard_normal((n_samples, feature_dim))
@@ -83,9 +86,11 @@ def generate_task(seed: int, n_devices: int, n_classes: int, model_dim: int,
         if sizes.min() > 0:
             break
     else:
-        raise RaceError(
-            f"empty device shard after {max_resamples} resampling attempts"
-        )
+        raise ConfigError(
+            f"task.n_samples = {n_samples} left a shard of the "
+            f"platoon.n_followers = {n_devices} devices empty in "
+            f"{max_resamples} attempts (task.concentration = "
+            f"{concentration})")
     shards = [np.flatnonzero(owner == n) for n in range(n_devices)]
     return SyntheticTask(features=features, labels=labels, shards=shards,
                          n_classes=n_classes, feature_dim=feature_dim,

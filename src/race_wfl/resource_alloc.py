@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .cost_model import DeviceProfile
-from .errors import ConvergenceError, InfeasibleError, RaceError, RegimeError
+from .errors import ConvergenceError, InfeasibleError, RaceError
 
 LN2 = 0.6931471805599453
 
@@ -213,37 +213,6 @@ def optimal_allocation(profile: DeviceProfile, gain: float,
                    (lam1, 0.0, 0.0, lam4))
 
 
-def large_model_delta(chi: float, profile: DeviceProfile, gain: float,
-                      bandwidth: float) -> float:
-    """Closed-form transmission time for payloads much larger than the
-    per-transmission-time bandwidth budget. Raises RegimeError when the
-    logarithm's argument is not > 1 (no positive solution)."""
-    ecp = profile.power_coeff * profile.work_cycles * (chi * profile.cpu_hz) ** 2
-    numer = profile.model_bits * LN2
-    arg = (profile.max_energy_j - ecp) * gain / numer
-    if arg <= 1.0:
-        raise RegimeError(
-            "large-model approximation outside its regime (log argument <= 1)"
-        )
-    return numer / (bandwidth * math.log(arg))
-
-
-def high_snr_delta(chi: float, profile: DeviceProfile, gain: float,
-                   bandwidth: float) -> float:
-    """Closed-form transmission time in the high-SNR binding regime.
-
-    Requires received SNR at full power of at least 10.
-    """
-    if profile.max_power_w * gain < 10.0:
-        raise RegimeError("high-SNR closed form requires P * gain >= 10")
-    ecp = profile.power_coeff * profile.work_cycles * (chi * profile.cpu_hz) ** 2
-    if ecp <= 0 or profile.max_energy_j <= 0:
-        raise RegimeError("invalid energy terms")
-    return profile.model_bits / (
-        bandwidth * math.log1p(profile.max_energy_j * gain / ecp) / LN2
-    )
-
-
 def grid_search_allocation(profile: DeviceProfile, gain: float,
                            bandwidth: float, resolution: int = 400,
                            chi_range=(0.01, 1.0), rho_range=(0.01, 1.0)):
@@ -266,20 +235,3 @@ def grid_search_allocation(profile: DeviceProfile, gain: float,
     idx = np.argmin(delay)
     i, j = np.unravel_index(idx, delay.shape)
     return float(delay[i, j]), float(chi[i]), float(rho[j])
-
-
-def grid_feasibility(profile: DeviceProfile, gain: float, bandwidth: float,
-                     resolution: int = 600) -> bool:
-    """Dense log-grid oracle: does any (chi, rho) fit the energy budget?
-
-    chi and rho extend far below the optimality grid so the oracle can
-    approach the vanishing-power energy infimum.
-    """
-    chi = np.logspace(-8, 0, resolution)
-    rho = np.logspace(-12, 0, resolution)
-    mz = profile.work_cycles
-    comp_e = profile.power_coeff * mz * (chi * profile.cpu_hz) ** 2
-    rate = bandwidth * np.log1p(rho * profile.max_power_w * gain) / LN2
-    tx_e = rho * profile.max_power_w * profile.model_bits / rate
-    energy = comp_e[:, None] + tx_e[None, :]
-    return bool((energy <= profile.max_energy_j).any())

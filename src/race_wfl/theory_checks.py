@@ -20,12 +20,33 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RaceError
+from .fl_engine import adaptive_threshold
 
 log = logging.getLogger(__name__)
 
 
+class _DeviceProblem:
+    """What the test problems share: sample ``counts``, the matrices A_n
+    and the count-weighted full-set gradient."""
+
+    @property
+    def n_devices(self):
+        return len(self.counts)
+
+    def mean_matrix(self):
+        """Count-weighted mean of the A_n."""
+        return np.einsum("n,nij->ij", self.counts,
+                         self.matrices) / self.n_devices
+
+    def global_gradient(self, w, grads=None):
+        """(1/N) sum_n w_n grad f_n at w; pass ``grads`` if already known."""
+        if grads is None:
+            grads = self.device_gradients(w)
+        return np.einsum("n,n...i->...i", self.counts, grads) / self.n_devices
+
+
 @dataclass
-class QuadraticTestProblem:
+class QuadraticTestProblem(_DeviceProblem):
     """Per-device losses f_n(w) = 0.5 (w - c_n)^T A_n (w - c_n)."""
 
     matrices: np.ndarray      # (N, d, d), symmetric positive definite
@@ -33,7 +54,7 @@ class QuadraticTestProblem:
     counts: np.ndarray        # (N,) device sample counts
 
     def __post_init__(self):
-        hess = self.mean_hessian()
+        hess = self.mean_matrix()
         eigs = np.linalg.eigvalsh(hess)
         if eigs.min() <= 0:
             raise RaceError("average Hessian must be positive definite")
@@ -44,45 +65,40 @@ class QuadraticTestProblem:
         self.w_star = np.linalg.solve(hess, rhs)
 
     @property
-    def n_devices(self):
-        return len(self.counts)
-
-    @property
     def dim(self):
         return self.centers.shape[1]
 
-    def mean_hessian(self):
-        return np.einsum("n,nij->ij", self.counts,
-                         self.matrices) / len(self.counts)
+    def _offsets(self, w):
+        """w - c_n per device, (N, d) or (N, B, d) for a batch of w."""
+        w = np.asarray(w)
+        return w[None, ...] - (self.centers[:, None, :] if w.ndim == 2
+                               else self.centers)
 
     def device_gradients(self, w):
         """Raw per-device gradients at w (or a batch of w)."""
-        w = np.asarray(w)
-        diff = w[None, ...] - (self.centers[:, None, :] if w.ndim == 2
-                               else self.centers)
-        return np.einsum("nij,n...j->n...i", self.matrices, diff)
-
-    def global_gradient(self, w):
-        g = self.device_gradients(w)
-        return np.einsum("n,n...i->...i", self.counts, g) / self.n_devices
+        return np.einsum("nij,n...j->n...i", self.matrices, self._offsets(w))
 
     def global_loss(self, w):
-        w = np.asarray(w)
-        diff = w[None, ...] - (self.centers[:, None, :] if w.ndim == 2
-                               else self.centers)
+        diff = self._offsets(w)
         quad = np.einsum("n...i,nij,n...j->n...", diff, self.matrices, diff)
         return np.einsum("n,n...->...", self.counts, quad) \
             / (2.0 * self.n_devices)
 
 
-def random_quadratic_problem(rng, n_devices=6, dim=4, counts=None,
-                             eig_range=(0.5, 3.0),
-                             center_spread=2.0) -> QuadraticTestProblem:
+def _random_spd(rng, n_devices, dim, eig_range):
+    """(n_devices, dim, dim) random rotations of uniform spectra."""
     mats = np.empty((n_devices, dim, dim))
     for n in range(n_devices):
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         eigs = rng.uniform(*eig_range, size=dim)
         mats[n] = (q * eigs) @ q.T
+    return mats
+
+
+def random_quadratic_problem(rng, n_devices=6, dim=4, counts=None,
+                             eig_range=(0.5, 3.0),
+                             center_spread=2.0) -> QuadraticTestProblem:
+    mats = _random_spd(rng, n_devices, dim, eig_range)
     centers = center_spread * rng.standard_normal((n_devices, dim))
     if counts is None:
         counts = np.ones(n_devices)
@@ -90,19 +106,34 @@ def random_quadratic_problem(rng, n_devices=6, dim=4, counts=None,
                                 counts=np.asarray(counts, dtype=np.float64))
 
 
-def _subset_matrix(n, k):
-    subsets = list(itertools.combinations(range(n), k))
+def _subset_matrix(n, k, pool=None):
+    """(S, n) averaging matrix, one row per k-subset of ``pool`` or all n."""
+    subsets = list(itertools.combinations(
+        range(n) if pool is None else pool, k))
     m = np.zeros((len(subsets), n))
     for row, s in enumerate(subsets):
         m[row, list(s)] = 1.0 / k
     return m
 
 
+def _sample_subsets(rng, n_traj, n, k):
+    return np.argsort(rng.random((n_traj, n)), axis=1)[:, :k]
+
+
+def _sampled_step(problem, grads, rng, k):
+    """Mean weighted gradient over one sampled k-subset per trajectory;
+    ``grads`` is (N, B, d)."""
+    n_traj = grads.shape[1]
+    y = problem.counts[:, None, None] * grads
+    picks = _sample_subsets(rng, n_traj, problem.n_devices, k)   # (B, k)
+    return y[picks, np.arange(n_traj)[:, None], :].mean(axis=1)
+
+
 def deviation_bound(problem: QuadraticTestProblem, w, k: int) -> float:
     """Closed-form bound on E|e|^2 at model(s) w for k-subsets."""
     n = problem.n_devices
     grads = problem.device_gradients(w)
-    ref = problem.global_gradient(w)
+    ref = problem.global_gradient(w, grads)
     sq = ((grads - ref) ** 2).sum(axis=-1)
     weighted = np.einsum("n,n...->...", problem.counts ** 2, sq)
     zbar = problem.counts.mean()
@@ -111,12 +142,15 @@ def deviation_bound(problem: QuadraticTestProblem, w, k: int) -> float:
     return (1.0 - k / n) * weighted / (k * (n - 1) * zbar ** 2)
 
 
-def deviation_exact(problem: QuadraticTestProblem, w, k: int) -> float:
-    """Exact E|e|^2 by enumerating every k-subset at model(s) w."""
-    grads = problem.device_gradients(w)          # (N, ..., d)
+def deviation_exact(problem, w, k: int, grads=None, pool=None) -> float:
+    """Exact E|e|^2 at model(s) w by enumerating every k-subset of
+    ``pool`` (default: all devices) against the full-set reference;
+    pass ``grads`` if the device gradients at w are already known."""
+    if grads is None:
+        grads = problem.device_gradients(w)      # (N, ..., d)
     y = problem.counts.reshape(-1, *([1] * (grads.ndim - 1))) * grads
     ybar = y.mean(axis=0)
-    m = _subset_matrix(problem.n_devices, k)     # (S, N)
+    m = _subset_matrix(problem.n_devices, k, pool)   # (S, N)
     est = np.tensordot(m, y, axes=(1, 0))        # (S, ..., d)
     dev = ((est - ybar[None]) ** 2).sum(axis=-1)
     return dev.mean(axis=0)
@@ -127,8 +161,7 @@ def deviation_monte_carlo(problem, w, k, n_draws, rng) -> tuple:
     grads = problem.device_gradients(w)
     y = problem.counts[:, None] * grads
     ybar = y.mean(axis=0)
-    picks = np.argsort(rng.random((n_draws, problem.n_devices)),
-                       axis=1)[:, :k]
+    picks = _sample_subsets(rng, n_draws, problem.n_devices, k)
     est = y[picks].mean(axis=1)
     sq = ((est - ybar) ** 2).sum(axis=-1)
     return float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(n_draws))
@@ -150,10 +183,6 @@ def verify_lemma3(problem: QuadraticTestProblem, k: int,
     return Lemma3Result(empirical=emp, bound=bnd, holds=holds)
 
 
-def _sample_subsets(rng, n_traj, n, k):
-    return np.argsort(rng.random((n_traj, n)), axis=1)[:, :k]
-
-
 @dataclass
 class BoundTrace:
     rounds: np.ndarray
@@ -163,43 +192,11 @@ class BoundTrace:
     extra: dict = field(default_factory=dict)
 
 
-def verify_theorem4(problem: QuadraticTestProblem, k: int, rounds: int = 200,
-                    n_traj: int = 1000, rng=None, w0=None) -> BoundTrace:
-    """Partial-participation descent against the contraction-plus-noise
-    bound, with the per-round deviation moment enumerated exactly."""
-    rng = rng or np.random.default_rng(0)
-    n = problem.n_devices
-    lr = 1.0 / problem.smoothness
-    contraction = 1.0 - problem.pl_constant / problem.smoothness
-    if w0 is None:
-        w0 = problem.w_star + rng.standard_normal(problem.dim)
-    w = np.tile(np.asarray(w0, dtype=np.float64), (n_traj, 1))
-    f_star = float(problem.global_loss(problem.w_star))
-    gap0 = float(problem.global_loss(np.asarray(w0))) - f_star
-
-    emp = np.empty(rounds)
-    bnd = np.empty(rounds)
-    noise_sum = 0.0
-    for t in range(rounds):
-        dev_sq = float(np.mean(deviation_exact(problem, w, k)))
-        noise_sum = contraction * noise_sum + dev_sq
-        bnd[t] = (contraction ** (t + 1) * gap0
-                  + noise_sum / (2.0 * problem.smoothness))
-        grads = problem.device_gradients(w)          # (N, B, d)
-        y = problem.counts[:, None, None] * grads
-        picks = _sample_subsets(rng, n_traj, n, k)   # (B, k)
-        step = y[picks, np.arange(n_traj)[:, None], :].mean(axis=1)
-        w = w - lr * step
-        emp[t] = float(problem.global_loss(w).mean()) - f_star
-    holds = bool((emp <= bnd * (1.0 + 1e-9) + 1e-12).all())
-    return BoundTrace(rounds=np.arange(1, rounds + 1), empirical=emp,
-                      bound=bnd, holds=holds)
-
-
-def verify_theorem5(problem: QuadraticTestProblem, k: int, rounds: int = 100,
-                    n_traj: int = 500, rng=None, w0=None) -> BoundTrace:
-    """Heterogeneity-form bound: validity and ordering against the
-    enumerated-deviation bound of the convergence theorem."""
+def _descent(problem: QuadraticTestProblem, k, rounds, n_traj, rng, w0):
+    """Partial-participation descent from w0 over ``n_traj`` sampled
+    trajectories.  Returns per-round (empirical mean optimality gap,
+    bound with the enumerated deviation moment, bound with the
+    worst-case heterogeneity)."""
     rng = rng or np.random.default_rng(0)
     n = problem.n_devices
     lr = 1.0 / problem.smoothness
@@ -212,28 +209,44 @@ def verify_theorem5(problem: QuadraticTestProblem, k: int, rounds: int = 100,
     zbar = problem.counts.mean()
 
     emp = np.empty(rounds)
-    bnd4 = np.empty(rounds)
-    bnd5 = np.empty(rounds)
-    noise4 = 0.0
-    noise5 = 0.0
+    bnd_enum = np.empty(rounds)
+    bnd_worst = np.empty(rounds)
+    noise_enum = 0.0
+    noise_worst = 0.0
     for t in range(rounds):
-        dev_sq = float(np.mean(deviation_exact(problem, w, k)))
-        grads = problem.device_gradients(w)
-        ref = problem.global_gradient(w)
+        grads = problem.device_gradients(w)          # (N, B, d)
+        dev_sq = float(np.mean(deviation_exact(problem, w, k, grads)))
+        ref = problem.global_gradient(w, grads)
         sq = ((grads - ref) ** 2).sum(axis=-1)
         # worst-case divergence, averaged over the trajectory ensemble
         gamma_sq = float((problem.counts[:, None] ** 2 * sq).max(axis=0)
                          .mean())
-        noise4 = contraction * noise4 + dev_sq
-        term5 = ((1.0 - k / n) * gamma_sq / (k * zbar ** 2)) if k < n else 0.0
-        noise5 = contraction * noise5 + term5
-        bnd4[t] = contraction ** (t + 1) * gap0 + noise4 / (2 * problem.smoothness)
-        bnd5[t] = contraction ** (t + 1) * gap0 + noise5 / (2 * problem.smoothness)
-        y = problem.counts[:, None, None] * grads
-        picks = _sample_subsets(rng, n_traj, n, k)
-        step = y[picks, np.arange(n_traj)[:, None], :].mean(axis=1)
-        w = w - lr * step
+        term = ((1.0 - k / n) * gamma_sq / (k * zbar ** 2)) if k < n else 0.0
+        noise_enum = contraction * noise_enum + dev_sq
+        noise_worst = contraction * noise_worst + term
+        decay = contraction ** (t + 1) * gap0
+        bnd_enum[t] = decay + noise_enum / (2.0 * problem.smoothness)
+        bnd_worst[t] = decay + noise_worst / (2.0 * problem.smoothness)
+        w = w - lr * _sampled_step(problem, grads, rng, k)
         emp[t] = float(problem.global_loss(w).mean()) - f_star
+    return emp, bnd_enum, bnd_worst
+
+
+def verify_theorem4(problem: QuadraticTestProblem, k: int, rounds: int = 200,
+                    n_traj: int = 1000, rng=None, w0=None) -> BoundTrace:
+    """Partial-participation descent against the contraction-plus-noise
+    bound, with the per-round deviation moment enumerated exactly."""
+    emp, bnd, _ = _descent(problem, k, rounds, n_traj, rng, w0)
+    holds = bool((emp <= bnd * (1.0 + 1e-9) + 1e-12).all())
+    return BoundTrace(rounds=np.arange(1, rounds + 1), empirical=emp,
+                      bound=bnd, holds=holds)
+
+
+def verify_theorem5(problem: QuadraticTestProblem, k: int, rounds: int = 100,
+                    n_traj: int = 500, rng=None, w0=None) -> BoundTrace:
+    """Heterogeneity-form bound: validity and ordering against the
+    enumerated-deviation bound of the convergence theorem."""
+    emp, bnd4, bnd5 = _descent(problem, k, rounds, n_traj, rng, w0)
     valid = bool((emp <= bnd5 * (1.0 + 1e-9) + 1e-12).all())
     ordered = bool((bnd5 >= bnd4 * (1.0 - 1e-12) - 1e-15).all())
     return BoundTrace(rounds=np.arange(1, rounds + 1), empirical=emp,
@@ -242,7 +255,7 @@ def verify_theorem5(problem: QuadraticTestProblem, k: int, rounds: int = 100,
 
 
 @dataclass
-class NonconvexProblem:
+class NonconvexProblem(_DeviceProblem):
     """Per-device smooth nonconvex losses: quadratic plus cosine ripple.
 
     f_n(w) = 0.5 w^T A_n w + amp_n * cos(b_n . w + phase_n); globally
@@ -256,48 +269,37 @@ class NonconvexProblem:
     counts: np.ndarray          # (N,)
 
     def __post_init__(self):
-        mean_a = np.einsum("n,nij->ij", self.counts,
-                           self.matrices) / len(self.counts)
         ripple = float(np.mean(self.counts * np.abs(self.ripple_amps)
                                * (self.ripple_dirs ** 2).sum(axis=1)))
-        self.smoothness = float(np.linalg.eigvalsh(mean_a).max()) + ripple
+        self.smoothness = \
+            float(np.linalg.eigvalsh(self.mean_matrix()).max()) + ripple
 
-    @property
-    def n_devices(self):
-        return len(self.counts)
+    def _ripple(self, w):
+        """(amp_n, b_n . w + phase_n), each (N, ...) for w of shape (..., d)."""
+        lead = (-1, *([1] * (w.ndim - 1)))
+        phase = np.einsum("ni,...i->n...", self.ripple_dirs, w)
+        return (self.ripple_amps.reshape(lead),
+                phase + self.phases.reshape(lead))
 
     def device_gradients(self, w):
         w = np.asarray(w)
         lin = np.einsum("nij,...j->n...i", self.matrices, w)
-        phase = np.einsum("ni,...i->n...", self.ripple_dirs, w)
-        phase = phase + self.phases.reshape(-1, *([1] * (w.ndim - 1)))
-        amp = self.ripple_amps.reshape(-1, *([1] * (w.ndim - 1)))
+        amp, phase = self._ripple(w)
         return lin - (amp * np.sin(phase))[..., None] * \
             self.ripple_dirs.reshape(self.n_devices,
                                      *([1] * (w.ndim - 1)), -1)
 
-    def global_gradient(self, w):
-        g = self.device_gradients(w)
-        return np.einsum("n,n...i->...i", self.counts, g) / self.n_devices
-
     def global_loss(self, w):
         w = np.asarray(w)
         quad = 0.5 * np.einsum("...i,nij,...j->n...", w, self.matrices, w)
-        phase = np.einsum("ni,...i->n...", self.ripple_dirs, w)
-        phase = phase + self.phases.reshape(-1, *([1] * (w.ndim - 1)))
-        amp = self.ripple_amps.reshape(-1, *([1] * (w.ndim - 1)))
+        amp, phase = self._ripple(w)
         vals = quad + amp * np.cos(phase)
         return np.einsum("n,n...->...", self.counts, vals) / self.n_devices
 
 
 def random_nonconvex_problem(rng, n_devices=4, dim=2) -> NonconvexProblem:
-    mats = np.empty((n_devices, dim, dim))
-    for n in range(n_devices):
-        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-        eigs = rng.uniform(0.8, 2.0, size=dim)
-        mats[n] = (q * eigs) @ q.T
     return NonconvexProblem(
-        matrices=mats,
+        matrices=_random_spd(rng, n_devices, dim, (0.8, 2.0)),
         ripple_dirs=rng.uniform(-1.5, 1.5, size=(n_devices, dim)),
         ripple_amps=rng.uniform(0.2, 0.8, size=n_devices),
         phases=rng.uniform(0, 2 * np.pi, size=n_devices),
@@ -305,28 +307,32 @@ def random_nonconvex_problem(rng, n_devices=4, dim=2) -> NonconvexProblem:
     )
 
 
-def certified_minimum(problem: NonconvexProblem, span: float = 4.0,
-                      grid: int = 801, polish_steps: int = 2000) -> float:
-    """Global minimum value via dense 2-D grid plus descent polish."""
+def _grid_minimizer(problem: NonconvexProblem):
+    """Dense 2-D grid over [-4, 4]^2 plus descent polish from its best
+    point: (polished point, grid minimum value)."""
     if problem.matrices.shape[-1] != 2:
         raise RaceError("grid search implemented for 2-D problems")
-    xs = np.linspace(-span, span, grid)
+    xs = np.linspace(-4.0, 4.0, 801)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
     vals = problem.global_loss(pts)
-    best = pts[np.argmin(vals)]
+    w = pts[np.argmin(vals)].copy()
     lr = 0.5 / problem.smoothness
-    w = best.copy()
-    for _ in range(polish_steps):
+    for _ in range(2000):
         w = w - lr * problem.global_gradient(w)
-    return float(min(vals.min(), problem.global_loss(w)))
+    return w, vals.min()
+
+
+def certified_minimum(problem: NonconvexProblem) -> float:
+    """Global minimum value via dense 2-D grid plus descent polish."""
+    w, grid_min = _grid_minimizer(problem)
+    return float(min(grid_min, problem.global_loss(w)))
 
 
 def verify_theorem9(problem: NonconvexProblem, k: int, rounds: int = 100,
                     n_traj: int = 400, rng=None, w0=None) -> BoundTrace:
     """Stationary-point bound without gradient dominance."""
     rng = rng or np.random.default_rng(0)
-    n = problem.n_devices
     lr = 1.0 / problem.smoothness
     if w0 is None:
         w0 = rng.standard_normal(problem.matrices.shape[-1])
@@ -337,18 +343,11 @@ def verify_theorem9(problem: NonconvexProblem, k: int, rounds: int = 100,
     grad_sq = np.empty(rounds)
     noise = np.empty(rounds)
     for t in range(rounds):
-        ref = problem.global_gradient(w)
-        grad_sq[t] = float((ref ** 2).sum(axis=-1).mean())
         grads = problem.device_gradients(w)
-        y = problem.counts[:, None, None] * grads
-        ybar = y.mean(axis=0)
-        m = _subset_matrix(n, k)
-        est = np.tensordot(m, y, axes=(1, 0))
-        noise[t] = float(((est - ybar[None]) ** 2).sum(axis=-1)
-                         .mean(axis=0).mean())
-        picks = _sample_subsets(rng, n_traj, n, k)
-        step = y[picks, np.arange(n_traj)[:, None], :].mean(axis=1)
-        w = w - lr * step
+        ref = problem.global_gradient(w, grads)
+        grad_sq[t] = float((ref ** 2).sum(axis=-1).mean())
+        noise[t] = float(np.mean(deviation_exact(problem, w, k, grads)))
+        w = w - lr * _sampled_step(problem, grads, rng, k)
     lhs = grad_sq.min()
     rhs = (2.0 * problem.smoothness * (f0 - f_star) + noise.sum()) / rounds
     holds = lhs <= rhs * (1.0 + 1e-9) + 1e-12
@@ -372,7 +371,6 @@ def verify_theorem7(problem: QuadraticTestProblem, k: int, rounds: int = 50,
     """Adaptive-threshold eligibility: set inclusion, participation ratio,
     and the enumerated deviation inequality, on one shared trajectory."""
     rng = rng or np.random.default_rng(0)
-    n = problem.n_devices
     lr = 1.0 / problem.smoothness
     if w0 is None:
         w0 = problem.w_star + rng.standard_normal(problem.dim)
@@ -393,50 +391,33 @@ def verify_theorem7(problem: QuadraticTestProblem, k: int, rounds: int = 50,
     skipped = 0
     holds = True
     for t in range(rounds):
-        wnorm = np.linalg.norm(w)
         grads = problem.device_gradients(w)
-        drift = lr * np.linalg.norm(grads, axis=-1) / wnorm
-        gnorm = float(np.linalg.norm(problem.global_gradient(w)))
-        lam_t = lam_min + (lam_max - lam_min) * math.exp(
-            -adapt_rate * (gnorm / g0) ** 2)
+        drift = lr * np.linalg.norm(grads, axis=-1) / np.linalg.norm(w)
+        gnorm = float(np.linalg.norm(problem.global_gradient(w, grads)))
+        # lam_t >= lam_min, so the fixed set is a subset of the adaptive one
+        lam_t = adaptive_threshold(gnorm, g0, lam_min, lam_max, adapt_rate)
         fixed_set = np.flatnonzero(drift <= lam_min)
         adapt_set = np.flatnonzero(drift <= lam_t)
-        if len(fixed_set) == 0 or len(fixed_set) < k or len(adapt_set) < k:
+        if len(fixed_set) < max(k, 1):
             skipped += 1
-            log.info("round %d skipped: eligible sets too small for "
-                     "enumeration", t)
+            log.debug("round %d skipped: eligible sets too small for "
+                      "enumeration", t)
         else:
-            assert set(fixed_set) <= set(adapt_set)
             rho = len(adapt_set) / len(fixed_set)
             ratios.append(rho)
             if rho < 1.0:
                 holds = False
-            e_a = _restricted_deviation(problem, w, adapt_set, k)
-            e_f = _restricted_deviation(problem, w, fixed_set, k)
+            e_a = deviation_exact(problem, w, k, grads, adapt_set)
+            e_f = deviation_exact(problem, w, k, grads, fixed_set)
             if e_a > rho * e_f * (1.0 + 1e-9) + 1e-15:
                 holds = False
         # advance by aggregating the adaptive eligible set (all members)
-        agg = adapt_set if len(adapt_set) else np.arange(n)
+        agg = adapt_set if len(adapt_set) else np.arange(problem.n_devices)
         step = (problem.counts[agg, None] * grads[agg]).mean(axis=0)
         w = w - lr * step
     return AdaptiveThresholdResult(
         rounds_checked=rounds - skipped, rounds_skipped=skipped,
         ratios=np.asarray(ratios), holds=holds)
-
-
-def _restricted_deviation(problem, w, pool, k):
-    """Exact E|e|^2 over k-subsets drawn from ``pool`` against the
-    full-set reference gradient."""
-    grads = problem.device_gradients(w)
-    y = problem.counts[:, None] * grads
-    ybar = y.mean(axis=0)
-    total = 0.0
-    count = 0
-    for s in itertools.combinations(pool, k):
-        e = y[list(s)].mean(axis=0) - ybar
-        total += float((e ** 2).sum())
-        count += 1
-    return total / count
 
 
 def verify_local_smoothness_containment(problem: NonconvexProblem,
@@ -446,31 +427,19 @@ def verify_local_smoothness_containment(problem: NonconvexProblem,
                                         seeds: int = 100) -> bool:
     """Qualitative check: with a small prescribed step size and
     initialization inside the ball, iterates never exit it."""
-    f_star_w = _argmin_nonconvex(problem)
+    center, _ = _grid_minimizer(problem)
     lr = margin / (2.0 * problem.smoothness * rounds
                    * math.sqrt(math.log(100.0)))
     for seed in range(seeds):
         rng = np.random.default_rng(seed)
         direction = rng.standard_normal(2)
         direction /= np.linalg.norm(direction)
-        w = f_star_w + (radius - margin) * rng.uniform(0, 1) * direction
+        w = center + (radius - margin) * rng.uniform(0, 1) * direction
         for _ in range(rounds):
             picks = rng.permutation(problem.n_devices)[:k]
             grads = problem.device_gradients(w)
             step = (problem.counts[picks, None] * grads[picks]).mean(axis=0)
             w = w - lr * step
-            if np.linalg.norm(w - f_star_w) > radius:
+            if np.linalg.norm(w - center) > radius:
                 return False
     return True
-
-
-def _argmin_nonconvex(problem: NonconvexProblem) -> np.ndarray:
-    xs = np.linspace(-4, 4, 801)
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    vals = problem.global_loss(pts)
-    w = pts[np.argmin(vals)].copy()
-    lr = 0.5 / problem.smoothness
-    for _ in range(2000):
-        w = w - lr * problem.global_gradient(w)
-    return w

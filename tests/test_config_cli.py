@@ -277,6 +277,8 @@ class TestCli:
         ("baseline", {"selection": {"subperiods": 0}}, []),
         ("baseline", {}, ["--seed", "-1"]),
         ("baseline", {}, ["--episodes", "0"]),
+        # 200 samples cannot give each of 40 devices a sample
+        ("baseline", {"platoon": {"n_followers": 40}}, []),
     ])
     def test_out_of_range_scenario_value_exits_2(self, tmp_path, caplog,
                                                   command, edit, flags):

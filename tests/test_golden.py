@@ -20,7 +20,9 @@ the same.  These tests pin SHA-256 hashes of
   takes the stop-within-a-sub-step branch;
 * the ``race-wfl allocate`` table of seeded log-uniform profiles whose
   rows reach the slack, interior-binding, power-capped and infeasible
-  outcomes.  The default scenario reaches only the first.
+  outcomes.  The default scenario reaches only the first;
+* the five trace CSVs of ``race-wfl verify --quick``, the numeric theory
+  suite.
 
 Pinned with Python 3.11.7, numpy 2.4.6 and scipy-openblas 0.3.31.188.0
 (64-bit ints, DYNAMIC_ARCH) on x86_64 with AVX-512, at OpenBLAS's default
@@ -152,6 +154,19 @@ PLATOON_HASHES = {
 ALLOCATE_HASH = (
     "7845a3e24d3f062a5979a1d0c41a831d5154d2d895b374633a6d3841dcb99758")
 
+VERIFY_HASHES = {
+    "verify_adaptive_threshold.csv":
+        "6585d5da17237c188eba4316f0f954edfe980a8eb7a5c939306808639796a5a3",
+    "verify_convergence_bound.csv":
+        "5af9250094ba97cb17bd5240169c7dc2eefa713e9c314cacf59a6b7cb54f6053",
+    "verify_deviation_bound.csv":
+        "028d1dcef7371cd7964edf75467c61c9a987feaa6c1629e80477e905542a5891",
+    "verify_heterogeneity_bound.csv":
+        "22bb5dc3095f813a9ff6c60f24f9c5d8176c44521aa0a5dc3216b89a42a6585b",
+    "verify_stationary_bound.csv":
+        "fb59a91cdb09a46bad83c3cb2f1b30619457fb116ff40df2b80699aeefd3db77",
+}
+
 ALLOCATE_COLUMNS = ("sample_count", "cycles_per_sample", "cpu_hz",
                     "power_coeff", "max_power_w", "max_energy_j",
                     "model_bits", "gain")
@@ -242,6 +257,13 @@ def allocate_table(tmp_dir) -> bytes:
     return out.read_bytes()
 
 
+def verify_hashes(out_dir) -> dict:
+    """{trace CSV name: SHA-256} of a ``verify --quick`` run."""
+    assert main(["verify", "--quick", "--out-dir", str(out_dir)]) == 0
+    return {p.name: _sha(p.read_bytes())
+            for p in sorted(out_dir.glob("verify_*.csv"))}
+
+
 @pytest.mark.parametrize("batch", sorted(NETWORK_HASHES))
 def test_network_logits_and_gradients_are_pinned(batch):
     _skip_unless_pinned_build()
@@ -275,6 +297,11 @@ def test_allocate_table_is_pinned(tmp_path):
     assert _sha(table) == ALLOCATE_HASH
 
 
+def test_verify_traces_are_pinned(tmp_path):
+    _skip_unless_pinned_build()
+    assert verify_hashes(tmp_path) == VERIFY_HASHES
+
+
 if __name__ == "__main__":
     import pprint
     import tempfile
@@ -287,3 +314,4 @@ if __name__ == "__main__":
         pprint.pprint(train_hashes(Path(tmp), UPDATED_TRAIN_CONFIG))
         pprint.pprint(platoon_hashes())
         print(_sha(allocate_table(Path(tmp))))
+        pprint.pprint(verify_hashes(Path(tmp) / "verify"))

@@ -8,16 +8,65 @@ from mpmath import mp, mpf
 from conftest import random_instance
 from race_wfl.channel import data_rate
 from race_wfl.cost_model import DeviceProfile
-from race_wfl.errors import (
-    ConvergenceError, InfeasibleError, RaceError, RegimeError,
-)
+from race_wfl.errors import ConvergenceError, InfeasibleError, RaceError
 from race_wfl.resource_alloc import (
-    Binding, check_feasibility, grid_feasibility,
-    grid_search_allocation, high_snr_delta, large_model_delta,
-    optimal_allocation, rho_from_delta,
+    Binding, check_feasibility, grid_search_allocation, optimal_allocation,
+    rho_from_delta,
 )
 
 LN2 = math.log(2.0)
+
+
+class RegimeError(RaceError):
+    """A closed-form approximation was evaluated outside its regime."""
+
+
+def large_model_delta(chi: float, profile: DeviceProfile, gain: float,
+                      bandwidth: float) -> float:
+    """Closed-form transmission time for payloads much larger than the
+    per-transmission-time bandwidth budget. Raises RegimeError when the
+    logarithm's argument is not > 1 (no positive solution)."""
+    ecp = profile.power_coeff * profile.work_cycles * (chi * profile.cpu_hz) ** 2
+    numer = profile.model_bits * LN2
+    arg = (profile.max_energy_j - ecp) * gain / numer
+    if arg <= 1.0:
+        raise RegimeError(
+            "large-model approximation outside its regime (log argument <= 1)"
+        )
+    return numer / (bandwidth * math.log(arg))
+
+
+def high_snr_delta(chi: float, profile: DeviceProfile, gain: float,
+                   bandwidth: float) -> float:
+    """Closed-form transmission time in the high-SNR binding regime.
+
+    Requires received SNR at full power of at least 10.
+    """
+    if profile.max_power_w * gain < 10.0:
+        raise RegimeError("high-SNR closed form requires P * gain >= 10")
+    ecp = profile.power_coeff * profile.work_cycles * (chi * profile.cpu_hz) ** 2
+    if ecp <= 0 or profile.max_energy_j <= 0:
+        raise RegimeError("invalid energy terms")
+    return profile.model_bits / (
+        bandwidth * math.log1p(profile.max_energy_j * gain / ecp) / LN2
+    )
+
+
+def grid_feasibility(profile: DeviceProfile, gain: float, bandwidth: float,
+                     resolution: int = 600) -> bool:
+    """Dense log-grid oracle: does any (chi, rho) fit the energy budget?
+
+    chi and rho extend far below the optimality grid so the oracle can
+    approach the vanishing-power energy infimum.
+    """
+    chi = np.logspace(-8, 0, resolution)
+    rho = np.logspace(-12, 0, resolution)
+    mz = profile.work_cycles
+    comp_e = profile.power_coeff * mz * (chi * profile.cpu_hz) ** 2
+    rate = bandwidth * np.log1p(rho * profile.max_power_w * gain) / LN2
+    tx_e = rho * profile.max_power_w * profile.model_bits / rate
+    energy = comp_e[:, None] + tx_e[None, :]
+    return bool((energy <= profile.max_energy_j).any())
 
 
 def binding_profile(**kw):
