@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost_model import validate_assignment
-
 
 @dataclass
 class RoundLedger:
@@ -21,29 +19,19 @@ class RoundLedger:
     round_index: int
     aoi: np.ndarray                 # (N,) seconds, after this round
     drift: np.ndarray               # (N,) relative drift this round
-    assignment: np.ndarray          # (K, N) binary
+    actions: np.ndarray             # (K,) device per agent, -1 idle
     round_delay: float              # seconds
     rewards: np.ndarray             # (K,) per-agent reward
     objective_term: float           # alpha*sum(aoi) + beta*sum(drift)
-    selected: np.ndarray = field(default=None)          # (N,) bool
     aggregated: np.ndarray = field(default=None)        # device indices
     eligible_threshold: float = field(default=float("nan"))
     energies: np.ndarray = field(default=None)          # (N,) joules
 
     def validate(self):
-        validate_assignment(self.assignment)
         if (self.aoi < 0).any():
             raise ValueError("negative age")
-        chosen = self.assignment.sum(axis=0).astype(bool)
-        if self.aoi[chosen].any():
+        if self.aoi[self.actions[self.actions >= 0]].any():
             raise ValueError("selected devices must have zero age")
-
-
-def update_aoi(prev_age: float, selected: bool, round_delay: float) -> float:
-    """Age recursion for one device over one round."""
-    if prev_age < 0 or round_delay < 0:
-        raise ValueError("ages and delays are non-negative")
-    return 0.0 if selected else prev_age + round_delay
 
 
 def update_aoi_vector(prev_age: np.ndarray, selected: np.ndarray,
@@ -76,21 +64,6 @@ def objective_term(aoi: np.ndarray, drift: np.ndarray, alpha: float,
     return float(alpha * aoi.sum() + beta * drift.sum())
 
 
-def objective_value(ledgers, alpha: float = None, beta: float = None) -> float:
-    """Cumulative weighted objective over a trajectory of round ledgers.
-
-    With ``alpha``/``beta`` given, recomputes each term from the recorded
-    ages and drifts; otherwise sums the recorded terms.
-    """
-    total = 0.0
-    for led in ledgers:
-        if alpha is None:
-            total += led.objective_term
-        else:
-            total += objective_term(led.aoi, led.drift, alpha, beta)
-    return float(total)
-
-
 def csv_header(n_devices: int, n_agents: int) -> str:
     cols = ["episode", "round"]
     cols += [f"aoi_{n}" for n in range(n_devices)]
@@ -109,12 +82,10 @@ def _fmt(x: float) -> str:
 def csv_row(episode: int, ledger: RoundLedger,
             cumulative_objective: float) -> str:
     """Fixed-order CSV row matching ``csv_header``; 17 significant digits."""
-    chosen = ledger.assignment.argmax(axis=1)
-    chosen = np.where(ledger.assignment.sum(axis=1) > 0, chosen, -1)
     cells = [str(episode), str(ledger.round_index)]
     cells += [_fmt(v) for v in ledger.aoi]
     cells += [_fmt(v) for v in ledger.drift]
-    cells += [str(int(c)) for c in chosen]
+    cells += [str(int(a)) for a in ledger.actions]
     cells += [_fmt(ledger.round_delay)]
     cells += [_fmt(v) for v in ledger.rewards]
     cells += [_fmt(cumulative_objective)]

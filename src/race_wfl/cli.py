@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import ScenarioConfig, config_hash, load_config
 from .errors import ConfigError, InfeasibleError, RaceError
-from .resource_alloc import Binding, check_feasibility, optimal_allocation
+from .resource_alloc import Binding, optimal_allocation
 from .cost_model import DeviceProfile
 from .simulation import BASELINE_KINDS, run_experiment
 from . import theory_checks as tc
@@ -85,8 +85,9 @@ def cmd_allocate(args) -> int:
             if raw.get("bandwidth") else bandwidth
         try:
             prof = DeviceProfile(**values)
-            res = optimal_allocation(prof, gain, bw) if check_feasibility(
-                prof.model_bits, prof.max_energy_j, bw, gain) else None
+            res = optimal_allocation(prof, gain, bw)
+        except InfeasibleError:
+            res = None
         except (ValueError, ArithmeticError) as exc:
             # a rejected profile, or values beyond the solver's float range
             raise ConfigError(f"profile row {idx}: {exc}") from exc
@@ -271,17 +272,20 @@ def cmd_report(args) -> int:
         summary_path = Path(run_dir) / "summary.json"
         if not summary_path.exists():
             raise ConfigError(f"no summary.json under {run_dir}")
-        with open(summary_path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        s = data["summary"]
-        flmd = s["final_mean_flmd_of_aggregated"]
-        rows.append([
-            Path(run_dir).name, s["policy"], s["episodes"],
-            f"{s['cumulative_sum_aoi_mean']:.4f}",
-            "n/a" if flmd is None else f"{flmd:.6f}",
-            f"{s['final_test_accuracy']:.4f}",
-            f"{s['mean_reward']:.5f}",
-        ])
+        try:
+            with open(summary_path, encoding="utf-8") as fh:
+                s = json.load(fh)["summary"]
+            flmd = s["final_mean_flmd_of_aggregated"]
+            rows.append([
+                Path(run_dir).name, s["policy"], s["episodes"],
+                f"{s['cumulative_sum_aoi_mean']:.4f}",
+                "n/a" if flmd is None else f"{flmd:.6f}",
+                f"{s['final_test_accuracy']:.4f}",
+                f"{s['mean_reward']:.5f}",
+            ])
+        except (OSError, ValueError, LookupError, TypeError) as exc:
+            raise ConfigError(
+                f"malformed summary.json under {run_dir}: {exc!r}") from exc
     header = ["run", "policy", "episodes", "sum_aoi", "final_flmd",
               "accuracy", "mean_reward"]
     widths = [max(len(str(r[i])) for r in [header] + rows)

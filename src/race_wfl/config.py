@@ -188,7 +188,11 @@ class MappoSection:
     fc_hidden: int = 128
 
     def __post_init__(self):
-        _require_positive(self, ("batch_size",))
+        _require_positive(self, ("clip", "learning_rate", "batch_size",
+                                 "ppo_epochs", "episodes_per_update"))
+        for name in ("gamma", "gae_lambda"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ Computation time scales inversely with the allocated CPU fraction while
 computation energy grows with its square; transmission time is the model
 size over the achievable rate and transmission energy is the radiated
 power times that time.  The round delay is the longest total delay among
-the devices assigned to a sub-channel.
+the devices the sub-channel agents picked.
 """
 
 from dataclasses import dataclass
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import data_rate
-from .errors import AssignmentError, RaceError
+from .errors import RaceError
 
 
 @dataclass(frozen=True)
@@ -84,32 +84,11 @@ def device_costs(p: DeviceProfile, chi: float, rho: float, gain: float,
     return DeviceCosts(comp_time, comp_energy, tx_time, tx_energy)
 
 
-def validate_assignment(assignment: np.ndarray) -> None:
-    """Check the K x N sub-channel assignment matrix.
-
-    Entries must be 0/1, each sub-channel row selects at most one device
-    (idle rows are allowed when too few devices are eligible), and each
-    device is assigned to at most one sub-channel.
-    """
-    a = np.asarray(assignment)
-    if a.ndim != 2:
-        raise AssignmentError("assignment must be a K x N matrix")
-    if not np.isin(a, (0, 1)).all():
-        raise AssignmentError("assignment entries must be 0 or 1")
-    if np.any(a.sum(axis=1) > 1):
-        raise AssignmentError("a sub-channel was assigned several devices")
-    if np.any(a.sum(axis=0) > 1):
-        raise AssignmentError("a device was assigned several sub-channels")
-
-
-def round_delay(assignment: np.ndarray, delays: np.ndarray) -> float:
-    """Longest total delay among assigned devices; 0 with no assignments."""
-    validate_assignment(assignment)
-    a = np.asarray(assignment)
-    delays = np.asarray(delays, dtype=np.float64)
-    if a.shape[1] != delays.shape[0]:
-        raise AssignmentError("assignment and delay vector disagree on N")
-    assigned = a.sum(axis=0).astype(bool)
-    if not assigned.any():
+def round_delay(actions: np.ndarray, delays: np.ndarray) -> float:
+    """Longest total delay among the picked devices (action -1 is idle);
+    0 when every agent idles."""
+    picked = np.asarray(actions)
+    picked = picked[picked >= 0]
+    if not len(picked):
         return 0.0
-    return float(delays[assigned].max())
+    return float(np.asarray(delays, dtype=np.float64)[picked].max())

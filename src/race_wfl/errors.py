@@ -22,7 +22,8 @@ class ConvergenceError(RaceError):
 
 
 class AssignmentError(RaceError):
-    """A sub-channel assignment matrix violates its structural constraints."""
+    """A round's selection is not one integer per agent, each -1 (idle)
+    or a distinct device index whose mask entry is > 0."""
 
 
 class AggregationError(RaceError):

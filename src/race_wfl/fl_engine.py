@@ -155,13 +155,6 @@ def flmd(local: np.ndarray, global_: np.ndarray) -> float:
                  / gnorm)
 
 
-def eligible_set(drift: np.ndarray, threshold: float) -> np.ndarray:
-    """Indices of devices whose drift does not exceed the threshold."""
-    if threshold <= 0:
-        raise ValueError("threshold must be > 0")
-    return np.flatnonzero(np.asarray(drift) <= threshold)
-
-
 def adaptive_threshold(grad_norm_now: float, grad_norm_init: float,
                        lam_min: float, lam_max: float,
                        rate: float) -> float:

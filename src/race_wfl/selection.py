@@ -6,7 +6,7 @@ later agent samples from its policy restricted (and renormalized) to the
 devices not yet claimed this round, which preserves per-agent policy
 semantics while keeping the induced assignment legal.  When fewer
 eligible devices remain than agents, the surplus agents idle for the
-round (their sub-channel row stays all-zero).
+round (their action is -1).
 
 Training follows the clipped-surrogate recipe: per-agent critics learn
 from TD residuals, advantages come from the exponentially weighted
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CheckpointError, RaceError
+from .errors import AssignmentError, CheckpointError, RaceError
 from .tsfen import (
     AdamState, TsfenConfig, TsfenNetwork, Workspace, adam_init, adam_step,
     load_params, save_params,
@@ -76,11 +76,6 @@ def adaptive_mask(drift: np.ndarray, threshold: float, temperature: float,
                     "clamping to zero weight", int(clamped.sum()))
     soft = np.where(clamped, 0.0, np.exp(np.maximum(exponent, _LOG_TINY)))
     return np.where(drift <= threshold, 1.0, soft)
-
-
-def td_residual(reward: float, v_next: float, v_now: float,
-                gamma: float) -> float:
-    return reward + gamma * v_next - v_now
 
 
 def gae(residuals: np.ndarray, gamma: float, lam: float) -> np.ndarray:
@@ -168,14 +163,27 @@ def select_actions(agents, state: np.ndarray, mask: np.ndarray,
     return actions, eff_masks, probs_out
 
 
-def actions_to_assignment(actions: np.ndarray, n_devices: int) -> np.ndarray:
-    """(K,) device choices (-1 idle) -> K x N binary assignment."""
-    k = len(actions)
-    phi = np.zeros((k, n_devices), dtype=np.int64)
-    for row, a in enumerate(actions):
-        if a >= 0:
-            phi[row, a] = 1
-    return phi
+def check_actions(actions, mask: np.ndarray, n_agents: int) -> np.ndarray:
+    """One round's selection as (K,) int64 device indices, -1 for idle.
+
+    Raises ``AssignmentError`` unless ``actions`` holds exactly
+    ``n_agents`` integer entries, each -1 or a device index in [0, N)
+    that no other agent picked and whose ``mask`` entry is > 0.
+    """
+    raw = np.asarray(actions)
+    if raw.shape != (n_agents,) or not np.issubdtype(raw.dtype, np.integer):
+        raise AssignmentError(
+            f"need {n_agents} integer actions, got {raw.tolist()!r}")
+    picked = raw[raw >= 0]
+    if (raw < -1).any() or (picked >= len(mask)).any():
+        problem = "a device index out of range"
+    elif len(np.unique(picked)) < len(picked):
+        problem = "one device for several sub-channels"
+    elif (mask[picked] <= 0.0).any():
+        problem = "a device the mask excludes"
+    else:
+        return raw.astype(np.int64)
+    raise AssignmentError(f"actions {raw.tolist()} pick {problem}")
 
 
 def _critic_values(bundle: AgentBundle, states: np.ndarray,

@@ -30,9 +30,9 @@ from .config import (
     named_rng, network_config,
 )
 from .cost_model import round_delay
-from .errors import ConfigError, RaceError
+from .errors import ConfigError, InfeasibleError, RaceError
 from .platoon import init_platoon, step_platoon
-from .resource_alloc import check_feasibility, optimal_allocation
+from .resource_alloc import optimal_allocation
 
 log = logging.getLogger(__name__)
 
@@ -106,7 +106,9 @@ class World:
 
     def advance_round(self, select_fn) -> RoundLedger:
         """Run one communication round; ``select_fn(state, mask)`` must
-        return one device index per agent (-1 for an idle agent)."""
+        return one integer per agent, -1 (idle) or a device index that no
+        other agent picked and whose mask entry is > 0.  Anything else
+        raises ``AssignmentError`` naming the round and episode."""
         try:
             return self._advance(select_fn)
         except RaceError as exc:
@@ -164,13 +166,12 @@ class World:
         gain_now = gains[-1]
         alloc = [None] * n
         feasible = np.zeros(n)
-        bw = cfg.channel.bandwidth
         for dev in range(n):
-            prof = self.profiles[dev]
-            if not check_feasibility(prof.model_bits, prof.max_energy_j,
-                                     bw, gain_now[dev]):
+            try:
+                alloc[dev] = optimal_allocation(
+                    self.profiles[dev], gain_now[dev], cfg.channel.bandwidth)
+            except InfeasibleError:
                 continue
-            alloc[dev] = optimal_allocation(prof, gain_now[dev], bw)
             feasible[dev] = 1.0
 
         if cfg.selection.mask == "binary":
@@ -183,19 +184,19 @@ class World:
         mask = mask * feasible
 
         if self.n_agents > 0 and mask.max() > 0.0:
-            actions = np.asarray(select_fn(state, mask), dtype=np.int64)
+            actions = sel.check_actions(select_fn(state, mask), mask,
+                                        self.n_agents)
         else:
             actions = np.full(self.n_agents, -1, dtype=np.int64)
-        assignment = sel.actions_to_assignment(actions, n)
-        chosen = assignment.sum(axis=0).astype(bool)
+        chosen = np.zeros(n, dtype=bool)
+        chosen[actions[actions >= 0]] = True
 
         delays = np.zeros(n)
         energies = np.zeros(n)
         for dev in np.flatnonzero(chosen):
-            res = alloc[dev]
-            delays[dev] = res.total_delay
-            energies[dev] = res.energy
-        delta_round = round_delay(assignment, delays)
+            delays[dev] = alloc[dev].total_delay
+            energies[dev] = alloc[dev].energy
+        delta_round = round_delay(actions, delays)
 
         self.aoi = aoi_metrics.update_aoi_vector(self.aoi, chosen,
                                                  delta_round)
@@ -213,11 +214,11 @@ class World:
             if self.n_agents else 0.0
         ledger = RoundLedger(
             round_index=self.round_index, aoi=self.aoi.copy(),
-            drift=drift, assignment=assignment, round_delay=delta_round,
+            drift=drift, actions=actions, round_delay=delta_round,
             rewards=np.full(self.n_agents, r),
             objective_term=aoi_metrics.objective_term(
                 self.aoi, drift, cfg.run.alpha, cfg.run.beta),
-            selected=chosen, aggregated=aggregated,
+            aggregated=aggregated,
             eligible_threshold=threshold, energies=energies,
         )
         ledger.validate()

@@ -300,6 +300,8 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray,
     mask = np.asarray(mask, dtype=np.float64)
     if logits.shape != mask.shape:
         raise RaceError("logits and mask shapes differ")
+    if not np.isfinite(logits).all():
+        raise RaceError("non-finite logits: the policy has diverged")
     if (mask < 0).any() or (mask > 1).any():
         raise RaceError("mask entries must lie in [0, 1]")
     support = mask > 0.0

@@ -3,29 +3,37 @@ import pytest
 from hypothesis import given, strategies as st
 
 from race_wfl.aoi_metrics import (
-    RoundLedger, csv_header, csv_row, objective_term, objective_value,
-    reward, update_aoi, update_aoi_vector,
+    RoundLedger, csv_header, csv_row, objective_term, reward,
+    update_aoi_vector,
 )
+from race_wfl.config import config_from_dict
+from race_wfl.simulation import run_experiment
+
+
+def update_one(prev, selected, delay):
+    """The vector recursion applied to a single device."""
+    return update_aoi_vector(np.array([prev]), np.array([selected]),
+                             delay)[0]
 
 
 class TestUpdateAoi:
     def test_selection_resets_to_zero(self):
-        assert update_aoi(123.4, True, 9.9) == 0.0
+        assert update_one(123.4, True, 9.9) == 0.0
 
     def test_unselected_accumulates_delay(self):
-        assert update_aoi(5.0, False, 2.0) == 7.0
+        assert update_one(5.0, False, 2.0) == 7.0
 
     def test_never_selected_telescopes(self):
         delays = [0.3, 1.2, 0.0, 2.5]
-        age = 0.0
+        age = np.zeros(3)
         for d in delays:
-            age = update_aoi(age, False, d)
-        assert age == pytest.approx(sum(delays), rel=1e-15)
+            age = update_aoi_vector(age, np.zeros(3, dtype=bool), d)
+        assert age == pytest.approx([sum(delays)] * 3, rel=1e-15)
 
     @given(prev=st.floats(0, 1e6), delay=st.floats(0, 1e3),
            sel=st.booleans())
     def test_recursion_cases(self, prev, delay, sel):
-        got = update_aoi(prev, sel, delay)
+        got = update_one(prev, sel, delay)
         assert got == (0.0 if sel else prev + delay)
 
     def test_vector_path_matches_scalar(self):
@@ -34,14 +42,8 @@ class TestUpdateAoi:
         sel = rng.random(12) < 0.3
         delay = 0.7
         vec = update_aoi_vector(prev, sel, delay)
-        scal = [update_aoi(p, s, delay) for p, s in zip(prev, sel)]
+        scal = [0.0 if s else p + delay for p, s in zip(prev, sel)]
         assert vec == pytest.approx(scal, rel=0, abs=0)
-
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            update_aoi(-1.0, False, 0.0)
-        with pytest.raises(ValueError):
-            update_aoi(0.0, False, -0.5)
 
 
 class TestReward:
@@ -84,34 +86,33 @@ class TestReward:
 
 
 class TestObjective:
-    def _ledger(self, t, aoi, drift, alpha=1.0, beta=10.0):
-        n = len(aoi)
-        return RoundLedger(
-            round_index=t, aoi=np.asarray(aoi, dtype=float),
-            drift=np.asarray(drift, dtype=float),
-            assignment=np.zeros((2, n), dtype=int), round_delay=0.1,
-            rewards=np.zeros(2),
-            objective_term=objective_term(aoi, drift, alpha, beta),
-        )
-
     def test_single_round(self):
-        led = self._ledger(0, [1.0, 2.0], [0.5, 0.25])
         expected = 1.0 * 3.0 + 10.0 * 0.75
-        assert objective_value([led]) == pytest.approx(expected)
+        assert objective_term([1.0, 2.0], [0.5, 0.25], 1.0, 10.0) == \
+            pytest.approx(expected)
 
     def test_beta_zero_reduces_to_sum_aoi(self):
-        leds = [self._ledger(t, [t + 1.0, 2 * t], [0.3, 0.4]) for t in
-                range(5)]
-        got = objective_value(leds, alpha=1.0, beta=0.0)
-        expected = sum((t + 1.0) + 2 * t for t in range(5))
-        assert got == pytest.approx(expected)
+        rng = np.random.default_rng(5)
+        aoi, drift = rng.uniform(0, 5, 6), rng.uniform(0, 1, 6)
+        assert objective_term(aoi, drift, 1.0, 0.0) == \
+            pytest.approx(aoi.sum(), rel=1e-15)
 
-    def test_recompute_matches_recorded_terms(self):
-        rng = np.random.default_rng(7)
-        leds = [self._ledger(t, rng.uniform(0, 5, 4), rng.uniform(0, 1, 4))
-                for t in range(10)]
-        assert objective_value(leds) == pytest.approx(
-            objective_value(leds, alpha=1.0, beta=10.0), rel=1e-15)
+    def test_recompute_matches_recorded_terms(self, tmp_path):
+        # the cumulative column of rounds.csv is the running sum of each
+        # round's term over the ages and drifts the same row records
+        cfg = config_from_dict({
+            "platoon": {"n_followers": 4},
+            "selection": {"n_subchannels": 2},
+            "task": {"model_dim": 40, "n_samples": 200},
+            "run": {"episodes": 1, "rounds_per_episode": 10, "seed": 7}})
+        report = run_experiment(cfg, "random", tmp_path, log_every=0)
+        table = np.genfromtxt(report.csv_path, delimiter=",", names=True)
+        aoi = np.stack([table[f"aoi_{n}"] for n in range(4)], axis=1)
+        drift = np.stack([table[f"drift_{n}"] for n in range(4)], axis=1)
+        terms = [objective_term(a, d, cfg.run.alpha, cfg.run.beta)
+                 for a, d in zip(aoi, drift)]
+        assert table["cumulative_objective"] == pytest.approx(
+            np.cumsum(terms), rel=1e-15)
 
     def test_linear_and_squared_drift_never_conflated(self):
         # the cumulative objective is linear in drift, the reward squares
@@ -125,13 +126,10 @@ class TestObjective:
 
 class TestLedgerAndCsv:
     def make_ledger(self):
-        assignment = np.zeros((2, 4), dtype=int)
-        assignment[0, 1] = 1
-        assignment[1, 3] = 1
         aoi = np.array([1.5, 0.0, 2.5, 0.0])
         drift = np.array([0.1, 0.2, 0.3, 0.4])
         return RoundLedger(
-            round_index=3, aoi=aoi, drift=drift, assignment=assignment,
+            round_index=3, aoi=aoi, drift=drift, actions=np.array([1, 3]),
             round_delay=0.25, rewards=np.array([-1.0, -1.0]),
             objective_term=objective_term(aoi, drift, 1.0, 10.0),
         )
@@ -159,7 +157,7 @@ class TestLedgerAndCsv:
 
     def test_csv_reports_idle_agents(self):
         led = self.make_ledger()
-        led.assignment[1, :] = 0
+        led.actions[1] = -1
         row = csv_row(0, led, 0.0).split(",")
         header = csv_header(4, 2).split(",")
         assert row[header.index("device_of_agent_1")] == "-1"

@@ -279,6 +279,18 @@ class TestCli:
         ("baseline", {}, ["--episodes", "0"]),
         # 200 samples cannot give each of 40 devices a sample
         ("baseline", {"platoon": {"n_followers": 40}}, []),
+        ("train", {"mappo": {"gamma": 1e300}}, []),
+        ("train", {"mappo": {"gamma": -1e300}}, []),
+        ("train", {"mappo": {"gamma": 5}}, []),
+        ("train", {"mappo": {"gae_lambda": 1e300}}, []),
+        ("train", {"mappo": {"gae_lambda": -0.5}}, []),
+        ("train", {"mappo": {"learning_rate": -1}}, []),
+        ("train", {"mappo": {"clip": -1}}, []),
+        ("train", {"mappo": {"clip": 0}}, []),
+        ("train", {"mappo": {"ppo_epochs": 0}}, []),
+        ("train", {"mappo": {"ppo_epochs": -1}}, []),
+        ("train", {"mappo": {"episodes_per_update": 0}}, []),
+        ("train", {"mappo": {"episodes_per_update": -3}}, []),
     ])
     def test_out_of_range_scenario_value_exits_2(self, tmp_path, caplog,
                                                   command, edit, flags):
@@ -344,6 +356,31 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "sum_aoi" in printed
         assert table.exists()
+
+    @pytest.mark.parametrize("text", [
+        "not json {", '{"summary": {}}', "[1, 2]"])
+    def test_report_on_a_malformed_summary_exits_2(self, tmp_path, caplog,
+                                                   text):
+        (tmp_path / "summary.json").write_text(text)
+        assert main(["report", str(tmp_path)]) == 2
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert errors[0].startswith("configuration error: malformed "
+                                    f"summary.json under {tmp_path}")
+        assert "\n" not in errors[0]
+
+    def test_diverged_policy_exits_4(self, tmp_path, caplog):
+        data = json.loads(json.dumps(TINY))
+        data["mappo"]["learning_rate"] = 1e300
+        path = tmp_path / "diverge.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert main(["train", "--config", str(path), "--out-dir",
+                     str(tmp_path / "r")]) == 4
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert "non-finite" in errors[0] and "\n" not in errors[0]
 
     def test_out_root_env_var(self, tiny_config, tmp_path, monkeypatch,
                               capsys):

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from race_wfl.cost_model import (
-    DeviceProfile, device_costs, round_delay, validate_assignment,
-)
+from race_wfl.cost_model import DeviceProfile, device_costs, round_delay
 from race_wfl.errors import AssignmentError, RaceError
+from race_wfl.selection import check_actions
 
 PROFILE = DeviceProfile(
     sample_count=1, cycles_per_sample=1e7, cpu_hz=0.5e9, power_coeff=1e-28,
@@ -56,28 +55,18 @@ def test_zero_allocations_error():
         device_costs(PROFILE, 1.0, 1.0, 0.0, 1e6)  # zero gain, zero rate
 
 
-def _assignment(k, n, pairs):
-    a = np.zeros((k, n), dtype=int)
-    for row, col in pairs:
-        a[row, col] = 1
-    return a
-
-
 def test_round_delay_single_device():
-    a = _assignment(1, 4, [(0, 2)])
     delays = np.array([0.0, 0.0, 0.3, 0.0])
-    assert round_delay(a, delays) == 0.3
+    assert round_delay(np.array([2]), delays) == 0.3
 
 
 def test_round_delay_is_max():
-    a = _assignment(3, 5, [(0, 0), (1, 2), (2, 4)])
     delays = np.array([0.1, 9.9, 0.5, 9.9, 0.2])
-    assert round_delay(a, delays) == 0.5
+    assert round_delay(np.array([0, 2, 4]), delays) == 0.5
 
 
 def test_round_delay_empty_assignment_is_zero():
-    a = np.zeros((3, 5), dtype=int)
-    assert round_delay(a, np.full(5, 7.0)) == 0.0
+    assert round_delay(np.full(3, -1), np.full(5, 7.0)) == 0.0
 
 
 def test_round_delay_brute_force_oracle():
@@ -85,31 +74,34 @@ def test_round_delay_brute_force_oracle():
     for _ in range(50):
         n, k = 20, 6
         devices = rng.choice(n, size=k, replace=False)
-        a = _assignment(k, n, list(enumerate(devices)))
         delays = rng.uniform(0.01, 2.0, size=n)
         expected = max(delays[d] for d in devices)  # exhaustive over assigned
-        assert round_delay(a, delays) == expected
+        assert round_delay(np.append(devices, -1), delays) == expected
 
 
 def test_round_delay_invariant_under_subchannel_permutation():
     rng = np.random.default_rng(4)
-    a = _assignment(4, 8, [(0, 1), (1, 3), (2, 5), (3, 7)])
+    actions = np.array([1, 3, 5, 7])
     delays = rng.uniform(0.0, 1.0, size=8)
-    base = round_delay(a, delays)
+    base = round_delay(actions, delays)
     for _ in range(10):
         perm = rng.permutation(4)
-        assert round_delay(a[perm], delays) == base
+        assert round_delay(actions[perm], delays) == base
 
 
 def test_assignment_validation_errors():
-    with pytest.raises(AssignmentError):
-        validate_assignment(np.array([[0, 2], [0, 0]]))
-    with pytest.raises(AssignmentError):  # two devices on one sub-channel
-        validate_assignment(np.array([[1, 1], [0, 0]]))
-    with pytest.raises(AssignmentError):  # one device on two sub-channels
-        validate_assignment(np.array([[1, 0], [1, 0]]))
-    with pytest.raises(AssignmentError):
-        round_delay(np.array([[1, 0]]), np.array([0.1, 0.2, 0.3]))
+    mask = np.array([1.0, 1.0, 0.0, 0.5])
+    for actions in ([0.0, 1.0],   # not integers
+                    [1, 1],       # one device on two sub-channels
+                    [0, 4],       # no such device
+                    [-2, 0],      # below the idle marker
+                    [2, -1],      # masked-out device
+                    [0],          # one action for two agents
+                    [[0, 1]]):    # not a vector
+        with pytest.raises(AssignmentError):
+            check_actions(actions, mask, 2)
+    got = check_actions([3, -1], mask, 2)
+    assert got.dtype == np.int64 and got.tolist() == [3, -1]
 
 
 @given(st.integers(0, 6))

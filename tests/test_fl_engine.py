@@ -3,10 +3,11 @@ import pytest
 
 from race_wfl.errors import AggregationError, RaceError
 from race_wfl.fl_engine import (
-    accuracy, adaptive_threshold, apply_adversary, eligible_set, fedavg,
-    flmd, generate_task, local_gradient, local_update, loss_and_gradient,
+    accuracy, adaptive_threshold, apply_adversary, fedavg, flmd,
+    generate_task, local_gradient, local_update, loss_and_gradient,
     smoothness_bound,
 )
+from race_wfl.selection import binary_mask
 
 
 def small_task(seed=0, **kw):
@@ -218,26 +219,33 @@ class TestFlmd:
                 assert theta <= bound * (1 + 1e-9)
 
 
+def eligible(drift, threshold):
+    return np.flatnonzero(binary_mask(drift, threshold))
+
+
 class TestEligibility:
+    """The drift-threshold eligibility that the round loop's binary mask
+    applies, as a set of device indices."""
+
     def test_all_zero_drift_everyone_eligible(self):
-        idx = eligible_set(np.zeros(8), 0.1)
+        idx = eligible(np.zeros(8), 0.1)
         assert (idx == np.arange(8)).all()
 
     def test_threshold_below_min_gives_empty_set(self):
-        assert len(eligible_set(np.array([0.5, 0.9]), 0.1)) == 0
+        assert len(eligible(np.array([0.5, 0.9]), 0.1)) == 0
 
     def test_matches_brute_force_filter(self):
         rng = np.random.default_rng(4)
         drift = rng.uniform(0, 1, size=30)
         lam = 0.4
         expected = [n for n in range(30) if drift[n] <= lam]
-        assert list(eligible_set(drift, lam)) == expected
+        assert list(eligible(drift, lam)) == expected
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(6)
         drift = rng.uniform(0, 1, size=25)
-        small = set(eligible_set(drift, 0.3))
-        large = set(eligible_set(drift, 0.6))
+        small = set(eligible(drift, 0.3))
+        large = set(eligible(drift, 0.6))
         assert small <= large
 
     def test_adaptive_keeps_at_least_the_fixed_set(self):
@@ -247,8 +255,8 @@ class TestEligibility:
         for gn in (1.0, 0.5, 0.1, 0.0):
             lam_t = adaptive_threshold(gn, 1.0, lam_min, lam_max, 2.0)
             assert lam_t >= lam_min
-            fixed = set(eligible_set(drift, lam_min))
-            adaptive = set(eligible_set(drift, lam_t))
+            fixed = set(eligible(drift, lam_min))
+            adaptive = set(eligible(drift, lam_t))
             assert fixed <= adaptive
 
 

@@ -15,6 +15,11 @@ the same.  These tests pin SHA-256 hashes of
 * the same two files of a 2-episode, 20-round run that updates after
   every episode, so the second episode's rounds are chosen by a policy
   that has taken a PPO update and drawn its minibatch permutations;
+* ``rounds.csv`` of four 2-episode, 20-round baseline runs on an
+  8-follower, 2-sub-channel scenario: ``greedy_aoi`` as is, ``random``
+  with the adaptive threshold, the adaptive mask and an adversary,
+  ``round_robin`` with the energy budget binding, and ``random`` with a
+  budget so small that devices are infeasible and agents idle;
 * ``simulate_platoon`` positions and speeds for three cruising platoons
   and one whose leader brakes to a standstill, so that every vehicle
   takes the stop-within-a-sub-step branch;
@@ -139,6 +144,33 @@ UPDATED_TRAIN_CONFIG = {
     "run": {"episodes": 2, "rounds_per_episode": 20, "seed": 1},
 }
 
+BASELINE_SCENARIO = {
+    "platoon": {"n_followers": 8},
+    "selection": {"n_subchannels": 2},
+    "run": {"episodes": 2, "rounds_per_episode": 20, "seed": 1},
+}
+
+BASELINE_RUNS = {
+    "greedy_aoi": ("greedy_aoi", {}),
+    "random-adaptive": ("random", {
+        "thresholds": {"mode": "adaptive"},
+        "selection": {"mask": "adaptive"},
+        "task": {"adversary_devices": [2]}}),
+    "round_robin-binding": ("round_robin", {"cost": {"max_energy_j": 0.01}}),
+    "random-infeasible": ("random", {"cost": {"max_energy_j": 1e-15}}),
+}
+
+BASELINE_HASHES = {
+    "greedy_aoi":
+        "98c64b847bc46abab71182f2e4521e946664688091387ceaef858b06b3f37107",
+    "random-adaptive":
+        "cdb03007b08ad31739e243f4332dd31055df30ccda4d103b8790ce48d79dfc80",
+    "random-infeasible":
+        "7c3dbd57e38c4bd8aa14a8bcb19068fe4fec37f778cbf799fe7f61f55a8214c4",
+    "round_robin-binding":
+        "b678f28a861ac42760091813017e8c5a90386bd2c073ab63c757c646696985e0",
+}
+
 
 PLATOON_HASHES = {
     "cruise-0":
@@ -214,6 +246,20 @@ def train_hashes(out_dir, config=TRAIN_CONFIG) -> dict:
             for name in ("rounds.csv", "checkpoint_final.bin")}
 
 
+def baseline_hashes(out_dir) -> dict:
+    """{run: SHA-256 of its rounds.csv} over ``BASELINE_RUNS``."""
+    out = {}
+    for name, (policy, overrides) in BASELINE_RUNS.items():
+        data = {section: dict(vals)
+                for section, vals in BASELINE_SCENARIO.items()}
+        for section, vals in overrides.items():
+            data.setdefault(section, {}).update(vals)
+        run_experiment(config_from_dict(data), policy, out_dir / name,
+                       log_every=0)
+        out[name] = _sha((out_dir / name / "rounds.csv").read_bytes())
+    return out
+
+
 def platoon_hashes() -> dict:
     """{case: SHA-256 of its position then speed trajectory bytes}."""
     stop = np.concatenate([np.full(10, 18.0), np.zeros(70)])
@@ -281,6 +327,11 @@ def test_rollout_after_an_update_is_pinned(tmp_path):
         == UPDATED_TRAIN_HASHES
 
 
+def test_baseline_runs_are_pinned(tmp_path):
+    _skip_unless_pinned_build()
+    assert baseline_hashes(tmp_path) == BASELINE_HASHES
+
+
 def test_platoon_trajectories_are_pinned():
     _skip_unless_pinned_build()
     assert platoon_hashes() == PLATOON_HASHES
@@ -312,6 +363,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         pprint.pprint(train_hashes(Path(tmp)))
         pprint.pprint(train_hashes(Path(tmp), UPDATED_TRAIN_CONFIG))
+        pprint.pprint(baseline_hashes(Path(tmp) / "baseline"))
         pprint.pprint(platoon_hashes())
         print(_sha(allocate_table(Path(tmp))))
         pprint.pprint(verify_hashes(Path(tmp) / "verify"))

@@ -5,9 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from race_wfl.aoi_metrics import update_aoi
 from race_wfl.config import config_from_dict
-from race_wfl.errors import CollisionError, InfeasibleError
+from race_wfl.errors import AssignmentError, CollisionError, InfeasibleError
 from race_wfl.simulation import (
     BaselinePolicy, MappoPolicy, World, make_policy, run_experiment,
 )
@@ -40,14 +39,14 @@ class TestRoundInvariants:
             led = world.advance_round(policy.select)
             led.validate()
             # energy budgets hold for every assigned device
-            chosen = led.assignment.sum(axis=0).astype(bool)
+            chosen = np.isin(np.arange(world.n_devices), led.actions)
             assert (led.energies[chosen]
                     <= cfg.cost.max_energy_j * (1 + 1e-9)).all()
             assert (led.energies[~chosen] == 0.0).all()
             # age recursion matches the scalar oracle device by device
             for dev in range(world.n_devices):
-                assert led.aoi[dev] == update_aoi(
-                    aoi_prev[dev], bool(chosen[dev]), led.round_delay)
+                assert led.aoi[dev] == (0.0 if chosen[dev] else
+                                        aoi_prev[dev] + led.round_delay)
             aoi_prev = led.aoi.copy()
             # aggregated devices are selected and within threshold
             for dev in led.aggregated:
@@ -64,7 +63,7 @@ class TestRoundInvariants:
             for _ in range(10):
                 led = world.advance_round(policy.select)
                 rows.append((led.aoi.tobytes(), led.drift.tobytes(),
-                             led.assignment.tobytes(), led.round_delay))
+                             led.actions.tobytes(), led.round_delay))
             return rows
         assert collect() == collect()
 
@@ -75,7 +74,7 @@ class TestRoundInvariants:
         led = world.advance_round(lambda state, mask: np.empty(0, int))
         assert led.round_delay == 0.0
         assert (led.aoi == 0.0).all()
-        assert led.assignment.shape == (0, 8)
+        assert led.actions.shape == (0,)
 
     @pytest.mark.parametrize("error", [InfeasibleError, CollisionError])
     def test_round_context_keeps_the_error_type(self, error):
@@ -88,6 +87,23 @@ class TestRoundInvariants:
 
         with pytest.raises(error, match=r"round 0 \(episode 0\): no feas"):
             world.advance_round(failing_select)
+
+    @pytest.mark.parametrize("case, select", [
+        ("out-of-range", lambda state, mask: [8, -1]),
+        ("too-few", lambda state, mask: [0]),
+        ("too-many", lambda state, mask: [0, 1, 3]),
+        ("duplicate", lambda state, mask: [np.argmax(mask)] * 2),
+        ("non-integer", lambda state, mask: [0.5, -1]),
+        ("masked-out", lambda state, mask: [np.argmin(mask), -1]),
+    ])
+    def test_malformed_actions_raise_assignment_error(self, case, select):
+        # the adversary's drift puts device 2 outside the mask
+        cfg = tiny_cfg(task={"adversary_devices": [2],
+                             "adversary_factor": 400.0})
+        world = World(cfg)
+        world.reset(0)
+        with pytest.raises(AssignmentError, match=r"round 0 \(episode 0\)"):
+            world.advance_round(select)
 
     def test_adaptive_threshold_mode_relaxes_over_time(self):
         cfg = tiny_cfg(thresholds={"mode": "adaptive", "lam_min": 0.01,
@@ -113,7 +129,7 @@ class TestRoundInvariants:
         for _ in range(10):
             led = world.advance_round(policy.select)
             assert led.drift[2] > led.eligible_threshold
-            assert not led.assignment[:, 2].any()
+            assert 2 not in led.actions
             assert 2 not in led.aggregated
 
     def test_infeasible_devices_are_masked_not_fatal(self):
@@ -127,7 +143,7 @@ class TestRoundInvariants:
         for _ in range(40):
             led = world.advance_round(policy.select)
             led.validate()
-            if led.assignment.sum() < world.n_agents:
+            if (led.actions < 0).any():
                 idle_rounds += 1
         assert idle_rounds > 0
 
