@@ -17,6 +17,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +31,8 @@ from . import theory_checks as tc
 
 log = logging.getLogger("race_wfl")
 
-_PROFILE_COLUMNS = ("sample_count", "cycles_per_sample", "cpu_hz",
-                    "power_coeff", "max_power_w", "max_energy_j",
-                    "model_bits", "gain")
+# DeviceProfile's fields in declaration order, then the channel gain
+_PROFILE_COLUMNS = tuple(f.name for f in fields(DeviceProfile)) + ("gain",)
 
 
 def _out_root() -> Path:
@@ -67,50 +67,54 @@ def cmd_allocate(args) -> int:
     bandwidth = args.bandwidth or cfg.channel.bandwidth
     try:
         with open(args.profiles, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            missing = set(_PROFILE_COLUMNS) - set(reader.fieldnames or ())
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            # like csv.DictReader: a repeated name reads its last column,
+            # blank lines are skipped, extra fields are ignored
+            at = {name: j for j, name in enumerate(header)}
+            missing = set(_PROFILE_COLUMNS) - set(at)
             if missing:
                 raise ConfigError(
                     f"profile file missing columns: {sorted(missing)}")
-            rows = list(reader)
+            rows = [row for row in reader if row]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read profile file: {exc}") from exc
-    out_rows = []
+    picks = [at[col] for col in _PROFILE_COLUMNS]
+    bw_at = at.get("bandwidth")
+    lines = ["device,feasible,binding,chi,rho,tx_time,comp_time,"
+             "total_delay,energy_residual\n"]
     any_infeasible = False
     for idx, raw in enumerate(rows):
-        values = {col: _row_number(idx, col, raw[col])
-                  for col in _PROFILE_COLUMNS}
-        gain = values.pop("gain")
-        bw = _row_number(idx, "bandwidth", raw["bandwidth"]) \
-            if raw.get("bandwidth") else bandwidth
         try:
-            prof = DeviceProfile(**values)
-            res = optimal_allocation(prof, gain, bw)
+            values = [float(raw[j]) for j in picks]
+            ok = all(map(math.isfinite, values))
+        except (IndexError, ValueError):
+            ok = False
+        if not ok:
+            # name the first bad column; a missing field reads as None
+            values = [_row_number(idx, col, raw[j] if j < len(raw) else None)
+                      for col, j in zip(_PROFILE_COLUMNS, picks)]
+        text = raw[bw_at] if bw_at is not None and bw_at < len(raw) else ""
+        bw = _row_number(idx, "bandwidth", text) if text else bandwidth
+        try:
+            prof = DeviceProfile(*values[:-1])
+            res = optimal_allocation(prof, values[-1], bw)
         except InfeasibleError:
-            res = None
+            any_infeasible = True
+            lines.append(f"{idx},0,,,,,,,\n")
+            continue
         except (ValueError, ArithmeticError) as exc:
             # a rejected profile, or values beyond the solver's float range
             raise ConfigError(f"profile row {idx}: {exc}") from exc
-        if res is None:
-            any_infeasible = True
-            out_rows.append([idx, 0, "", "", "", "", "", "", ""])
-            continue
         residual = res.energy - prof.max_energy_j \
             if res.binding is Binding.ENERGY_BINDING else 0.0
-        out_rows.append([
-            idx, 1, res.binding.value, f"{res.chi:.12g}",
-            f"{res.rho:.12g}", f"{res.tx_time:.12g}",
-            f"{res.comp_time:.12g}", f"{res.total_delay:.12g}",
-            f"{residual:.6g}",
-        ])
-    header = ["device", "feasible", "binding", "chi", "rho", "tx_time",
-              "comp_time", "total_delay", "energy_residual"]
+        lines.append("%d,1,%s,%.12g,%.12g,%.12g,%.12g,%.12g,%.6g\n" % (
+            idx, res.binding.value, res.chi, res.rho, res.tx_time,
+            res.comp_time, res.total_delay, residual))
     sink = open(args.out, "w", newline="", encoding="utf-8") \
         if args.out else sys.stdout
     try:
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(out_rows)
+        sink.write("".join(lines))
     finally:
         if args.out:
             sink.close()

@@ -85,66 +85,73 @@ def rho_from_delta(tx_time: float, model_bits: float, bandwidth: float,
 
 
 def _h(u):
-    """``x * e^x - expm1(x)`` at ``x = u * ln2``.
+    """``(x * e^x - expm1(x), expm1(x))`` at ``x = u * ln2``.
 
-    The two terms agree to first order and their difference cancels to
-    nothing as x -> 0, so below ``x = 1e-3`` its Taylor series replaces
-    them; the result stays within about 3e-13 relative of the exact value.
+    The two terms of the first agree to first order and their difference
+    cancels to nothing as x -> 0, so below ``x = 1e-3`` its Taylor series
+    replaces them; the result stays within about 3e-13 relative of the
+    exact value.  ``expm1(x)`` comes back too, for the transmission energy.
     """
     x = u * LN2
+    em1 = math.expm1(x)
     if x < 1e-3:
         return x * x * (0.5 + x * (1.0 / 3.0 + x * (0.125 + x * (
-            1.0 / 30.0 + x / 144.0))))
-    return x * math.exp(x) - math.expm1(x)
-
-
-def _stationarity_chi(u, kappa, cpu_hz, gain):
-    """Unconstrained chi from the multiplier relation at rate exponent u."""
-    return (_h(u) / (2.0 * kappa * cpu_hz ** 3 * gain)) ** (1.0 / 3.0)
-
-
-def _binding_overshoot(u, kappa, mz, cpu_hz, bits, bandwidth, gain, emax):
-    """Energy overshoot along the stationarity path, increasing in u."""
-    chi = _stationarity_chi(u, kappa, cpu_hz, gain)
-    if chi > 1.0:
-        chi = 1.0
-    ecp = kappa * mz * (chi * cpu_hz) ** 2
-    etx = bits * math.expm1(LN2 * u) / (u * bandwidth * gain)
-    return ecp + etx - emax
+            1.0 / 30.0 + x / 144.0)))), em1
+    return x * math.exp(x) - em1, em1
 
 
 def _stationary_rate(kappa, mz, cpu_hz, bits, bandwidth, gain, emax):
-    """Rate exponent u at which the stationarity path spends the budget,
-    by bisection on a geometrically grown bracket.  Returns the bracket's
-    feasible end, where the overshoot is <= 0."""
-    u_lo = 1e-6
-    for _ in range(200):
-        if _binding_overshoot(u_lo, kappa, mz, cpu_hz, bits, bandwidth,
-                              gain, emax) < 0.0:
-            break
-        u_lo *= 0.0625
-        if u_lo < 1e-280:
-            raise ConvergenceError("allocation solver failed to converge")
+    """Rate exponent u at which the stationarity path spends the budget.
+
+    Along the path chi**3 = h(u) / den, clamped to 1, and the energy
+    overshoot ``kappa * mz * (chi * cpu_hz)**2 + etx(u) - emax`` increases
+    in u.  One loop probes it in three stages: the lower end steps down
+    from 1e-6 by 1/16 until the overshoot is negative (at most 200 probes;
+    after that the bisection starts from the last step), the upper end
+    doubles from 1 until it is positive (past 1e9 the solve fails), then
+    the bracket is bisected (at most 300 probes).  Returns the bracket's
+    feasible end, where the overshoot is <= 0.
+    """
+    den = 2.0 * kappa * cpu_hz ** 3 * gain
+    kmz = kappa * mz
+    ecp_full = kmz * cpu_hz ** 2  # computation energy at chi = 1
+    u = u_lo = 1e-6
     u_hi = 1.0
-    for _ in range(200):
-        if _binding_overshoot(u_hi, kappa, mz, cpu_hz, bits, bandwidth,
-                              gain, emax) > 0.0:
-            break
-        u_hi *= 2.0
-        if u_hi > 1e9:
-            raise ConvergenceError("allocation solver failed to converge")
-    for _ in range(300):
-        mid = 0.5 * (u_lo + u_hi)
-        if mid == u_lo or mid == u_hi:
-            break
-        if _binding_overshoot(mid, kappa, mz, cpu_hz, bits, bandwidth,
-                              gain, emax) > 0.0:
-            u_hi = mid
+    stage = probes = 0
+    while True:
+        h, em1 = _h(u)
+        y = h / den
+        # libm's cube root of y >= 1 is >= 1, so chi would clamp to 1
+        ecp = ecp_full if y >= 1.0 else kmz * (y ** (1.0 / 3.0) * cpu_hz) ** 2
+        over = ecp + bits * em1 / (u * bandwidth * gain) - emax
+        probes += 1
+        if stage == 0:
+            if not over < 0.0:
+                u_lo *= 0.0625
+                if probes < 200:
+                    u = u_lo
+                    continue
+            stage, u = 1, u_hi
+            continue
+        if stage == 1:
+            if not over > 0.0:
+                u_hi *= 2.0
+                if u_hi > 1e9:
+                    raise ConvergenceError(
+                        "allocation solver failed to converge")
+                u = u_hi
+                continue
+            stage, probes = 2, 0
         else:
-            u_lo = mid
-        if (u_hi - u_lo) <= 1e-14 * u_hi:
-            break
-    return u_lo
+            if over > 0.0:
+                u_hi = u
+            else:
+                u_lo = u
+            if (u_hi - u_lo) <= 1e-14 * u_hi or probes == 300:
+                return u_lo
+        u = 0.5 * (u_lo + u_hi)
+        if u == u_lo or u == u_hi:
+            return u_lo
 
 
 def _result(profile, chi, rho, delta, binding, multipliers):
@@ -198,15 +205,17 @@ def optimal_allocation(profile: DeviceProfile, gain: float,
         chi = min(math.sqrt((emax - etx) / (kappa * mz * cpu_hz ** 2)), 1.0)
         lam1 = 1.0 / (2.0 * kappa * cpu_hz ** 3 * chi ** 3)
         u = bits / (delta_full * bandwidth)
-        lam2 = max(0.0, (1.0 - lam1 * _h(u) / gain) * delta_full * power
+        lam2 = max(0.0, (1.0 - lam1 * _h(u)[0] / gain) * delta_full * power
                    * gain / (u * LN2 * math.exp(LN2 * u)))
         return _result(profile, chi, 1.0, delta_full, Binding.ENERGY_BINDING,
                        (lam1, lam2, 0.0, 0.0))
 
-    chi = min(_stationarity_chi(u_star, kappa, cpu_hz, gain), 1.0)
+    h_star = _h(u_star)[0]
+    chi = min((h_star / (2.0 * kappa * cpu_hz ** 3 * gain)) ** (1.0 / 3.0),
+              1.0)
     delta = bits / (u_star * bandwidth)
     rho = rho_from_delta(delta, bits, bandwidth, power, gain)
-    lam1 = gain / _h(u_star)
+    lam1 = gain / h_star
     lam4 = max(0.0, mz / cpu_hz * (1.0 - 2.0 * lam1 * kappa * cpu_hz ** 3)
                ) if chi >= 1.0 else 0.0
     return _result(profile, chi, rho, delta, Binding.ENERGY_BINDING,

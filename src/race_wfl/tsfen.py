@@ -368,20 +368,25 @@ class TsfenNetwork:
         With a ``workspace``, the cache refers to its buffers until the
         next forward on the same workspace; ``backward`` must come first.
         Without one, the buffers are this call's own.
+
+        A diverged network overflows in here without a warning: its
+        non-finite outputs reach ``masked_softmax`` or the TD-residual
+        check, which raise ``RaceError``.
         """
-        x = self.preprocess(states)
-        p = self.params
-        e, c_embed = self.embed.forward(x, p)
-        a, c_mhsa = self.mhsa.forward(e, p, workspace)
-        s, c_squeeze = self.squeeze.forward(a, p)
-        b, m, n, dsq = s.shape
-        seq = s.reshape(b, m, n * dsq)
-        h_fwd, c_fwd = self.lstm_fwd.forward(seq, p)
-        h_bwd, c_bwd = self.lstm_bwd.forward(seq[:, ::-1, :], p)
-        h = np.concatenate([h_fwd, h_bwd], axis=1)
-        f1, c_fc1 = self.fc1.forward(h, p)
-        relu = np.maximum(f1, 0.0)
-        logits, c_fc2 = self.fc2.forward(relu, p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = self.preprocess(states)
+            p = self.params
+            e, c_embed = self.embed.forward(x, p)
+            a, c_mhsa = self.mhsa.forward(e, p, workspace)
+            s, c_squeeze = self.squeeze.forward(a, p)
+            b, m, n, dsq = s.shape
+            seq = s.reshape(b, m, n * dsq)
+            h_fwd, c_fwd = self.lstm_fwd.forward(seq, p)
+            h_bwd, c_bwd = self.lstm_bwd.forward(seq[:, ::-1, :], p)
+            h = np.concatenate([h_fwd, h_bwd], axis=1)
+            f1, c_fc1 = self.fc1.forward(h, p)
+            relu = np.maximum(f1, 0.0)
+            logits, c_fc2 = self.fc2.forward(relu, p)
         cache = (c_embed, c_mhsa, c_squeeze, (b, m, n, dsq), c_fwd, c_bwd,
                  c_fc1, f1, c_fc2)
         return logits, cache

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -319,6 +320,15 @@ class TestCli:
         ("100,1e7,0.5e9,nan,0.0316,0.1,1e6,1e6", "power_coeff"),
         ("100.5,1e7,0.5e9,1e-28,0.0316,0.1,1e6,1e6", "sample_count"),
         ("100,1e7,0.5e9,1e-28,0.0316,0.1", "model_bits"),
+        # rows are checked in file order, columns in header order, and the
+        # first failure is the one reported
+        ("100,1e7,abc,1e-28,0.0316,0.1,1e6,xyz", "cpu_hz"),
+        ("100,1e7,0.5e9,1e-28,0.0316,0.1,1e6,abc\n"
+         "100,1e7,0.5e9,1e-28,xyz,0.1,1e6,1e6", "gain"),
+        ("100.5,1e7,0.5e9,1e-28,0.0316,0.1,1e6,1e6\n"
+         "100,1e7,0.5e9,1e-28,0.0316,0.1,1e6,abc", "sample_count"),
+        # a blank line is no row
+        ("\n100,1e7,0.5e9,1e-28,0.0316,0.1,1e6,abc", "gain"),
     ])
     def test_allocate_rejects_malformed_rows(self, tmp_path, caplog, row,
                                              column):
@@ -332,6 +342,37 @@ class TestCli:
         message = caplog.records[-1].getMessage()
         assert message.startswith("configuration error: profile row 1")
         assert column in message
+
+    def test_allocate_row_semantics(self, tmp_path):
+        good = "100,1e7,0.5e9,1e-28,0.0316,0.1,1e6,1e6"
+        plain = tmp_path / "plain.csv"
+        plain.write_text(
+            "sample_count,cycles_per_sample,cpu_hz,power_coeff,"
+            "max_power_w,max_energy_j,model_bits,gain\n" + good + "\n")
+        out = tmp_path / "plain_out.csv"
+        assert main(["allocate", "--profiles", str(plain), "--bandwidth",
+                     "2e6", "--out", str(out)]) == 0
+        solved = out.read_text().splitlines()[1]
+        # a blank line is skipped and not counted; an empty bandwidth cell
+        # falls back to --bandwidth; a repeated name reads its last column;
+        # an extra field is ignored
+        profiles = tmp_path / "p.csv"
+        profiles.write_text(
+            "gain,sample_count,cycles_per_sample,cpu_hz,power_coeff,"
+            "max_power_w,max_energy_j,model_bits,gain,bandwidth\n"
+            "abc," + good + ",\n"
+            "\n"
+            "abc," + good + ",2e6,extra\n")
+        out = tmp_path / "a.csv"
+        assert main(["allocate", "--profiles", str(profiles), "--bandwidth",
+                     "2e6", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[1:] == [solved, "1" + solved[1:]]
+        # a short row leaves the repeated name's last column missing
+        profiles.write_text(
+            "sample_count,cycles_per_sample,cpu_hz,power_coeff,"
+            "max_power_w,max_energy_j,model_bits,gain,gain\n" + good + "\n")
+        assert main(["allocate", "--profiles", str(profiles)]) == 2
 
     def test_report_of_a_run_without_aggregation(self, tiny_config,
                                                  tmp_path, capsys):
@@ -375,8 +416,12 @@ class TestCli:
         data["mappo"]["learning_rate"] = 1e300
         path = tmp_path / "diverge.yaml"
         path.write_text(yaml.safe_dump(data))
-        assert main(["train", "--config", str(path), "--out-dir",
-                     str(tmp_path / "r")]) == 4
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", str(path), "--out-dir",
+                         str(tmp_path / "r")]) == 4
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
         errors = [r.getMessage() for r in caplog.records
                   if r.levelname == "ERROR"]
         assert len(errors) == 1

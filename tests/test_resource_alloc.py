@@ -9,6 +9,7 @@ from conftest import random_instance
 from race_wfl.channel import data_rate
 from race_wfl.cost_model import DeviceProfile
 from race_wfl.errors import ConvergenceError, InfeasibleError, RaceError
+from race_wfl import resource_alloc as ra
 from race_wfl.resource_alloc import (
     Binding, check_feasibility, grid_search_allocation, optimal_allocation,
     rho_from_delta,
@@ -82,6 +83,19 @@ def binding_profile(**kw):
 
 BINDING_GAIN = 932.58
 BINDING_B = 3.87e5
+
+
+def near_boundary_instances():
+    """Feasible instances whose budgets sit just above the transmission-
+    energy infimum; they push the rate exponent toward 0, where
+    x e^x - expm1(x) cancels to nothing."""
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        prof, gain, bw = random_instance(rng)
+        emax = LN2 * prof.model_bits / (bw * gain) * (
+            1 + 10 ** rng.uniform(-16, -6))
+        if check_feasibility(prof.model_bits, emax, bw, gain):
+            yield dataclasses.replace(prof, max_energy_j=emax), gain, bw
 
 
 class TestFeasibility:
@@ -255,17 +269,9 @@ class TestOptimalAllocation:
         assert binding > 500
 
     def test_near_boundary_budgets_solve_within_budget(self):
-        # budgets just above the transmission-energy infimum push the rate
-        # exponent toward 0, where x e^x - expm1(x) cancels to nothing
-        rng = np.random.default_rng(8)
-        for _ in range(300):
-            prof, gain, bw = random_instance(rng)
-            emax = LN2 * prof.model_bits / (bw * gain) * (
-                1 + 10 ** rng.uniform(-16, -6))
-            if not check_feasibility(prof.model_bits, emax, bw, gain):
-                continue
-            res = optimal_allocation(
-                dataclasses.replace(prof, max_energy_j=emax), gain, bw)
+        for prof, gain, bw in near_boundary_instances():
+            res = optimal_allocation(prof, gain, bw)
+            emax = prof.max_energy_j
             assert res.binding is Binding.ENERGY_BINDING
             assert res.chi > 0.0 and 0.0 < res.rho < 1.0
             assert res.multipliers[0] > 0.0
@@ -342,3 +348,190 @@ class TestClosedForms:
         prof = binding_profile()
         with pytest.raises(RegimeError):
             large_model_delta(1.0, prof, 1.0, 1e6)  # log argument <= 1
+
+
+# Reference copy of the Stage-1 bisection with one helper call per term
+# of each probe.  The solver evaluates the same expressions in the same
+# order with that per-row and per-probe work shared, so every result, and
+# every exception, must match this bit for bit.
+
+def _ref_h(u):
+    x = u * ra.LN2
+    if x < 1e-3:
+        return x * x * (0.5 + x * (1.0 / 3.0 + x * (0.125 + x * (
+            1.0 / 30.0 + x / 144.0))))
+    return x * math.exp(x) - math.expm1(x)
+
+
+def _ref_stationarity_chi(u, kappa, cpu_hz, gain):
+    return (_ref_h(u) / (2.0 * kappa * cpu_hz ** 3 * gain)) ** (1.0 / 3.0)
+
+
+def _ref_binding_overshoot(u, kappa, mz, cpu_hz, bits, bandwidth, gain,
+                           emax):
+    chi = _ref_stationarity_chi(u, kappa, cpu_hz, gain)
+    if chi > 1.0:
+        chi = 1.0
+    ecp = kappa * mz * (chi * cpu_hz) ** 2
+    etx = bits * math.expm1(ra.LN2 * u) / (u * bandwidth * gain)
+    return ecp + etx - emax
+
+
+def _ref_stationary_rate(kappa, mz, cpu_hz, bits, bandwidth, gain, emax):
+    u_lo = 1e-6
+    for _ in range(200):
+        if _ref_binding_overshoot(u_lo, kappa, mz, cpu_hz, bits, bandwidth,
+                                  gain, emax) < 0.0:
+            break
+        u_lo *= 0.0625
+        if u_lo < 1e-280:
+            raise ConvergenceError("allocation solver failed to converge")
+    u_hi = 1.0
+    for _ in range(200):
+        if _ref_binding_overshoot(u_hi, kappa, mz, cpu_hz, bits, bandwidth,
+                                  gain, emax) > 0.0:
+            break
+        u_hi *= 2.0
+        if u_hi > 1e9:
+            raise ConvergenceError("allocation solver failed to converge")
+    for _ in range(300):
+        mid = 0.5 * (u_lo + u_hi)
+        if mid == u_lo or mid == u_hi:
+            break
+        if _ref_binding_overshoot(mid, kappa, mz, cpu_hz, bits, bandwidth,
+                                  gain, emax) > 0.0:
+            u_hi = mid
+        else:
+            u_lo = mid
+        if (u_hi - u_lo) <= 1e-14 * u_hi:
+            break
+    return u_lo
+
+
+def _ref_allocation(profile, gain, bandwidth):
+    kappa = profile.power_coeff
+    mz = profile.work_cycles
+    cpu_hz = profile.cpu_hz
+    bits = profile.model_bits
+    power = profile.max_power_w
+    emax = profile.max_energy_j
+    if not check_feasibility(bits, emax, bandwidth, gain):
+        raise InfeasibleError("infeasible device instance: budget below "
+                              "transmission infimum")
+    u_full = math.log1p(power * gain) / ra.LN2
+    delta_full = bits / (bandwidth * u_full)
+    if kappa * mz * cpu_hz ** 2 + power * delta_full <= emax:
+        u = bits / (delta_full * bandwidth)
+        lam2 = (bandwidth * power * gain * delta_full
+                / (bits * ra.LN2 * math.exp(ra.LN2 * u)))
+        return ra._result(profile, 1.0, 1.0, delta_full,
+                          Binding.ENERGY_SLACK, (0.0, lam2, 0.0, mz / cpu_hz))
+    u_star = _ref_stationary_rate(kappa, mz, cpu_hz, bits, bandwidth, gain,
+                                  emax)
+    if u_star > u_full:
+        etx = power * delta_full
+        chi = min(math.sqrt((emax - etx) / (kappa * mz * cpu_hz ** 2)), 1.0)
+        lam1 = 1.0 / (2.0 * kappa * cpu_hz ** 3 * chi ** 3)
+        u = bits / (delta_full * bandwidth)
+        lam2 = max(0.0, (1.0 - lam1 * _ref_h(u) / gain) * delta_full * power
+                   * gain / (u * ra.LN2 * math.exp(ra.LN2 * u)))
+        return ra._result(profile, chi, 1.0, delta_full,
+                          Binding.ENERGY_BINDING, (lam1, lam2, 0.0, 0.0))
+    chi = min(_ref_stationarity_chi(u_star, kappa, cpu_hz, gain), 1.0)
+    delta = bits / (u_star * bandwidth)
+    rho = rho_from_delta(delta, bits, bandwidth, power, gain)
+    lam1 = gain / _ref_h(u_star)
+    lam4 = max(0.0, mz / cpu_hz * (1.0 - 2.0 * lam1 * kappa * cpu_hz ** 3)
+               ) if chi >= 1.0 else 0.0
+    return ra._result(profile, chi, rho, delta, Binding.ENERGY_BINDING,
+                      (lam1, 0.0, 0.0, lam4))
+
+
+def _outcome(fn, *args):
+    """A call's result, or its exception's type and message."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the comparison covers every failure mode
+        return type(exc), str(exc)
+
+
+def _solver_args(prof, gain, bw):
+    return (prof.power_coeff, prof.work_cycles, prof.cpu_hz,
+            prof.model_bits, bw, gain, prof.max_energy_j)
+
+
+def assert_matches_reference(prof, gain, bw):
+    """Same rate exponent and the same allocation, bit for bit, or the
+    same exception with the same message; returns the allocation."""
+    args = _solver_args(prof, gain, bw)
+    assert (_outcome(ra._stationary_rate, *args)
+            == _outcome(_ref_stationary_rate, *args))
+    got = _outcome(optimal_allocation, prof, gain, bw)
+    assert got == _outcome(_ref_allocation, prof, gain, bw)
+    return got
+
+
+class TestBisectionMatchesReference:
+    def test_benchmark_ranges(self):
+        # the log-uniform ranges of the benchmark's allocate profiles
+        rng = np.random.default_rng(11)
+        regimes = set()
+        for _ in range(2000):
+            prof = DeviceProfile(
+                sample_count=int(rng.integers(20, 101)),
+                cycles_per_sample=1e7, cpu_hz=10 ** rng.uniform(8.5, 9.5),
+                power_coeff=1e-28, max_power_w=10 ** rng.uniform(-2.5, -0.5),
+                max_energy_j=10 ** rng.uniform(-2.5, -0.5),
+                model_bits=10 ** rng.uniform(5, 7),
+            )
+            res = assert_matches_reference(prof, 10 ** rng.uniform(4, 9), 1e6)
+            regimes.add((res.binding, res.rho == 1.0))
+        assert len(regimes) == 3  # slack, capped and interior
+
+    def test_near_boundary_budgets(self):
+        for prof, gain, bw in near_boundary_instances():
+            assert_matches_reference(prof, gain, bw)
+
+    def test_clamp_threshold(self):
+        # gains that put h(u) / den within a few ulps of 1 at the bracket
+        # probes u = 1, 2 and 4, where chi switches to its clamp; budgets
+        # at and next to the probe's energy make the probe's sign, and so
+        # the bracket, hang on the last bit of that energy
+        prof = DeviceProfile(sample_count=100, cycles_per_sample=1e8,
+                             cpu_hz=1.1e9, power_coeff=1e-28,
+                             max_power_w=1.0, max_energy_j=1.0,
+                             model_bits=1e6)
+        args = _solver_args(prof, 0.0, 1e6)
+        kappa, cpu_hz = prof.power_coeff, prof.cpu_hz
+        sides = set()
+        for u in (1.0, 2.0, 4.0):
+            gain = _ref_h(u) / (2.0 * kappa * cpu_hz ** 3)
+            for _ in range(6):
+                gain = math.nextafter(gain, 0.0)
+            for _ in range(12):
+                y = _ref_h(u) / (2.0 * kappa * cpu_hz ** 3 * gain)
+                if abs(y - 1.0) <= 4 * math.ulp(1.0):
+                    sides.add((y > 1.0) - (y < 1.0))
+                    energy = _ref_binding_overshoot(u, *args[:5], gain, 0.0)
+                    for emax in (math.nextafter(energy, 0.0), energy,
+                                 math.nextafter(energy, math.inf)):
+                        assert_matches_reference(
+                            dataclasses.replace(prof, max_energy_j=emax),
+                            gain, 1e6)
+                gain = math.nextafter(gain, math.inf)
+        assert sides == {-1, 0, 1}
+
+    @pytest.mark.parametrize("args, message", [
+        # cpu_hz ** 3 overflows before the first probe
+        ((2.9535952126392307e-28, 1804268722.5116382, 6.465628684535347e+103,
+          6.1333400979114705, 11815180.737259423, 4.88692675892327e+277,
+          4.949286653662645e+236), "Numerical result out of range"),
+        # the upper bracket end doubles past exp's range
+        ((5.351780526914687e-37, 111556010.96834107, 2.658105011666212e+69,
+          1425118.9494111072, 6867.134326546906, 1.3387821153284959e+307,
+          3.1710512840212606e+288), "math range error"),
+    ])
+    def test_overflow_raises_as_before(self, args, message):
+        expected = _outcome(_ref_stationary_rate, *args)
+        assert expected[0] is OverflowError and message in expected[1]
+        assert _outcome(ra._stationary_rate, *args) == expected
