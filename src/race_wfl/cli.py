@@ -45,10 +45,27 @@ def _load_config(args) -> ScenarioConfig:
     return ScenarioConfig()
 
 
-def _resolve_out_dir(args, default_name: str) -> Path:
-    if getattr(args, "out_dir", None):
-        return Path(args.out_dir)
-    return _out_root() / default_name
+def _make_out_dir(args, default_name: str) -> Path:
+    """The run's output directory, created if missing."""
+    out_dir = Path(args.out_dir) if getattr(args, "out_dir", None) \
+        else _out_root() / default_name
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create output directory {str(out_dir)!r}: "
+            f"{exc.strerror}") from exc
+    return out_dir
+
+
+def _create(path):
+    """``path`` opened for writing; a path that cannot be created is a
+    configuration error."""
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot create output file {str(path)!r}: "
+                          f"{exc.strerror}") from exc
 
 
 def _row_number(idx, column, text) -> float:
@@ -111,8 +128,7 @@ def cmd_allocate(args) -> int:
         lines.append("%d,1,%s,%.12g,%.12g,%.12g,%.12g,%.12g,%.6g\n" % (
             idx, res.binding.value, res.chi, res.rho, res.tx_time,
             res.comp_time, res.total_delay, residual))
-    sink = open(args.out, "w", newline="", encoding="utf-8") \
-        if args.out else sys.stdout
+    sink = _create(args.out) if args.out else sys.stdout
     try:
         sink.write("".join(lines))
     finally:
@@ -127,7 +143,7 @@ def cmd_allocate(args) -> int:
 def _run_cmd(args, policy_kind: str, train: bool,
              checkpoint=None) -> int:
     cfg = _load_config(args)
-    out_dir = _resolve_out_dir(args, f"{policy_kind}")
+    out_dir = _make_out_dir(args, f"{policy_kind}")
     report = run_experiment(
         cfg, policy_kind, out_dir, seed=args.seed, episodes=args.episodes,
         train=train, checkpoint_in=checkpoint,
@@ -150,7 +166,7 @@ def cmd_baseline(args) -> int:
 
 
 def _write_trace(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _create(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -158,8 +174,7 @@ def _write_trace(path, header, rows):
 
 def cmd_verify(args) -> int:
     """Numeric verification suite; exit 4 on any gating failure."""
-    out_dir = _resolve_out_dir(args, "verify")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args, "verify")
     quick = args.quick
     results = []
 

@@ -8,10 +8,11 @@ first-order conditions reduce to a single monotone scalar equation in the
 rate exponent ``u = model_bits / (delta * bandwidth)``.  One bisection
 solves it; its feasible end gives chi and the energy-binding transmission
 time together, so an interior solve spends its budget to within about
-1e-12 relative.  Failures raise where they happen:
-``InfeasibleError`` when the budget is below the transmission-energy
-infimum, ``ConvergenceError`` when the bisection finds no bracket or a
-binding solve comes out more than ``ENERGY_GUARD_REL`` over budget.
+1e-12 relative.  Failures raise where they happen: ``ValueError`` on a
+gain or bandwidth <= 0, ``InfeasibleError`` when the budget is below the
+transmission-energy infimum, ``ConvergenceError`` when the bisection finds
+no bracket or a binding solve comes out more than ``ENERGY_GUARD_REL`` over
+budget.
 
 Outcomes:
   * energy slack: full allocation (chi = rho = 1) fits the budget;
@@ -174,6 +175,10 @@ def _result(profile, chi, rho, delta, binding, multipliers):
 def optimal_allocation(profile: DeviceProfile, gain: float,
                        bandwidth: float) -> AllocationResult:
     """Delay-optimal (chi, rho) for one device under its energy budget."""
+    if not gain > 0.0:
+        raise ValueError(f"gain must be > 0, got {gain}")
+    if not bandwidth > 0.0:
+        raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
     kappa = profile.power_coeff
     mz = profile.work_cycles
     cpu_hz = profile.cpu_hz

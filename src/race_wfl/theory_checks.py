@@ -291,9 +291,30 @@ class NonconvexProblem(_DeviceProblem):
 
     def global_loss(self, w):
         w = np.asarray(w)
-        quad = 0.5 * np.einsum("...i,nij,...j->n...", w, self.matrices, w)
-        amp, phase = self._ripple(w)
-        vals = quad + amp * np.cos(phase)
+        return self._loss_at([w[..., i] for i in range(w.shape[-1])])
+
+    def _loss_at(self, x):
+        """(1/N) sum_n w_n f_n at the points whose i-th coordinates are
+        ``x[i]``; the ``x[i]`` broadcast against each other, so a grid can
+        pass a column and a row.
+
+        Each device's terms are formed elementwise in the order of the
+        einsums ``...i,nij,...j->n...`` and ``ni,...i->n...``: products
+        ``(w_i a_ij) w_j`` summed from 0 over (i, j) in row-major order,
+        then ``b_i w_i`` summed from 0 over i, plus the phase.  The
+        reduction over devices stays an einsum: for a single point a plain
+        loop sums in another order.
+        """
+        dim = range(len(x))
+        quad = np.empty((self.n_devices,
+                         *np.broadcast_shapes(*map(np.shape, x))))
+        phase = np.empty_like(quad)
+        for n, (a, b) in enumerate(zip(self.matrices.tolist(),
+                                       self.ripple_dirs.tolist())):
+            quad[n] = sum((x[i] * a[i][j]) * x[j] for i in dim for j in dim)
+            phase[n] = sum(b[i] * x[i] for i in dim) + self.phases[n]
+        amp = self.ripple_amps.reshape(-1, *([1] * (quad.ndim - 1)))
+        vals = 0.5 * quad + amp * np.cos(phase)
         return np.einsum("n,n...->...", self.counts, vals) / self.n_devices
 
 
@@ -307,19 +328,41 @@ def random_nonconvex_problem(rng, n_devices=4, dim=2) -> NonconvexProblem:
     )
 
 
+def _polish(problem: NonconvexProblem, w0: float, w1: float) -> np.ndarray:
+    """2000 gradient steps of size 0.5 / L from (w0, w1) on Python
+    floats, with the arithmetic of ``w - lr * global_gradient(w)``: each
+    device's gradient in the order of its einsums, then the devices
+    summed in index order from 0.0."""
+    lr = 0.5 / problem.smoothness
+    n_dev = problem.n_devices
+    devices = list(zip(problem.counts.tolist(), problem.matrices.tolist(),
+                       problem.ripple_dirs.tolist(),
+                       problem.ripple_amps.tolist(), problem.phases.tolist()))
+    for _ in range(2000):
+        g0 = g1 = 0.0
+        for count, ((a00, a01), (a10, a11)), (b0, b1), amp, phase in devices:
+            s = amp * math.sin(b0 * w0 + b1 * w1 + phase)
+            g0 = g0 + count * (a00 * w0 + a01 * w1 - s * b0)
+            g1 = g1 + count * (a10 * w0 + a11 * w1 - s * b1)
+        w0 = w0 - lr * (g0 / n_dev)
+        w1 = w1 - lr * (g1 / n_dev)
+    return np.array([w0, w1])
+
+
 def _grid_minimizer(problem: NonconvexProblem):
     """Dense 2-D grid over [-4, 4]^2 plus descent polish from its best
-    point: (polished point, grid minimum value)."""
+    point: (polished point, grid minimum value).  The grid is evaluated
+    in blocks of about 16k points, so each device's temporaries stay
+    cache-sized."""
     if problem.matrices.shape[-1] != 2:
         raise RaceError("grid search implemented for 2-D problems")
     xs = np.linspace(-4.0, 4.0, 801)
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    vals = problem.global_loss(pts)
-    w = pts[np.argmin(vals)].copy()
-    lr = 0.5 / problem.smoothness
-    for _ in range(2000):
-        w = w - lr * problem.global_gradient(w)
+    rows = 20
+    vals = np.empty((xs.size, xs.size))
+    for r in range(0, xs.size, rows):
+        vals[r:r + rows] = problem._loss_at([xs[r:r + rows, None], xs])
+    k = int(np.argmin(vals))
+    w = _polish(problem, float(xs[k // xs.size]), float(xs[k % xs.size]))
     return w, vals.min()
 
 

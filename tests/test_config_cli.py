@@ -329,19 +329,46 @@ class TestCli:
          "100,1e7,0.5e9,1e-28,0.0316,0.1,1e6,abc", "sample_count"),
         # a blank line is no row
         ("\n100,1e7,0.5e9,1e-28,0.0316,0.1,1e6,abc", "gain"),
+        # a gain or bandwidth <= 0; two negatives used to pass the
+        # feasibility test and crash the solver
+        ("100,1e7,0.5e9,1e-28,0.0316,0.1,1e6,-10", "gain"),
+        ("100,1e7,0.5e9,1e-28,0.0316,0.1,1e6,0", "gain"),
+        ("100,1e7,0.5e9,1e-28,0.0316,0.1,1e6,1e6,-1e6", "bandwidth"),
+        ("100,1e7,0.5e9,1e-28,0.0316,0.1,1e6,1e6,0", "bandwidth"),
+        ("100,1e7,5e9,1e-28,0.0316,1,1e6,-10,-1e6", "gain"),
     ])
     def test_allocate_rejects_malformed_rows(self, tmp_path, caplog, row,
                                              column):
         profiles = tmp_path / "p.csv"
         profiles.write_text(
             "sample_count,cycles_per_sample,cpu_hz,power_coeff,"
-            "max_power_w,max_energy_j,model_bits,gain\n"
+            "max_power_w,max_energy_j,model_bits,gain,bandwidth\n"
             "100,1e7,0.5e9,1e-28,0.0316,0.1,1e6,1e6\n" + row + "\n")
         assert main(["allocate", "--profiles", str(profiles), "--out",
                      str(tmp_path / "a.csv")]) == 2
         message = caplog.records[-1].getMessage()
         assert message.startswith("configuration error: profile row 1")
         assert column in message
+
+    @pytest.mark.parametrize("argv, target", [
+        # a missing parent directory for --out; a regular file in place
+        # of a directory for --out-dir
+        (["allocate", "--profiles", "p.csv", "--out"], "missing/a.csv"),
+        (["verify", "--quick", "--out-dir"], "file/sub"),
+        (["baseline", "--policy", "random", "--out-dir"], "file/sub"),
+    ])
+    def test_unwritable_output_path_exits_2(self, tmp_path, caplog,
+                                            monkeypatch, argv, target):
+        monkeypatch.chdir(tmp_path)
+        Path("p.csv").write_text(
+            "sample_count,cycles_per_sample,cpu_hz,power_coeff,"
+            "max_power_w,max_energy_j,model_bits,gain\n"
+            "100,1e7,0.5e9,1e-28,0.0316,0.1,1e6,1e6\n")
+        Path("file").write_text("")
+        assert main(argv + [target]) == 2
+        message = caplog.records[-1].getMessage()
+        assert message.startswith("configuration error: cannot create")
+        assert repr(target) in message
 
     def test_allocate_row_semantics(self, tmp_path):
         good = "100,1e7,0.5e9,1e-28,0.0316,0.1,1e6,1e6"
@@ -397,6 +424,8 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "sum_aoi" in printed
         assert table.exists()
+        assert main(["report", str(out), "--out",
+                     str(tmp_path / "missing" / "table.csv")]) == 2
 
     @pytest.mark.parametrize("text", [
         "not json {", '{"summary": {}}', "[1, 2]"])

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from race_wfl.cli import _PROFILE_COLUMNS, main
 from race_wfl.config import _SECTIONS, config_from_dict
@@ -61,11 +61,13 @@ def test_config_edge_values_raise_only_config_error(edits):
     MappoPolicy(cfg, 0)
 
 
-_GOOD_ROW = ["100", "1e7", "0.5e9", "1e-28", "0.0316", "0.1", "1e6", "1e6"]
+# the profile columns, then a bandwidth column
+_GOOD_ROW = ["100", "1e7", "0.5e9", "1e-28", "0.0316", "0.1", "1e6", "1e6",
+             "1e6"]
 
 profile_field = st.one_of(
     st.sampled_from(["", "abc", "nan", "inf", "-inf", "-1", "0", "1.5",
-                     " 2", "1e400", "-0", "1,5"]),
+                     " 2", "1e400", "-0", "1,5", "-10", "-1e6", "0.0"]),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.text(max_size=4),
 )
@@ -73,14 +75,17 @@ profile_field = st.one_of(
 
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.lists(st.lists(st.tuples(st.integers(0, 7), profile_field),
+@given(st.lists(st.lists(st.tuples(st.integers(0, 8), profile_field),
                          max_size=3), min_size=1, max_size=3))
+# a negative gain and a negative bandwidth: their product passes the
+# feasibility test, and this row then reached the bisection
+@example(edits=[[(2, "5e9"), (5, "1"), (7, "-10"), (8, "-1e6")]])
 def test_fuzzed_profile_csv_exits_with_a_documented_code(tmp_path, caplog,
                                                           edits):
     path = tmp_path / "profiles.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_PROFILE_COLUMNS)
+        writer.writerow(_PROFILE_COLUMNS + ("bandwidth",))
         for row_edits in edits:
             row = list(_GOOD_ROW)
             for col, text in row_edits:

@@ -245,6 +245,17 @@ class TestOptimalAllocation:
         with pytest.raises(InfeasibleError):
             optimal_allocation(prof, BINDING_GAIN, BINDING_B)
 
+    @pytest.mark.parametrize("gain, bandwidth, name", [
+        (-10.0, BINDING_B, "gain"), (0.0, BINDING_B, "gain"),
+        (BINDING_GAIN, -1e6, "bandwidth"), (BINDING_GAIN, 0.0, "bandwidth"),
+        # two negatives make the feasibility product positive
+        (-10.0, -1e6, "gain"),
+    ])
+    def test_non_positive_gain_or_bandwidth_raises_value_error(
+            self, gain, bandwidth, name):
+        with pytest.raises(ValueError, match=f"^{name} must be > 0"):
+            optimal_allocation(binding_profile(), gain, bandwidth)
+
     def test_binding_solves_stay_within_the_energy_budget(self):
         # the round loop aborts a device over budget by more than 1e-9
         # relative, tighter than the root-finder's residual tolerance, so

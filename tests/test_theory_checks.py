@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from race_wfl.theory_checks import (
-    QuadraticTestProblem, deviation_bound, deviation_exact,
+    QuadraticTestProblem, _grid_minimizer, deviation_bound, deviation_exact,
     deviation_monte_carlo, random_nonconvex_problem,
     random_quadratic_problem, verify_lemma3, verify_theorem4,
     verify_theorem5, verify_theorem7, verify_theorem9,
@@ -207,3 +207,55 @@ class TestTheorem7:
 def test_local_smoothness_ball_containment():
     prob = random_nonconvex_problem(np.random.default_rng(8))
     assert verify_local_smoothness_containment(prob, k=2, seeds=100)
+
+
+def reference_loss(problem, w):
+    """``NonconvexProblem.global_loss`` as the einsums it replaced."""
+    w = np.asarray(w)
+    lead = (-1, *([1] * (w.ndim - 1)))
+    quad = 0.5 * np.einsum("...i,nij,...j->n...", w, problem.matrices, w)
+    phase = np.einsum("ni,...i->n...", problem.ripple_dirs, w) \
+        + problem.phases.reshape(lead)
+    vals = quad + problem.ripple_amps.reshape(lead) * np.cos(phase)
+    return np.einsum("n,n...->...", problem.counts, vals) \
+        / problem.n_devices
+
+
+def reference_grid_minimizer(problem):
+    """The dense grid as one point array, then the numpy polish:
+    (polished point, grid minimum, grid values)."""
+    xs = np.linspace(-4.0, 4.0, 801)
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    vals = reference_loss(problem, pts)
+    w = pts[np.argmin(vals)].copy()
+    lr = 0.5 / problem.smoothness
+    for _ in range(2000):
+        w = w - lr * problem.global_gradient(w)
+    return w, vals.min(), vals
+
+
+class TestGridSearchMatchesEinsum:
+    """The blocked grid and the Python-float polish keep every bit of
+    the einsum and numpy forms they replaced."""
+
+    @pytest.mark.parametrize("seed", [0, 8])
+    def test_full_grid_and_polish_are_bit_equal(self, seed):
+        prob = random_nonconvex_problem(np.random.default_rng(seed))
+        ref_w, ref_min, ref_vals = reference_grid_minimizer(prob)
+        xs = np.linspace(-4.0, 4.0, 801)
+        assert np.array_equal(prob._loss_at([xs[:, None], xs]).ravel(),
+                              ref_vals)
+        w, grid_min = _grid_minimizer(prob)
+        assert np.array_equal(w, ref_w)
+        assert np.array_equal(grid_min, ref_min)
+
+    def test_random_and_single_points_are_bit_equal(self):
+        for seed in range(20):
+            prob = random_nonconvex_problem(np.random.default_rng(seed))
+            pts = np.random.default_rng(seed + 1000).uniform(
+                -5.0, 5.0, size=(1000, 2))
+            assert np.array_equal(prob.global_loss(pts),
+                                  reference_loss(prob, pts))
+            for w in pts[:20]:
+                assert prob.global_loss(w) == reference_loss(prob, w)
