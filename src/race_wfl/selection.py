@@ -8,10 +8,13 @@ semantics while keeping the induced assignment legal.  When fewer
 eligible devices remain than agents, the surplus agents idle for the
 round (their action is -1).
 
-Training follows the clipped-surrogate recipe: per-agent critics learn
-from TD residuals, advantages come from the exponentially weighted
-backward recursion over those residuals, and the actor ascends the
-clipped importance-ratio objective with moments-based adaptive steps.
+Training follows the clipped-surrogate recipe with centralized training
+and decentralized execution.  Every agent sees the same state and earns
+the same team reward, so one centralized critic, shared by the K agents,
+learns from TD residuals; advantages come from the exponentially weighted
+backward recursion over those residuals, once per update.  Each agent's
+actor then ascends the clipped importance-ratio objective on those
+shared advantages with moments-based adaptive steps.
 """
 
 import dataclasses
@@ -89,50 +92,73 @@ def gae(residuals: np.ndarray, gamma: float, lam: float) -> np.ndarray:
     return adv
 
 
-@dataclass
-class AgentBundle:
-    """Actor/critic parameters, optimizer state, and trajectory buffer."""
+class Trajectory:
+    """Per-round records of named fields; each finished episode becomes
+    one dict of arrays stacked over its rounds."""
 
-    actor: TsfenNetwork
-    critic: TsfenNetwork
-    actor_opt: AdamState
-    critic_opt: AdamState
-    hyper: "MappoSection"
-    episodes: list = field(default_factory=list)
-    _open: dict = field(default=None)
+    def __init__(self, *fields: str):
+        self.fields = fields
+        self.episodes = []
+        self._open = None
 
     def start_episode(self):
-        self._open = {"states": [], "masks": [], "actions": [],
-                      "old_probs": [], "rewards": []}
+        self._open = [[] for _ in self.fields]
 
-    def record(self, state, eff_mask, action, prob, reward):
-        buf = self._open
-        buf["states"].append(state)
-        buf["masks"].append(eff_mask)
-        buf["actions"].append(action)
-        buf["old_probs"].append(prob)
-        buf["rewards"].append(reward)
+    def record(self, *values):
+        for column, value in zip(self._open, values):
+            column.append(value)
 
     def end_episode(self):
-        buf = self._open
-        if buf and buf["states"]:
-            self.episodes.append({
-                "states": np.stack(buf["states"]),
-                "masks": np.stack(buf["masks"]),
-                "actions": np.asarray(buf["actions"], dtype=np.int64),
-                "old_probs": np.asarray(buf["old_probs"]),
-                "rewards": np.asarray(buf["rewards"]),
-            })
+        if self._open and self._open[0]:
+            self.episodes.append({name: np.asarray(column) for name, column
+                                  in zip(self.fields, self._open)})
         self._open = None
+
+    def take(self) -> list:
+        """The finished episodes, emptying the buffer."""
+        episodes, self.episodes = self.episodes, []
+        return episodes
+
+
+@dataclass
+class Critic:
+    """The centralized value network and its optimizer state, the part of
+    the trajectory every agent shares (states and the team reward), and
+    the batch ``critic_update`` prepares for the agents' actor updates."""
+
+    net: TsfenNetwork
+    opt: AdamState
+    hyper: "MappoSection"
+    trajectory: Trajectory = field(
+        default_factory=lambda: Trajectory("states", "rewards"))
+    batch: dict | None = None
+
+
+@dataclass
+class AgentBundle:
+    """One agent's actor, its optimizer state and its own part of the
+    trajectory (masks, actions, old probabilities); ``critic`` is the one
+    every agent of the policy shares."""
+
+    actor: TsfenNetwork
+    actor_opt: AdamState
+    critic: Critic
+    hyper: "MappoSection"
+    trajectory: Trajectory = field(
+        default_factory=lambda: Trajectory("masks", "actions", "old_probs"))
+
+
+def make_critic(net_config: TsfenConfig, hyper: "MappoSection",
+                rng: np.random.Generator) -> Critic:
+    net = TsfenNetwork(dataclasses.replace(net_config, output_dim=1), rng)
+    return Critic(net=net, opt=adam_init(net.params), hyper=hyper)
 
 
 def make_bundle(net_config: TsfenConfig, hyper: "MappoSection",
-                rng: np.random.Generator) -> AgentBundle:
+                critic: Critic, rng: np.random.Generator) -> AgentBundle:
     actor = TsfenNetwork(net_config, rng)
-    critic = TsfenNetwork(dataclasses.replace(net_config, output_dim=1), rng)
-    return AgentBundle(actor=actor, critic=critic,
-                       actor_opt=adam_init(actor.params),
-                       critic_opt=adam_init(critic.params), hyper=hyper)
+    return AgentBundle(actor=actor, actor_opt=adam_init(actor.params),
+                       critic=critic, hyper=hyper)
 
 
 def select_actions(agents, state: np.ndarray, mask: np.ndarray,
@@ -186,13 +212,13 @@ def check_actions(actions, mask: np.ndarray, n_agents: int) -> np.ndarray:
     raise AssignmentError(f"actions {raw.tolist()} pick {problem}")
 
 
-def _critic_values(bundle: AgentBundle, states: np.ndarray,
+def _critic_values(critic: Critic, states: np.ndarray,
                    workspace: Workspace = None) -> np.ndarray:
     # minibatch-sized chunks: a row's value does not depend on its batch,
     # and no whole-episode activation cache is held at once
-    size = bundle.hyper.batch_size
+    size = critic.hyper.batch_size
     return np.concatenate([
-        bundle.critic.value(states[i:i + size], workspace)[0]
+        critic.net.value(states[i:i + size], workspace)[0]
         for i in range(0, len(states), size)])
 
 
@@ -217,72 +243,101 @@ def _actor_step(bundle: AgentBundle, states, masks, actions, old_probs,
     return ratio
 
 
-def _critic_step(bundle: AgentBundle, states, targets,
+def _critic_step(critic: Critic, states, targets,
                  workspace: Workspace = None):
-    values, cache = bundle.critic.value(states, workspace)
+    values, cache = critic.net.value(states, workspace)
+    if not np.isfinite(values).all():
+        raise RaceError("non-finite critic values: the critic has diverged")
     err = values - targets
     dlogits = np.zeros((len(targets), 1))
     dlogits[:, 0] = err / len(targets)
-    grads = bundle.critic.backward(cache, dlogits)
-    adam_step(bundle.critic.params, grads, bundle.critic_opt,
-              bundle.hyper.learning_rate)
+    grads = critic.net.backward(cache, dlogits)
+    adam_step(critic.net.params, grads, critic.opt,
+              critic.hyper.learning_rate)
     return float(0.5 * (err ** 2).mean())
 
 
-def ppo_update(bundle: AgentBundle, rng: np.random.Generator) -> dict:
-    """Consume the buffered episodes with one clipped-PPO update pass.
+def _minibatches(n: int, hyper: "MappoSection", rng: np.random.Generator):
+    """Row indices of ``ppo_epochs`` passes of shuffled minibatches."""
+    for _ in range(hyper.ppo_epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, hyper.batch_size):
+            yield perm[start:start + hyper.batch_size]
 
-    Advantages and critic targets are computed per episode from the
-    pre-update critic (terminal value zero), then both networks take
-    ``ppo_epochs`` passes of shuffled minibatches.  Every forward of the
-    update draws its attention buffers from one workspace, which is
-    dropped on return.
+
+def critic_update(critic: Critic, rng: np.random.Generator) -> float:
+    """Consume the shared trajectory: advantages for the actors, then
+    ``ppo_epochs`` passes of shuffled minibatch steps for the critic.
+
+    Advantages and critic targets come per episode from the pre-update
+    critic (terminal value zero).  They are left, with the states and the
+    last minibatch loss, in ``critic.batch`` for the agents' ``ppo_update``
+    calls.  Returns that loss.
     """
-    hyper = bundle.hyper
-    if not bundle.episodes:
-        raise RaceError("ppo_update called with an empty trajectory buffer")
+    hyper = critic.hyper
+    episodes = critic.trajectory.take()
+    if not episodes:
+        raise RaceError("critic_update called with an empty trajectory "
+                        "buffer")
     workspace = Workspace()
-    states, masks, actions, old_probs, advs, targets = [], [], [], [], [], []
-    for ep in bundle.episodes:
-        values = _critic_values(bundle, ep["states"], workspace)
+    advs, targets = [], []
+    for ep in episodes:
+        values = _critic_values(critic, ep["states"], workspace)
         # episodes end by horizon truncation, not termination: bootstrap
         # the cut with the last state's own value estimate
         v_next = np.append(values[1:], values[-1])
         eps = ep["rewards"] + hyper.gamma * v_next - values
         if not np.isfinite(eps).all():
             raise RaceError("non-finite TD residuals; aborting update")
-        adv = gae(eps, hyper.gamma, hyper.gae_lambda)
-        states.append(ep["states"])
-        masks.append(ep["masks"])
-        actions.append(ep["actions"])
-        old_probs.append(ep["old_probs"])
-        advs.append(adv)
+        advs.append(gae(eps, hyper.gamma, hyper.gae_lambda))
         targets.append(ep["rewards"] + hyper.gamma * v_next)
-    states = np.concatenate(states)
-    masks = np.concatenate(masks)
-    actions = np.concatenate(actions)
-    old_probs = np.concatenate(old_probs)
-    advs = np.concatenate(advs)
+    states = np.concatenate([ep["states"] for ep in episodes])
     targets = np.concatenate(targets)
+
+    loss = float("nan")
+    for sel in _minibatches(len(states), hyper, rng):
+        loss = _critic_step(critic, states[sel], targets[sel], workspace)
+    critic.batch = {"states": states, "advantages": np.concatenate(advs),
+                    "critic_loss": loss}
+    return loss
+
+
+def ppo_update(bundle: AgentBundle, rng: np.random.Generator) -> dict:
+    """One agent's clipped-PPO actor update on its buffered episodes.
+
+    The states and advantages come from the shared batch of the
+    ``critic_update`` that must precede the K agents' calls; the actor
+    takes ``ppo_epochs`` passes of shuffled minibatches over the rounds
+    it acted in.  Every forward draws its attention buffers from one
+    workspace, which is dropped on return.  The stats report the shared
+    critic loss and mean advantage.
+    """
+    hyper = bundle.hyper
+    batch = bundle.critic.batch
+    if batch is None:
+        raise RaceError("ppo_update called before critic_update")
+    episodes = bundle.trajectory.take()
+    if not episodes:
+        raise RaceError("ppo_update called with an empty trajectory buffer")
+    masks, actions, old_probs = (np.concatenate([ep[name] for ep in episodes])
+                                 for name in ("masks", "actions", "old_probs"))
+    states, advs = batch["states"], batch["advantages"]
+    n = len(states)
+    if len(actions) != n:
+        raise RaceError(f"agent trajectory has {len(actions)} rounds, the "
+                        f"critic's {n}")
     acted = actions >= 0
 
+    workspace = Workspace()
     stats = {"mean_advantage": float(advs.mean()),
-             "critic_loss": float("nan"), "mean_ratio": float("nan")}
-    n = len(states)
-    for _ in range(hyper.ppo_epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, hyper.batch_size):
-            sel = perm[start:start + hyper.batch_size]
-            act_sel = sel[acted[sel]]
-            if len(act_sel):
-                ratio = _actor_step(
-                    bundle, states[act_sel], masks[act_sel],
-                    actions[act_sel], old_probs[act_sel], advs[act_sel],
-                    workspace)
-                stats["mean_ratio"] = float(ratio.mean())
-            stats["critic_loss"] = _critic_step(bundle, states[sel],
-                                                targets[sel], workspace)
-    bundle.episodes = []
+             "critic_loss": batch["critic_loss"], "mean_ratio": float("nan")}
+    for sel in _minibatches(n, hyper, rng):
+        act_sel = sel[acted[sel]]
+        if len(act_sel):
+            ratio = _actor_step(
+                bundle, states[act_sel], masks[act_sel], actions[act_sel],
+                old_probs[act_sel], advs[act_sel], workspace)
+            stats["mean_ratio"] = float(ratio.mean())
     return stats
 
 
@@ -340,33 +395,38 @@ def baseline_policy(kind: str, state: np.ndarray, mask: np.ndarray,
     raise RaceError(f"unknown baseline policy {kind!r}")
 
 
-def _agent_params(agents) -> dict:
-    """{checkpoint name: parameter array} over every agent's networks."""
-    return {f"agent{k}.{role}.{name}": p
-            for k, bundle in enumerate(agents)
-            for role, net in (("actor", bundle.actor),
-                              ("critic", bundle.critic))
-            for name, p in net.params.items()}
+def _policy_params(agents, critic: Critic) -> dict:
+    """{checkpoint name: parameter array}: every agent's actor and the one
+    shared critic."""
+    params = {f"agent{k}.actor.{name}": p
+              for k, bundle in enumerate(agents)
+              for name, p in bundle.actor.params.items()}
+    params.update({f"critic.{name}": p
+                   for name, p in critic.net.params.items()})
+    return params
 
 
-def save_agents(path, agents) -> None:
-    """All agents' parameters in one checkpoint file."""
-    save_params(path, _agent_params(agents), meta={"n_agents": len(agents)})
+def save_agents(path, agents, critic: Critic) -> None:
+    """All agents' actors and the shared critic in one checkpoint file."""
+    save_params(path, _policy_params(agents, critic),
+                meta={"n_agents": len(agents)})
 
 
-def load_agents(path, agents) -> None:
-    """Restore parameters saved by ``save_agents`` into ``agents``.
+def load_agents(path, agents, critic: Critic) -> None:
+    """Restore parameters saved by ``save_agents`` into ``agents`` and
+    ``critic``.
 
-    The checkpoint must hold exactly the agents' parameter names, each
-    with the shape the agents' networks expect; otherwise
-    ``CheckpointError`` is raised and no agent is modified.
+    The checkpoint must hold exactly their parameter names, each with the
+    shape their networks expect; otherwise ``CheckpointError`` is raised
+    and nothing is modified.  So a checkpoint with one critic per agent,
+    the layout before the critic was shared, is rejected.
     """
     merged, meta = load_params(path)
     if meta.get("n_agents") != len(agents):
         raise CheckpointError(
             f"checkpoint holds {meta.get('n_agents')} agents, the scenario "
             f"has {len(agents)}")
-    targets = _agent_params(agents)
+    targets = _policy_params(agents, critic)
     if set(merged) != set(targets):
         missing = sorted(set(targets) - set(merged))
         extra = sorted(set(merged) - set(targets))

@@ -231,12 +231,15 @@ class World:
 
 
 class MappoPolicy:
-    """Per-sub-channel actor/critic agents with trajectory recording."""
+    """K decentralized actors, one per sub-channel, and one centralized
+    critic that all of them share; a training policy records its
+    trajectory and updates every ``episodes_per_update`` episodes."""
 
     def __init__(self, cfg: ScenarioConfig, seed: int, train: bool = True):
         net_cfg = network_config(cfg)
         winit = named_rng(seed, "weights-init", 1)
-        self.agents = [sel.make_bundle(net_cfg, cfg.mappo, winit)
+        self.critic = sel.make_critic(net_cfg, cfg.mappo, winit)
+        self.agents = [sel.make_bundle(net_cfg, cfg.mappo, self.critic, winit)
                        for _ in range(cfg.selection.n_subchannels)]
         self.rng = named_rng(seed, "policy" if train else "eval")
         self.train = train
@@ -245,45 +248,51 @@ class MappoPolicy:
         self._pending = None
         self.update_stats = []
 
+    def _trajectories(self):
+        return [self.critic.trajectory] + [b.trajectory for b in self.agents]
+
     def begin_episode(self):
-        for bundle in self.agents:
-            bundle.start_episode()
+        if self.train:
+            for trajectory in self._trajectories():
+                trajectory.start_episode()
 
     def select(self, state, mask):
         actions, eff_masks, probs = sel.select_actions(
             self.agents, state, mask, self.rng)
-        self._pending = (state, eff_masks, actions, probs)
+        if self.train:
+            self._pending = (state, eff_masks, actions, probs)
         return actions
 
     def observe(self, reward: float):
         if self._pending is None:
             return
         state, eff_masks, actions, probs = self._pending
+        self.critic.trajectory.record(state, reward)
         for k, bundle in enumerate(self.agents):
             prob = probs[k] if actions[k] >= 0 else 1.0
-            bundle.record(state, eff_masks[k], int(actions[k]), prob,
-                          reward)
+            bundle.trajectory.record(eff_masks[k], int(actions[k]), prob)
         self._pending = None
 
     def end_episode(self):
-        for bundle in self.agents:
-            bundle.end_episode()
         if not self.train:
-            for bundle in self.agents:
-                bundle.episodes.clear()
             return
+        for trajectory in self._trajectories():
+            trajectory.end_episode()
         self._episodes_since_update += 1
         if self._episodes_since_update >= self.cfg.mappo.episodes_per_update:
+            if self.agents:  # an agentless policy records nothing
+                sel.critic_update(self.critic, self.rng)
             stats = [sel.ppo_update(bundle, self.rng)
                      for bundle in self.agents]
+            self.critic.batch = None
             self.update_stats.append(stats)
             self._episodes_since_update = 0
 
     def save(self, path):
-        sel.save_agents(path, self.agents)
+        sel.save_agents(path, self.agents, self.critic)
 
     def load(self, path):
-        sel.load_agents(path, self.agents)
+        sel.load_agents(path, self.agents, self.critic)
 
 
 class BaselinePolicy:

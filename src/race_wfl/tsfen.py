@@ -441,8 +441,10 @@ class AdamState:
 
 def adam_init(params: dict) -> AdamState:
     return AdamState(
-        m={k: np.zeros_like(p) for k, p in params.items()},
-        v={k: np.zeros_like(p) for k, p in params.items()},
+        # np.zeros, unlike zeros_like, leaves the pages untouched until
+        # the first step: a policy that never trains keeps none resident
+        m={k: np.zeros(p.shape) for k, p in params.items()},
+        v={k: np.zeros(p.shape) for k, p in params.items()},
     )
 
 

@@ -12,6 +12,7 @@ from race_wfl.config import (
     dump_config, load_config, named_rng,
 )
 from race_wfl.errors import ConfigError
+from race_wfl.tsfen import load_params, save_params
 
 
 class TestDefaults:
@@ -194,6 +195,26 @@ class TestCli:
         assert main(["evaluate", "--config", str(other), "--checkpoint",
                      str(trained_checkpoint), "--out-dir",
                      str(tmp_path / "e"), "--episodes", "1"]) == 4
+
+    def test_evaluate_per_agent_critic_checkpoint_exits_4(
+            self, tiny_config, trained_checkpoint, tmp_path, capsys,
+            caplog):
+        # the layout before the critic was shared: agent{k}.critic.* for
+        # every agent instead of one critic.*
+        params, meta = load_params(trained_checkpoint)
+        old = {name: p for name, p in params.items()
+               if not name.startswith("critic.")}
+        for k in range(meta["n_agents"]):
+            old.update({f"agent{k}.{name}": p for name, p in params.items()
+                        if name.startswith("critic.")})
+        path = tmp_path / "old.bin"
+        save_params(path, old, meta=meta)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(tiny_config),
+                     "--checkpoint", str(path), "--out-dir",
+                     str(tmp_path / "e"), "--episodes", "1"]) == 4
+        assert "agent0.critic." in caplog.text
+        assert "Traceback" not in capsys.readouterr().err + caplog.text
 
     def test_allocate_exit_codes(self, tmp_path):
         feasible = tmp_path / "ok.csv"

@@ -32,12 +32,15 @@ the same.  These tests pin SHA-256 hashes of
 Pinned with Python 3.11.7, numpy 2.4.6 and scipy-openblas 0.3.31.188.0
 (64-bit ints, DYNAMIC_ARCH) on x86_64 with AVX-512, at OpenBLAS's default
 2 threads.  A different numpy or BLAS build may legitimately differ in the
-last bits, so the tests skip when either version differs; re-pin with
+last bits, and so may another BLAS thread count (one thread changes some
+batch-4/20/100 weight gradients and the trained checkpoints), so the tests
+skip when either version or the thread count differs; re-pin with
 ``PYTHONPATH=src python tests/test_golden.py``, which prints the hashes of
 the code as it stands.
 """
 
 import csv
+import ctypes
 import hashlib
 import io
 
@@ -52,6 +55,7 @@ from race_wfl.tsfen import TsfenConfig, TsfenNetwork
 
 PINNED_NUMPY = "2.4.6"
 PINNED_BLAS = "0.3.31.188.0"
+PINNED_BLAS_THREADS = 2
 
 NETWORK_HASHES = {
     1: {
@@ -122,9 +126,9 @@ NETWORK_HASHES = {
 
 TRAIN_HASHES = {
     "checkpoint_final.bin":
-        "c58171d97f320bae91d7ccfa6442406802fb9c5e6894f11c391da04654624c00",
+        "b6ced758fdcd6da1e6efa3ac3b4654a21acffbca45e00f8b92ff96c8f069f870",
     "rounds.csv":
-        "281e5803478cf6a1d95604517b548549eac3b7d2cb110b726bef33a88dbe4103",
+        "6fdb7eef566dc72a99e9c5933670668dba32ae8a6ef9c45f3d0b868513782bb0",
 }
 
 TRAIN_CONFIG = {
@@ -134,9 +138,9 @@ TRAIN_CONFIG = {
 
 UPDATED_TRAIN_HASHES = {
     "checkpoint_final.bin":
-        "cd8c1cf3ec5fd5cabbd29c813b78e4a37be5c180370764ae6fd75c460254a715",
+        "8478218633880a5c11114c18351956a57b28ee30a20389f905f922f8a4e6604d",
     "rounds.csv":
-        "e376118fc7cbf2e1b9a7c8e5bccb59719d4632ec14e5cb93f73b0dba486e97fb",
+        "0d052227cd3379a6938b0490c7caf625f7efd4ce02b99e110ae3f4d4ed51a708",
 }
 
 UPDATED_TRAIN_CONFIG = {
@@ -212,11 +216,40 @@ def _blas_version():
         return None
 
 
+def _blas_threads():
+    """The thread count OpenBLAS reports through its ``get_num_threads``
+    symbol in the library loaded into this process; None if unreadable."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh
+                     if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return fn()
+    return None
+
+
 def _skip_unless_pinned_build():
     if np.__version__ != PINNED_NUMPY or _blas_version() != PINNED_BLAS:
         pytest.skip(f"hashes pinned on numpy {PINNED_NUMPY} / BLAS "
                     f"{PINNED_BLAS}, running numpy {np.__version__} / "
                     f"BLAS {_blas_version()}")
+    threads = _blas_threads()
+    if threads != PINNED_BLAS_THREADS:
+        pytest.skip(f"hashes pinned at {PINNED_BLAS_THREADS} OpenBLAS "
+                    f"threads, running {threads}")
 
 
 def _sha(data) -> str:
@@ -358,7 +391,8 @@ if __name__ == "__main__":
     import tempfile
     from pathlib import Path
 
-    print(f"numpy {np.__version__}, BLAS {_blas_version()}")
+    print(f"numpy {np.__version__}, BLAS {_blas_version()}, "
+          f"{_blas_threads()} BLAS threads")
     pprint.pprint({b: network_hashes(b) for b in sorted(NETWORK_HASHES)})
     with tempfile.TemporaryDirectory() as tmp:
         pprint.pprint(train_hashes(Path(tmp)))

@@ -1,17 +1,20 @@
 import logging
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from race_wfl import selection
 from race_wfl.config import MappoSection
 from race_wfl.errors import CheckpointError, RaceError
 from race_wfl.selection import (
     adaptive_mask, baseline_policy, binary_mask, build_state,
-    check_actions, gae, greedy_aoi_actions, load_agents, make_bundle,
-    ppo_update, save_agents, select_actions, _actor_step, _critic_values,
+    check_actions, critic_update, gae, greedy_aoi_actions, load_agents,
+    make_bundle, make_critic, ppo_update, save_agents, select_actions,
+    _actor_step, _critic_values,
 )
-from race_wfl.tsfen import TsfenConfig
+from race_wfl.tsfen import TsfenConfig, load_params, save_params
 
 SMALL_NET = dict(d_model=8, n_heads=2, squeeze_dim=3, lstm_hidden=5,
                  fc_hidden=6, feature_log=(False, False, False),
@@ -19,10 +22,14 @@ SMALL_NET = dict(d_model=8, n_heads=2, squeeze_dim=3, lstm_hidden=5,
                  feature_scale=(1.0, 1.0, 1.0))
 
 
-def small_agents(n_devices, history, k_agents, seed=0, uniform=False):
+def small_agents(n_devices, history, k_agents, seed=0, uniform=False,
+                 hyper=MappoSection()):
+    """``k_agents`` bundles that share one critic (``agents[0].critic``)."""
     rng = np.random.default_rng(seed)
     cfg = TsfenConfig(n_devices=n_devices, history=history, **SMALL_NET)
-    agents = [make_bundle(cfg, MappoSection(), rng) for _ in range(k_agents)]
+    critic = make_critic(cfg, hyper, rng)
+    agents = [make_bundle(cfg, hyper, critic, rng)
+              for _ in range(k_agents)]
     if uniform:
         for b in agents:
             for p in b.actor.params.values():
@@ -182,27 +189,51 @@ class TestTdAndGae:
         assert adv[-1] == eps[-1]
 
 
-def _fill_episode(bundle, rng, n_devices, history, steps=12):
-    bundle.start_episode()
+def _trajectories(agents):
+    return [agents[0].critic.trajectory] + [b.trajectory for b in agents]
+
+
+def _fill_episode(agents, rng, n_devices, history, steps=12):
+    """One episode recorded the way ``MappoPolicy`` records it: the state
+    and the team reward once, each agent's mask, action and probability."""
+    for trajectory in _trajectories(agents):
+        trajectory.start_episode()
     for _ in range(steps):
         state = rng.uniform(size=(history, n_devices, 3))
-        mask = np.ones(n_devices)
-        probs, _ = bundle.actor.policy(state[None], mask[None])
-        a = int(rng.choice(n_devices, p=probs[0]))
-        bundle.record(state, mask, a, probs[0][a], float(rng.uniform(-2, 0)))
-    bundle.end_episode()
+        actions, eff_masks, probs = select_actions(
+            agents, state, np.ones(n_devices), rng)
+        agents[0].critic.trajectory.record(state, float(rng.uniform(-2, 0)))
+        for k, bundle in enumerate(agents):
+            prob = probs[k] if actions[k] >= 0 else 1.0
+            bundle.trajectory.record(eff_masks[k], int(actions[k]), prob)
+    for trajectory in _trajectories(agents):
+        trajectory.end_episode()
+
+
+def _update(agents, rng):
+    critic_update(agents[0].critic, rng)
+    return [ppo_update(bundle, rng) for bundle in agents]
 
 
 class TestPpoUpdate:
     def test_ratio_is_one_before_any_update(self):
         rng = np.random.default_rng(0)
-        bundle = small_agents(4, 2, 1, seed=9)[0]
-        _fill_episode(bundle, rng, 4, 2)
-        ep = bundle.episodes[0]
-        probs, _ = bundle.actor.policy(ep["states"], ep["masks"])
-        recomputed = probs[np.arange(len(ep["actions"])), ep["actions"]]
-        ratio = recomputed / ep["old_probs"]
-        assert (ratio == 1.0).all()
+        agents = small_agents(4, 2, 2, seed=9)
+        _fill_episode(agents, rng, 4, 2)
+        states = agents[0].critic.trajectory.episodes[0]["states"]
+        for bundle in agents:
+            ep = bundle.trajectory.episodes[0]
+            rows = np.arange(len(ep["actions"]))
+            # the recorded probability is the batch-1 forward's, exactly
+            single = [bundle.actor.policy(states[i:i + 1],
+                                          ep["masks"][i:i + 1])[0][0, a]
+                      for i, a in enumerate(ep["actions"])]
+            assert (np.array(single) == ep["old_probs"]).all()
+            # a minibatch forward may differ from the batch-1 one in the
+            # last bit, so the update's first ratio is one within 2 ulps
+            probs, _ = bundle.actor.policy(states, ep["masks"])
+            ratio = probs[rows, ep["actions"]] / ep["old_probs"]
+            assert np.abs(ratio - 1.0).max() <= 2 * np.finfo(float).eps
 
     def test_zero_advantage_leaves_actor_unchanged(self):
         bundle = small_agents(4, 2, 1, seed=1)[0]
@@ -237,28 +268,87 @@ class TestPpoUpdate:
 
     def test_update_consumes_buffer_and_reports_stats(self):
         rng = np.random.default_rng(5)
-        bundle = small_agents(3, 2, 1, seed=5)[0]
+        agents = small_agents(4, 2, 3, seed=5)
         for _ in range(2):
-            _fill_episode(bundle, rng, 3, 2)
-        stats = ppo_update(bundle, np.random.default_rng(6))
-        assert bundle.episodes == []
-        assert np.isfinite(stats["critic_loss"])
-        assert np.isfinite(stats["mean_ratio"])
+            _fill_episode(agents, rng, 4, 2)
+        stats = _update(agents, np.random.default_rng(6))
+        assert all(t.episodes == [] for t in _trajectories(agents))
+        assert len(stats) == 3
+        for entry in stats:
+            assert all(np.isfinite(v) for v in entry.values())
+            assert entry["critic_loss"] == stats[0]["critic_loss"]
 
     def test_empty_buffer_errors(self):
-        bundle = small_agents(3, 2, 1)[0]
-        with pytest.raises(RaceError):
-            ppo_update(bundle, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        agents = small_agents(3, 2, 1)
+        with pytest.raises(RaceError, match="empty"):
+            critic_update(agents[0].critic, rng)
+        _fill_episode(agents, rng, 3, 2)
+        _update(agents, rng)
+        with pytest.raises(RaceError, match="empty"):
+            ppo_update(agents[0], rng)
+
+    def test_actor_update_needs_the_critic_batch(self):
+        rng = np.random.default_rng(1)
+        agents = small_agents(3, 2, 1)
+        _fill_episode(agents, rng, 3, 2)
+        with pytest.raises(RaceError, match="critic_update"):
+            ppo_update(agents[0], rng)
 
     def test_critic_loss_decreases_on_a_fixed_problem(self):
         rng = np.random.default_rng(7)
-        bundle = small_agents(3, 2, 1, seed=7)[0]
+        agents = small_agents(3, 2, 1, seed=7)
         losses = []
         for _ in range(6):
-            _fill_episode(bundle, rng, 3, 2, steps=30)
-            stats = ppo_update(bundle, np.random.default_rng(8))
-            losses.append(stats["critic_loss"])
+            _fill_episode(agents, rng, 3, 2, steps=30)
+            losses.append(critic_update(agents[0].critic,
+                                        np.random.default_rng(8)))
         assert losses[-1] < losses[0]
+
+
+class TestSharedCritic:
+    HYPER = MappoSection(batch_size=5, ppo_epochs=3)
+
+    def _count_steps(self, monkeypatch, name):
+        calls = []
+        orig = getattr(selection, name)
+
+        def counted(owner, *args, **kwargs):
+            calls.append((owner, args))
+            return orig(owner, *args, **kwargs)
+        monkeypatch.setattr(selection, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("k_agents", [1, 3])
+    def test_critic_steps_do_not_depend_on_the_agent_count(
+            self, monkeypatch, k_agents):
+        critic_steps = self._count_steps(monkeypatch, "_critic_step")
+        actor_steps = self._count_steps(monkeypatch, "_actor_step")
+        rng = np.random.default_rng(2)
+        agents = small_agents(4, 2, k_agents, seed=2, hyper=self.HYPER)
+        for _ in range(2):
+            _fill_episode(agents, rng, 4, 2, steps=12)
+        _update(agents, rng)
+        per_network = self.HYPER.ppo_epochs * math.ceil(24 / 5)
+        assert len(critic_steps) == per_network
+        assert {id(c) for c, _ in critic_steps} == {id(agents[0].critic)}
+        # every agent acted in every round, so each takes the same steps
+        assert len(actor_steps) == k_agents * per_network
+
+    def test_every_actor_step_reads_the_shared_advantages(self,
+                                                          monkeypatch):
+        actor_steps = self._count_steps(monkeypatch, "_actor_step")
+        rng = np.random.default_rng(3)
+        agents = small_agents(5, 2, 3, seed=3, hyper=self.HYPER)
+        _fill_episode(agents, rng, 5, 2, steps=17)
+        _update(agents, rng)
+        shared = agents[0].critic.batch["advantages"]
+        # each epoch visits every round once, in the agent's own order
+        expected = np.sort(np.tile(shared, self.HYPER.ppo_epochs))
+        for bundle in agents:
+            seen = np.concatenate([args[4] for b, args in actor_steps
+                                   if b is bundle])
+            assert np.sort(seen).tobytes() == expected.tobytes()
 
 
 class TestBaselines:
@@ -318,33 +408,60 @@ class TestBaselines:
 def test_agent_checkpoint_round_trip(tmp_path):
     agents = small_agents(4, 2, 2, seed=4)
     path = tmp_path / "agents.bin"
-    save_agents(path, agents)
+    save_agents(path, agents, agents[0].critic)
+    names, _ = load_params(path)
+    assert {n.split(".")[0] + "." + n.split(".")[1] for n in names
+            if n.startswith("agent")} == {"agent0.actor", "agent1.actor"}
+    assert any(n.startswith("critic.") for n in names)
     fresh = small_agents(4, 2, 2, seed=99)
-    load_agents(path, fresh)
+    load_agents(path, fresh, fresh[0].critic)
     for a, b in zip(agents, fresh):
         for k in a.actor.params:
             assert (a.actor.params[k] == b.actor.params[k]).all()
-        for k in a.critic.params:
-            assert (a.critic.params[k] == b.critic.params[k]).all()
+    for k, p in agents[0].critic.net.params.items():
+        assert (fresh[0].critic.net.params[k] == p).all()
 
 
 def test_agent_checkpoint_of_another_shape_is_rejected(tmp_path):
     path = tmp_path / "agents.bin"
-    save_agents(path, small_agents(4, 2, 2, seed=4))
+    agents = small_agents(4, 2, 2, seed=4)
+    save_agents(path, agents, agents[0].critic)
     other = small_agents(5, 2, 2, seed=9)
     before = {k: p.copy() for k, p in other[0].actor.params.items()}
     with pytest.raises(CheckpointError, match="shape"):
-        load_agents(path, other)
+        load_agents(path, other, other[0].critic)
     for k, p in other[0].actor.params.items():
         assert (p == before[k]).all()  # nothing half-loaded
 
 
+def save_per_agent_critic_checkpoint(path, agents):
+    """A checkpoint in the layout with one critic per agent:
+    ``agent{k}.actor.*`` and ``agent{k}.critic.*``."""
+    params = {f"agent{k}.{role}.{name}": p
+              for k, bundle in enumerate(agents)
+              for role, net in (("actor", bundle.actor),
+                                ("critic", bundle.critic.net))
+              for name, p in net.params.items()}
+    save_params(path, params, meta={"n_agents": len(agents)})
+
+
+def test_per_agent_critic_checkpoint_is_rejected(tmp_path):
+    path = tmp_path / "old.bin"
+    save_per_agent_critic_checkpoint(path, small_agents(4, 2, 2, seed=4))
+    fresh = small_agents(4, 2, 2, seed=9)
+    before = {k: p.copy() for k, p in fresh[0].critic.net.params.items()}
+    with pytest.raises(CheckpointError, match="names differ"):
+        load_agents(path, fresh, fresh[0].critic)
+    for k, p in fresh[0].critic.net.params.items():
+        assert (p == before[k]).all()
+
+
 def test_critic_values_in_chunks_equal_one_whole_batch_forward():
     rng = np.random.default_rng(3)
-    bundle = make_bundle(TsfenConfig(n_devices=20), MappoSection(), rng)
+    critic = make_critic(TsfenConfig(n_devices=20), MappoSection(), rng)
     shape = (40, 5, 20)  # one full minibatch-sized chunk and a partial one
     states = np.stack([rng.uniform(0.0, 0.5, shape),
                        10.0 ** rng.uniform(8.0, 16.0, shape),
                        rng.uniform(0.0, 5.0, shape)], axis=-1)
-    whole, _ = bundle.critic.value(states)
-    assert _critic_values(bundle, states).tobytes() == whole.tobytes()
+    whole, _ = critic.net.value(states)
+    assert _critic_values(critic, states).tobytes() == whole.tobytes()

@@ -5,11 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from race_wfl import selection
 from race_wfl.config import config_from_dict
 from race_wfl.errors import AssignmentError, CollisionError, InfeasibleError
 from race_wfl.simulation import (
     BaselinePolicy, MappoPolicy, World, make_policy, run_experiment,
 )
+from race_wfl.tsfen import load_params
 
 TINY = {
     "platoon": {"n_followers": 8},
@@ -242,3 +244,38 @@ class TestRunExperiment:
                 policy.observe(float(led.rewards[0]))
             policy.end_episode()
         assert len(policy.update_stats) == 2  # episodes_per_update = 1
+
+
+class TestSharedCritic:
+    def test_policy_holds_exactly_one_critic(self, tmp_path):
+        cfg = tiny_cfg(selection={"n_subchannels": 3})
+        policy = MappoPolicy(cfg, cfg.run.seed)
+        assert all(b.critic is policy.critic for b in policy.agents)
+        policy.save(tmp_path / "policy.bin")
+        names, meta = load_params(tmp_path / "policy.bin")
+        assert meta == {"n_agents": 3}
+        assert {n.split(".", 1)[0] for n in names if ".actor." in n} \
+            == {"agent0", "agent1", "agent2"}
+        critic_names = {n for n in names if ".actor." not in n}
+        assert critic_names == {f"critic.{k}"
+                                for k in policy.critic.net.params}
+
+    def test_each_agent_update_returns_finite_stats(self, monkeypatch,
+                                                    tmp_path):
+        # a training episode calls ``selection.ppo_update(bundle, rng)``
+        # once per agent, through the module attribute
+        calls = []
+        orig = selection.ppo_update
+
+        def recorded(bundle, rng):
+            calls.append((bundle, orig(bundle, rng)))
+            return calls[-1][1]
+        monkeypatch.setattr(selection, "ppo_update", recorded)
+        cfg = tiny_cfg(selection={"n_subchannels": 3},
+                       run={"episodes": 1})
+        run_experiment(cfg, "mappo", tmp_path, train=True, log_every=0)
+        assert len(calls) == 3
+        assert len({id(bundle) for bundle, _ in calls}) == 3
+        for _, stats in calls:
+            assert all(np.isfinite(v) for v in stats.values())
+        assert len({stats["critic_loss"] for _, stats in calls}) == 1
