@@ -8,13 +8,11 @@ semantics while keeping the induced assignment legal.  When fewer
 eligible devices remain than agents, the surplus agents idle for the
 round (their action is -1).
 
-Training follows the clipped-surrogate recipe with centralized training
-and decentralized execution.  Every agent sees the same state and earns
-the same team reward, so one centralized critic, shared by the K agents,
-learns from TD residuals; advantages come from the exponentially weighted
-backward recursion over those residuals, once per update.  Each agent's
-actor then ascends the clipped importance-ratio objective on those
-shared advantages with moments-based adaptive steps.
+Training follows the clipped-surrogate recipe: one centralized critic,
+shared by the K agents, learns from TD residuals, advantages come from
+the exponentially weighted backward recursion over those residuals, and
+each agent's actor ascends the clipped importance-ratio objective on
+those shared advantages with moments-based adaptive steps.
 """
 
 import dataclasses
@@ -122,9 +120,8 @@ class Trajectory:
 
 @dataclass
 class Critic:
-    """The centralized value network and its optimizer state, the part of
-    the trajectory every agent shares (states and the team reward), and
-    the batch ``critic_update`` prepares for the agents' actor updates."""
+    """The shared value network, its optimizer state, the states and team
+    rewards, and the batch ``critic_update`` leaves for the actors."""
 
     net: TsfenNetwork
     opt: AdamState
@@ -136,9 +133,8 @@ class Critic:
 
 @dataclass
 class AgentBundle:
-    """One agent's actor, its optimizer state and its own part of the
-    trajectory (masks, actions, old probabilities); ``critic`` is the one
-    every agent of the policy shares."""
+    """One agent's actor, its optimizer state, its own masks, actions and
+    old probabilities, and the shared critic."""
 
     actor: TsfenNetwork
     actor_opt: AdamState
@@ -266,13 +262,12 @@ def _minibatches(n: int, hyper: "MappoSection", rng: np.random.Generator):
 
 
 def critic_update(critic: Critic, rng: np.random.Generator) -> float:
-    """Consume the shared trajectory: advantages for the actors, then
-    ``ppo_epochs`` passes of shuffled minibatch steps for the critic.
+    """Consume the shared trajectory with ``ppo_epochs`` passes of
+    shuffled critic minibatches; return the last minibatch loss.
 
-    Advantages and critic targets come per episode from the pre-update
-    critic (terminal value zero).  They are left, with the states and the
-    last minibatch loss, in ``critic.batch`` for the agents' ``ppo_update``
-    calls.  Returns that loss.
+    Advantages and targets are computed per episode from the pre-update
+    critic; the states, advantages and loss are left in ``critic.batch``
+    for the agents' ``ppo_update`` calls.
     """
     hyper = critic.hyper
     episodes = critic.trajectory.take()
@@ -303,35 +298,26 @@ def critic_update(critic: Critic, rng: np.random.Generator) -> float:
 
 
 def ppo_update(bundle: AgentBundle, rng: np.random.Generator) -> dict:
-    """One agent's clipped-PPO actor update on its buffered episodes.
-
-    The states and advantages come from the shared batch of the
-    ``critic_update`` that must precede the K agents' calls; the actor
-    takes ``ppo_epochs`` passes of shuffled minibatches over the rounds
-    it acted in.  Every forward draws its attention buffers from one
-    workspace, which is dropped on return.  The stats report the shared
-    critic loss and mean advantage.
+    """One agent's clipped-PPO actor update on its buffered episodes:
+    ``ppo_epochs`` passes of shuffled minibatches over the rounds it
+    acted in, on the states and advantages of ``bundle.critic.batch``.
+    Every forward draws its attention buffers from one workspace, which
+    is dropped on return.
     """
     hyper = bundle.hyper
     batch = bundle.critic.batch
-    if batch is None:
-        raise RaceError("ppo_update called before critic_update")
     episodes = bundle.trajectory.take()
     if not episodes:
         raise RaceError("ppo_update called with an empty trajectory buffer")
     masks, actions, old_probs = (np.concatenate([ep[name] for ep in episodes])
                                  for name in ("masks", "actions", "old_probs"))
     states, advs = batch["states"], batch["advantages"]
-    n = len(states)
-    if len(actions) != n:
-        raise RaceError(f"agent trajectory has {len(actions)} rounds, the "
-                        f"critic's {n}")
     acted = actions >= 0
 
     workspace = Workspace()
     stats = {"mean_advantage": float(advs.mean()),
              "critic_loss": batch["critic_loss"], "mean_ratio": float("nan")}
-    for sel in _minibatches(n, hyper, rng):
+    for sel in _minibatches(len(states), hyper, rng):
         act_sel = sel[acted[sel]]
         if len(act_sel):
             ratio = _actor_step(
@@ -396,14 +382,11 @@ def baseline_policy(kind: str, state: np.ndarray, mask: np.ndarray,
 
 
 def _policy_params(agents, critic: Critic) -> dict:
-    """{checkpoint name: parameter array}: every agent's actor and the one
-    shared critic."""
-    params = {f"agent{k}.actor.{name}": p
-              for k, bundle in enumerate(agents)
-              for name, p in bundle.actor.params.items()}
-    params.update({f"critic.{name}": p
-                   for name, p in critic.net.params.items()})
-    return params
+    """{checkpoint name: parameter array} over every actor and the critic."""
+    nets = [(f"agent{k}.actor", b.actor) for k, b in enumerate(agents)]
+    return {f"{prefix}.{name}": p
+            for prefix, net in nets + [("critic", critic.net)]
+            for name, p in net.params.items()}
 
 
 def save_agents(path, agents, critic: Critic) -> None:
@@ -417,9 +400,8 @@ def load_agents(path, agents, critic: Critic) -> None:
     ``critic``.
 
     The checkpoint must hold exactly their parameter names, each with the
-    shape their networks expect; otherwise ``CheckpointError`` is raised
-    and nothing is modified.  So a checkpoint with one critic per agent,
-    the layout before the critic was shared, is rejected.
+    shape their networks expect (so one critic per agent is rejected);
+    otherwise ``CheckpointError`` is raised and nothing is modified.
     """
     merged, meta = load_params(path)
     if meta.get("n_agents") != len(agents):

@@ -259,7 +259,7 @@ class MappoPolicy:
     def select(self, state, mask):
         actions, eff_masks, probs = sel.select_actions(
             self.agents, state, mask, self.rng)
-        if self.train:
+        if self.train and self.agents:  # an agentless policy records nothing
             self._pending = (state, eff_masks, actions, probs)
         return actions
 
@@ -280,7 +280,8 @@ class MappoPolicy:
             trajectory.end_episode()
         self._episodes_since_update += 1
         if self._episodes_since_update >= self.cfg.mappo.episodes_per_update:
-            if self.agents:  # an agentless policy records nothing
+            # the K actor updates read the batch critic_update leaves
+            if self.agents:
                 sel.critic_update(self.critic, self.rng)
             stats = [sel.ppo_update(bundle, self.rng)
                      for bundle in self.agents]

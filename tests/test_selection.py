@@ -24,12 +24,17 @@ SMALL_NET = dict(d_model=8, n_heads=2, squeeze_dim=3, lstm_hidden=5,
 
 def small_agents(n_devices, history, k_agents, seed=0, uniform=False,
                  hyper=MappoSection()):
-    """``k_agents`` bundles that share one critic (``agents[0].critic``)."""
+    """``k_agents`` bundles that share one critic (``agents[0].critic``).
+
+    The actors are drawn before the critic, so one agent gets the actor
+    and critic weights an actor-then-critic draw gives at ``seed``.
+    """
     rng = np.random.default_rng(seed)
     cfg = TsfenConfig(n_devices=n_devices, history=history, **SMALL_NET)
+    agents = [make_bundle(cfg, hyper, None, rng) for _ in range(k_agents)]
     critic = make_critic(cfg, hyper, rng)
-    agents = [make_bundle(cfg, hyper, critic, rng)
-              for _ in range(k_agents)]
+    for bundle in agents:
+        bundle.critic = critic
     if uniform:
         for b in agents:
             for p in b.actor.params.values():
@@ -218,6 +223,17 @@ def _update(agents, rng):
 class TestPpoUpdate:
     def test_ratio_is_one_before_any_update(self):
         rng = np.random.default_rng(0)
+        agents = small_agents(4, 2, 1, seed=9)
+        _fill_episode(agents, rng, 4, 2)
+        states = agents[0].critic.trajectory.episodes[0]["states"]
+        ep = agents[0].trajectory.episodes[0]
+        probs, _ = agents[0].actor.policy(states, ep["masks"])
+        recomputed = probs[np.arange(len(ep["actions"])), ep["actions"]]
+        ratio = recomputed / ep["old_probs"]
+        assert (ratio == 1.0).all()
+
+    def test_every_agent_records_its_batch_one_probability(self):
+        rng = np.random.default_rng(0)
         agents = small_agents(4, 2, 2, seed=9)
         _fill_episode(agents, rng, 4, 2)
         states = agents[0].critic.trajectory.episodes[0]["states"]
@@ -286,13 +302,6 @@ class TestPpoUpdate:
         _fill_episode(agents, rng, 3, 2)
         _update(agents, rng)
         with pytest.raises(RaceError, match="empty"):
-            ppo_update(agents[0], rng)
-
-    def test_actor_update_needs_the_critic_batch(self):
-        rng = np.random.default_rng(1)
-        agents = small_agents(3, 2, 1)
-        _fill_episode(agents, rng, 3, 2)
-        with pytest.raises(RaceError, match="critic_update"):
             ppo_update(agents[0], rng)
 
     def test_critic_loss_decreases_on_a_fixed_problem(self):

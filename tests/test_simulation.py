@@ -245,6 +245,21 @@ class TestRunExperiment:
             policy.end_episode()
         assert len(policy.update_stats) == 2  # episodes_per_update = 1
 
+    def test_agentless_training_policy_records_nothing(self):
+        cfg = tiny_cfg(selection={"n_subchannels": 0})
+        policy = MappoPolicy(cfg, cfg.run.seed, train=True)
+        # a World never asks an agentless policy to select; a direct
+        # caller may, and must not grow the shared trajectory either
+        state, mask = np.zeros((3, 8, 3)), np.ones(8)
+        for _ in range(3):
+            policy.begin_episode()
+            for _ in range(4):
+                assert len(policy.select(state, mask)) == 0
+                policy.observe(0.0)
+            policy.end_episode()
+        assert policy.critic.trajectory.episodes == []
+        assert policy.update_stats == [[], [], []]
+
 
 class TestSharedCritic:
     def test_policy_holds_exactly_one_critic(self, tmp_path):
