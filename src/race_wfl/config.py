@@ -52,6 +52,15 @@ def named_rng(root_seed: int, stream: str,
     return np.random.default_rng(seq)
 
 
+def _finite_power(base: float, exponent: float) -> bool:
+    """Whether ``base ** exponent`` is finite in Python float arithmetic,
+    which raises ``OverflowError`` instead of returning inf."""
+    try:
+        return math.isfinite(base ** exponent)
+    except OverflowError:
+        return False
+
+
 def _require_positive(section, names):
     for name in names:
         if not getattr(section, name) > 0:
@@ -86,6 +95,25 @@ class PlatoonSection:
             raise ValueError("need 0 < gap_min <= gap_max")
         if not 1.0 <= self.sensitivity_exponent <= 5.0:
             raise ValueError("sensitivity_exponent must lie in [1, 5]")
+        # the car-following law's terms (v / v_des) ** delta and
+        # (h / gap) ** 2 must stay finite.  No vehicle gets faster than its
+        # initial speed, the leader's speed or one sub-step of a_max past
+        # v_des; the braking term is taken at gap_min
+        v = max(self.speed_max, self.leader_speed,
+                self.v_des + self.a_max * self.update_interval
+                / self.substeps)
+        if not _finite_power(v / self.v_des, self.sensitivity_exponent):
+            raise ValueError(
+                f"top speed {v!r} (from speed_max, leader_speed or a_max) "
+                f"over v_des = {self.v_des!r} overflows the free-road term "
+                f"(v / v_des) ** sensitivity_exponent")
+        h = self.d_min + self.t_min * v \
+            + v * v / (2.0 * math.sqrt(self.a_max * self.b_max))
+        if not _finite_power(h / self.gap_min, 2):
+            raise ValueError(
+                f"d_min = {self.d_min!r} and t_min = {self.t_min!r} give a "
+                f"safe distance of {h!r} m at top speed {v!r}, which "
+                f"overflows the braking term (h / gap_min) ** 2")
 
 
 @dataclass(frozen=True)
@@ -101,6 +129,12 @@ class ChannelSection:
                                  "frequency_factor"))
         if not 0.0 <= self.estimation_error_variance <= 1.0:
             raise ValueError("estimation_error_variance must lie in [0, 1]")
+        try:
+            dbm_to_watts(self.noise_variance_dbm)
+        except OverflowError:
+            raise ValueError(f"noise_variance_dbm = "
+                             f"{self.noise_variance_dbm!r} overflows the "
+                             f"noise power in watts") from None
 
 
 @dataclass(frozen=True)

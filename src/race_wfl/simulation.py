@@ -332,7 +332,8 @@ def run_experiment(cfg: ScenarioConfig, policy_kind: str, out_dir,
                    train: bool | None = None, checkpoint_in=None,
                    log_every: int = 25) -> RunReport:
     """Run (and optionally train) a policy; emit per-round CSV, summary
-    JSON, and checkpoints.  Deterministic given (config, seed)."""
+    JSON, checkpoints and the run's wall time in ``timings.json``.  All
+    but the timings are deterministic given (config, seed)."""
     try:
         run = dataclasses.replace(
             cfg.run, seed=cfg.run.seed if seed is None else int(seed),
@@ -389,6 +390,7 @@ def run_experiment(cfg: ScenarioConfig, policy_kind: str, out_dir,
                          ep_accuracy[ep])
     if train and hasattr(policy, "save"):
         policy.save(out_dir / "checkpoint_final.bin")
+    wall_time_s = time.perf_counter() - t0
 
     summary = {
         "policy": policy_kind,
@@ -404,7 +406,6 @@ def run_experiment(cfg: ScenarioConfig, policy_kind: str, out_dir,
         "mean_test_accuracy": float(ep_accuracy.mean()),
         "mean_reward": float(ep_reward.mean()),
         "mean_reward_last_50": float(ep_reward[-min(50, episodes):].mean()),
-        "wall_time_s": time.perf_counter() - t0,
         "seed": int(seed),
     }
     report = RunReport(csv_path=str(csv_path), summary=summary,
@@ -413,5 +414,9 @@ def run_experiment(cfg: ScenarioConfig, policy_kind: str, out_dir,
         json.dump({"summary": summary, "config_hash": report.config_hash,
                    "config": config_to_dict(cfg)}, fh, indent=2,
                   sort_keys=True)
+        fh.write("\n")
+    # timings vary between identical runs, so they stay out of summary.json
+    with open(out_dir / "timings.json", "w", encoding="utf-8") as fh:
+        json.dump({"wall_time_s": wall_time_s}, fh, indent=2)
         fh.write("\n")
     return report

@@ -12,7 +12,11 @@ each layer's ``forward`` returns an output plus a cache, and ``backward``
 consumes the cache and the upstream gradient.  The attention's large
 intermediates come from a ``Workspace`` that the caller may keep across
 steps of one update, so that consecutive minibatches reuse its memory
-instead of faulting fresh pages in.  The masked softmax maps a
+instead of faulting fresh pages in.  Work is shaped into few, large BLAS
+calls: the attention projections are 2-D GEMMs over every (batch,
+sub-period, device) row, the attention softmax sums its rows with a BLAS
+matrix-vector product, and the LSTM leaves only its recurrent GEMM in
+the time loop (see ``LstmLayer``).  The masked softmax maps a
 zero mask entry to exactly zero probability (additive log-mask), and
 probabilities of maskable entries are floored at ``prob_floor`` and
 renormalized for numerical stability.
@@ -31,11 +35,18 @@ from .errors import CheckpointError, RaceError
 _MAGIC = b"TSFCKPT1"
 
 
+def _row_sums(a):
+    """Sums over the last axis as one BLAS matrix-vector product, with a
+    trailing axis of 1 to broadcast against ``a``; ``a`` is contiguous."""
+    n = a.shape[-1]
+    return (a.reshape(-1, n) @ np.ones(n)).reshape(a.shape[:-1] + (1,))
+
+
 def _attn_softmax(scores):
     """Row-softmax over the last axis, in place."""
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
+    scores /= _row_sums(scores)
     return scores
 
 
@@ -43,8 +54,7 @@ def _attn_softmax_backward(attn, dattn, inv_scale, product):
     """Softmax backward over the last axis; overwrites ``dattn`` with the
     score gradient scaled by ``inv_scale``.  ``product`` is scratch of
     ``attn``'s shape."""
-    dot = np.multiply(dattn, attn, out=product).sum(axis=-1, keepdims=True)
-    dattn -= dot
+    dattn -= _row_sums(np.multiply(dattn, attn, out=product))
     dattn *= attn
     dattn *= inv_scale
     return dattn
@@ -164,9 +174,9 @@ class MhsaLayer:
         p = self.prefix
         b, m, n, d = x.shape
         bm, h, dh = b * m, self.h, self.dh
-        xf = x.reshape(bm, n, d)
+        xf = x.reshape(bm * n, d)
         qkv = ws.take("mhsa.qkv", (bm, n, 3 * d))
-        np.matmul(xf, params[f"{p}.Wqkv"], out=qkv)
+        np.matmul(xf, params[f"{p}.Wqkv"], out=qkv.reshape(bm * n, 3 * d))
         # q, k and v are (B*, H, N, Dh) head views of the fused projection
         q, k, v = qkv.reshape(bm, n, 3, h, dh).transpose(2, 0, 3, 1, 4)
         scores = ws.take("mhsa.attn", (bm, h, n, n))
@@ -175,7 +185,7 @@ class MhsaLayer:
         attn = _attn_softmax(scores)
         ctx = ws.take("mhsa.ctx", (bm, n, h, dh))
         np.matmul(attn, v, out=ctx.transpose(0, 2, 1, 3))
-        ctx = ctx.reshape(bm, n, d)
+        ctx = ctx.reshape(bm * n, d)
         out = (ctx @ params[f"{p}.Wo"]).reshape(b, m, n, d)
         return out, (x, xf, q, k, v, attn, ctx, ws, ws.generation)
 
@@ -188,7 +198,7 @@ class MhsaLayer:
         b, m, n, d = x.shape
         bm, h, _, dh = q.shape
         dflat = dout.reshape(-1, d)
-        grads[f"{p}.Wo"] = ctx.reshape(-1, d).T @ dflat
+        grads[f"{p}.Wo"] = ctx.T @ dflat
         dheads = ws.take("mhsa.dheads", (bm * n, d))
         np.matmul(dflat, params[f"{p}.Wo"].T, out=dheads)
         dheads = dheads.reshape(bm, n, h, dh).transpose(0, 2, 1, 3)
@@ -204,7 +214,7 @@ class MhsaLayer:
         np.matmul(dscores, k, out=dq)
         np.matmul(dscores.transpose(0, 1, 3, 2), q, out=dk)
         dqkv = dqkv.reshape(-1, 3 * d)
-        grads[f"{p}.Wqkv"] = xf.reshape(-1, d).T @ dqkv
+        grads[f"{p}.Wqkv"] = xf.T @ dqkv
         dxf = dqkv @ params[f"{p}.Wqkv"].T
         return dxf.reshape(b, m, n, d)
 
@@ -218,7 +228,15 @@ def _sigmoid(z):
 
 class LstmLayer:
     """Single-direction LSTM over the middle axis; returns the final
-    hidden state only."""
+    hidden state only.
+
+    ``W`` stacks the input rows ``W[:n_in]`` over the recurrent rows
+    ``W[n_in:]``, so a step's pre-activation is ``[x_t, h] @ W + b``.
+    The input part of every step is one GEMM before the time loop
+    (Appleyard et al. 2016), and the loop adds only ``h @ W[n_in:]``.
+    ``backward`` keeps only ``dh`` in its loop and forms ``dW``, ``db``
+    and ``dx`` from all steps' ``dz`` at once after it.
+    """
 
     def __init__(self, n_in, n_hidden, rng, prefix):
         self.prefix = prefix
@@ -233,41 +251,44 @@ class LstmLayer:
     def forward(self, x, params):
         # x: (B, M, n_in)
         w = params[f"{self.prefix}.W"]
-        bias = params[f"{self.prefix}.b"]
-        b, m, _ = x.shape
+        b, m, n_in = x.shape
         nh = self.nh
-        h = np.zeros((b, nh))
+        x2 = x.reshape(-1, n_in)
+        zx = (x2 @ w[:n_in] + params[f"{self.prefix}.b"]).reshape(b, m, -1)
+        w_h = w[n_in:]
+        # hprev[:, t] is the hidden state entering step t
+        hprev = np.zeros((b, m, nh))
         c = np.zeros((b, nh))
         steps = []
         for t in range(m):
-            xt = x[:, t, :]
-            zin = np.concatenate([xt, h], axis=1)
-            z = zin @ w + bias
-            i_f = _sigmoid(z[:, :2 * nh])
-            i, f = i_f[:, :nh], i_f[:, nh:]
+            z = zx[:, t] + hprev[:, t] @ w_h if t else zx[:, 0]
+            sig = _sigmoid(z)
+            i, f, o = sig[:, :nh], sig[:, nh:2 * nh], sig[:, 3 * nh:]
             g = np.tanh(z[:, 2 * nh:3 * nh])
-            o = _sigmoid(z[:, 3 * nh:])
             c_prev = c
             c = f * c_prev + i * g
             tc = np.tanh(c)
             h = o * tc
-            steps.append((zin, i, f, g, o, c_prev, c, tc))
-        return h, (x.shape, steps)
+            if t + 1 < m:
+                hprev[:, t + 1] = h
+            steps.append((i, f, g, o, c_prev, tc))
+        return h, (x2, hprev, steps)
 
     def backward(self, cache, dh_final, params, grads):
         p = self.prefix
         w = params[f"{p}.W"]
-        (b, m, n_in), steps = cache
-        nh = self.nh
-        dw = np.zeros_like(w)
-        db = np.zeros_like(params[f"{p}.b"])
-        dx = np.zeros((b, m, n_in))
-        dh = dh_final.copy()
+        x2, hprev, steps = cache
+        b, m, nh = hprev.shape
+        n_in = x2.shape[1]
+        w_h = w[n_in:]
+        dh = dh_final
         dc = np.zeros_like(dh)
-        dz = np.empty((b, 4 * nh))
-        dz_i, dz_f, dz_g, dz_o = np.split(dz, 4, axis=1)
+        dzs = np.empty((b, m, 4 * nh))
+        # (B, M, nh) views of the four gate blocks of every step's dz
+        gates = np.moveaxis(dzs.reshape(b, m, 4, nh), 2, 0)
         for t in range(m - 1, -1, -1):
-            zin, i, f, g, o, c_prev, c, tc = steps[t]
+            i, f, g, o, c_prev, tc = steps[t]
+            dz_i, dz_f, dz_g, dz_o = gates[:, :, t]
             do = dh * tc
             dc = dc + dh * o * (1.0 - tc * tc)
             di = dc * g
@@ -277,15 +298,16 @@ class LstmLayer:
             np.multiply(df * f, 1.0 - f, out=dz_f)
             np.multiply(dg, 1.0 - g * g, out=dz_g)
             np.multiply(do * o, 1.0 - o, out=dz_o)
-            dw += zin.T @ dz
-            db += dz.sum(axis=0)
-            dzin = dz @ w.T
-            dx[:, t, :] = dzin[:, :n_in]
-            dh = dzin[:, n_in:]
-            dc = dc * f
+            if t:
+                dh = dzs[:, t] @ w_h.T
+                dc = dc * f
+        dz2 = dzs.reshape(-1, 4 * nh)
+        dw = np.empty_like(w)
+        np.matmul(x2.T, dz2, out=dw[:n_in])
+        np.matmul(hprev.reshape(-1, nh).T, dz2, out=dw[n_in:])
         grads[f"{p}.W"] = dw
-        grads[f"{p}.b"] = db
-        return dx
+        grads[f"{p}.b"] = dz2.sum(axis=0)
+        return (dz2 @ w[:n_in].T).reshape(b, m, n_in)
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray,

@@ -333,6 +333,29 @@ class TestCli:
         assert "\n" not in errors[0]
         assert not (tmp_path / "r" / "rounds.csv").exists()
 
+    # finite values whose car-following or noise-power terms overflow
+    @pytest.mark.parametrize("section, name, value", [
+        ("platoon", "speed_max", 1.0e300),
+        ("platoon", "d_min", 1.0e300),
+        ("platoon", "t_min", 1.0e300),
+        ("platoon", "v_des", 1.0e-300),
+        ("channel", "noise_variance_dbm", 1.0e300),
+    ])
+    def test_extreme_value_exits_2_naming_the_field(self, tmp_path, caplog,
+                                                    section, name, value):
+        data = json.loads(json.dumps(TINY))
+        data.setdefault(section, {})[name] = value
+        path = tmp_path / "extreme.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert main(["baseline", "--policy", "random", "--config",
+                     str(path), "--out-dir", str(tmp_path / "r")]) == 2
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert errors[0].startswith(
+            f"configuration error: bad value in section {section}: ")
+        assert name in errors[0]
+
     @pytest.mark.parametrize("row, column", [
         ("100,1e7,0.5e9,1e-28,0.0316,-0.1,1e6,1e6", "max_energy_j"),
         ("100,1e7,0.5e9,1e-28,0.0316,0.1,1e6,abc", "gain"),

@@ -3,8 +3,12 @@ trajectories and an allocation table, bit for bit.
 
 The kernels in ``tsfen.py``, ``platoon.py`` and ``resource_alloc.py`` may
 be restructured (views instead of copies, fused calls, preallocated
-buffers, a different control flow) only if every float they produce stays
-the same.  These tests pin SHA-256 hashes of
+buffers, a different control flow) as long as every float they produce
+stays the same.  A change that must move last bits, such as regrouping a
+BLAS reduction, declares which pins move and why, shows that old and
+new outputs differ only by rounding (for TSFEN: logits and gradients
+within 1e-13 relative), and re-pins only those entries.  These tests pin
+SHA-256 hashes of
 
 * the raw bytes of ``TsfenNetwork`` logits and of every parameter gradient,
   at batch 1 (the rollout path) and batch 32 (the PPO minibatch path),
@@ -36,7 +40,8 @@ last bits, and so may another BLAS thread count (one thread changes some
 batch-4/20/100 weight gradients and the trained checkpoints), so the tests
 skip when either version or the thread count differs; re-pin with
 ``PYTHONPATH=src python tests/test_golden.py``, which prints the hashes of
-the code as it stands.
+the code as it stands and then names each pinned entry whose hash they
+no longer match.
 """
 
 import csv
@@ -60,73 +65,73 @@ PINNED_BLAS_THREADS = 2
 NETWORK_HASHES = {
     1: {
         "embed.W":
-            "a86e0f1519da515ca3dc75f22f519b3db845f730c38b89823ebabb156c5bc857",
+            "8698550b3226c092f2cc9cba0515c4d203b23e9b8e3fcbd0502debe81f699f7f",
         "embed.b":
-            "31a8d8e4d620845c4c5ac49ce4e07f16d4d2b539141f61fdfb84d21d3a2c031c",
+            "73970e737e316ae91225432990d52def41320ed5513ff4173329bb7045e56aea",
         "fc1.W":
-            "e74f8a3911d9b07e27b254e122840ce392fabb553b5382dd4e440b2bea5e5403",
+            "7d51b7ffaffd276d65a5ddb4adae991b69a436e34234fc037f252a4f76825c14",
         "fc1.b":
             "1f362d3ec5f49f17cb70513a051341663461e40ca26e801a66bff82ef7c96eb5",
         "fc2.W":
-            "10b1fc1a23b1069cd6fbf749915b622708cc3fe4ab4acbefb963ce4e0d10e5f9",
+            "2d4ab47ef11946b1235be7063d8646d6705c8c0a799fb96ec8257216d7704677",
         "fc2.b":
             "1df53324ebd669bdd80b13a9b6f2e2fafb2d27dc140bee4ea6e66c9daa550065",
         "logits":
-            "f26754e5e2317a1d58e4a26497f74e83689f5b36f414444373647d3d5b094107",
+            "3131c3eaec0f9c3114f3c3ca446300f806d253432dc533cd8f57d68f875acae8",
         "lstm_bwd.W":
-            "5b1b67cd0744ff7ced9ccf2c2c80a4e247f60853b3f36d73729388a55bc149ae",
+            "a16e537f058897bb6b3864020d4e881ab1f7651a13675ee745c4363fee68ae53",
         "lstm_bwd.b":
-            "e8c6fffeb875f63d889d2b38458e6630390abd07862b38c953e38255b661af69",
+            "9cf383f030ffc26220d0d09bab37030144327fd95cb6b0d2820c04e3ca6ec693",
         "lstm_fwd.W":
-            "adc831942486752402c50c2b0831bcb964be8f5430458e39491ea3b7b60234e4",
+            "2b82e6645698c1dd0731c48dc30f7c724f588a8a56097a8965972a88cdeaf37e",
         "lstm_fwd.b":
-            "249f88bf4023492b740686ae7c18477c0b36d3c9b09f4fe87d84fba5c3b827a5",
+            "b504f0fbb028a2ac7f7433b3e2e540ebd3462d36e9b5cee14f49cc07116f886e",
         "mhsa.Wo":
-            "b682ec62542c24e528031aaeb97eacacb65fd802a95ff8db42a05bf1d7cd331e",
+            "28781b562da53ac52e8d4f670805d41db3847873150b9108926ace1b587187f2",
         "mhsa.Wqkv":
-            "e0201380b16e7a61ea464928c4cef3404b2304072395db775c28813d8f82034d",
+            "213e2a545f28a939128837ccecddeab0f4e29b6d95aa6968ad960b5c3aba16a9",
         "squeeze.W":
-            "d1d80f5fe599a19f927133559038f0e0503023dd91ba8be632fcb3612366a3d6",
+            "edc2ebe8b0318ed2bd3a71c48a1e21d4689376aff33a1c845c9e3a63f97fcadf",
         "squeeze.b":
-            "cf0973c8ef05634748f89398e999357c4491566178c6c7d1e21f20d1aa70fb38",
+            "140d00a86316b1c38ddb0b8318654fa69609e2aab3d6845248eae5e5e268493e",
     },
     32: {
         "embed.W":
-            "d18ccc79160dbc66dbdf954badffda81f4e225dab54cea338e4b3aa6cb164fa9",
+            "2763f402842221c6012dd277496daf304d44754fc86110098d05483ed2b7cd89",
         "embed.b":
-            "73670ae7c4d32e4ec529ff35626deea0fe9f444179eefea07f829502c3c123d6",
+            "9fb047c25c2bb9e46bf5012098835fabfba53d11e161c62b71930d519a4bd762",
         "fc1.W":
-            "4a163096c459874106484441678d99437e7b0357aff7de48f7dadfadfa1bd098",
+            "6941d2d813d4d771f17cd69cb1d82b71e37a1ead30c17217fb72c49225ebb097",
         "fc1.b":
             "c09d3bf1de758d271a1224bc0c1b2871bd3a9c3638a007c8b466d2befd6bb431",
         "fc2.W":
-            "db5134f589699bbc1a9fa050adb54c1e9dc26445bb269a292fc05c2d07a747cb",
+            "0a190e31d1f5435ec3ec01a9c19011a7f4c2f797111347281d8c5ea3e83c9499",
         "fc2.b":
             "b369a24f3a8d1d7d7a22a46f3be7b9c493e6be4a23f00e489d3387aa94ea088e",
         "logits":
-            "dc42b59bfdef5d10e08124e4b332633288a6ca500216674b72d39cf2e69e2bf1",
+            "603fcaf49df6e016437b9750a719168bce8c8f5ca94b2b32fe7b1cf99cfcd561",
         "lstm_bwd.W":
-            "4cbbab1b5a17ed2797d78e97ce894430f63bec40fce1c117600f03b7b0bb6785",
+            "3a88d19e1d46bfae80ce9926786a4233090c14b256c1c2873f40517a4d9b3085",
         "lstm_bwd.b":
-            "84610ae9617b1a1c22154f1d53da99c75c450a86922284267657d18207887ff4",
+            "dc2ab5c5c8dc90698ca81b53d80a2156c5a94b70801befe62f387e5ca1516389",
         "lstm_fwd.W":
-            "1fea3388bc0bdd037246a93a5dc14394265c27a667896018bd90be39139735b4",
+            "ea1622dc105792620aec9a698db0ec18e9fda072c5907cdf70de24e70cfc3886",
         "lstm_fwd.b":
-            "6c9c9ca701170d8e7c78e1508d616a62e6fd7da82556b51fc8ea7e65b03c6594",
+            "4e2841e4252d62aa5c0f0da0b2c6ac429a64ec061f98bcae1eee1215bf6ac52b",
         "mhsa.Wo":
-            "05df0e7fa079368a2e539f2e109e76e08552b1487683098aaff6aa54f9715e1c",
+            "0edad7800c02e1024f1b8c12afb700e8489a4fcd0aac876bacaa48daafc37065",
         "mhsa.Wqkv":
-            "16d460da301c162c29b611c6e28a7e0d6f1427cfcb776e2c8b748eaad80cce3e",
+            "67cbc4104bf31710bfe6469172fdff88f903484278aed0db02fbd439e5b6393f",
         "squeeze.W":
-            "cbb7aa7e4a0c50197044e120927652db2074afc4ae4f14bc37e636e1fda5dcc9",
+            "a994c5fb9a7c56cc2caf894b95a26c069a21382a838dd601eef3496a0987b1f0",
         "squeeze.b":
-            "356719e18f0a54727eecb9d635941a165eb434c07dc3c2e527bdd2667f9f1c35",
+            "57a9b647c6210d4f8f999c46d963e60c5dff1bfa75450dc8915087d3bda788ab",
     },
 }
 
 TRAIN_HASHES = {
     "checkpoint_final.bin":
-        "b6ced758fdcd6da1e6efa3ac3b4654a21acffbca45e00f8b92ff96c8f069f870",
+        "37e72eefd38f705991ac775da928d24cf18d95cdc64d491a7f1ca9a9f1bab361",
     "rounds.csv":
         "6fdb7eef566dc72a99e9c5933670668dba32ae8a6ef9c45f3d0b868513782bb0",
 }
@@ -138,7 +143,7 @@ TRAIN_CONFIG = {
 
 UPDATED_TRAIN_HASHES = {
     "checkpoint_final.bin":
-        "8478218633880a5c11114c18351956a57b28ee30a20389f905f922f8a4e6604d",
+        "e33ea051bd118100e0749b21056fc0b8ca38a6dd527c5f04d8a68105dc1b1898",
     "rounds.csv":
         "0d052227cd3379a6938b0490c7caf625f7efd4ce02b99e110ae3f4d4ed51a708",
 }
@@ -386,6 +391,35 @@ def test_verify_traces_are_pinned(tmp_path):
     assert verify_hashes(tmp_path) == VERIFY_HASHES
 
 
+def _flat_hashes(hashes, name=""):
+    """(name, hash) pairs of a nested pin dict, named as in this file."""
+    if not isinstance(hashes, dict):
+        yield name, hashes
+        return
+    for key, value in hashes.items():
+        yield from _flat_hashes(
+            value, f"{name}[{key!r}]" if name else key)
+
+
+def moved_pins(current: dict) -> list:
+    """Names of the pinned entries whose hash differs in ``current``,
+    which holds the hashes of the code as it stands keyed like ``PINS``."""
+    now = dict(_flat_hashes(current))
+    return [name for name, pinned in _flat_hashes(PINS)
+            if now.get(name) != pinned]
+
+
+PINS = {
+    "NETWORK_HASHES": NETWORK_HASHES,
+    "TRAIN_HASHES": TRAIN_HASHES,
+    "UPDATED_TRAIN_HASHES": UPDATED_TRAIN_HASHES,
+    "BASELINE_HASHES": BASELINE_HASHES,
+    "PLATOON_HASHES": PLATOON_HASHES,
+    "ALLOCATE_HASH": ALLOCATE_HASH,
+    "VERIFY_HASHES": VERIFY_HASHES,
+}
+
+
 if __name__ == "__main__":
     import pprint
     import tempfile
@@ -393,11 +427,22 @@ if __name__ == "__main__":
 
     print(f"numpy {np.__version__}, BLAS {_blas_version()}, "
           f"{_blas_threads()} BLAS threads")
-    pprint.pprint({b: network_hashes(b) for b in sorted(NETWORK_HASHES)})
     with tempfile.TemporaryDirectory() as tmp:
-        pprint.pprint(train_hashes(Path(tmp)))
-        pprint.pprint(train_hashes(Path(tmp), UPDATED_TRAIN_CONFIG))
-        pprint.pprint(baseline_hashes(Path(tmp) / "baseline"))
-        pprint.pprint(platoon_hashes())
-        print(_sha(allocate_table(Path(tmp))))
-        pprint.pprint(verify_hashes(Path(tmp) / "verify"))
+        current = {
+            "NETWORK_HASHES": {b: network_hashes(b)
+                               for b in sorted(NETWORK_HASHES)},
+            "TRAIN_HASHES": train_hashes(Path(tmp)),
+            "UPDATED_TRAIN_HASHES": train_hashes(Path(tmp),
+                                                 UPDATED_TRAIN_CONFIG),
+            "BASELINE_HASHES": baseline_hashes(Path(tmp) / "baseline"),
+            "PLATOON_HASHES": platoon_hashes(),
+            "ALLOCATE_HASH": _sha(allocate_table(Path(tmp))),
+            "VERIFY_HASHES": verify_hashes(Path(tmp) / "verify"),
+        }
+    for group, hashes in current.items():
+        print(f"{group} = ", end="")
+        pprint.pprint(hashes)
+    moved = moved_pins(current)
+    print(f"moved from the pins ({len(moved)}):")
+    for name in moved:
+        print(f"  {name}")

@@ -209,6 +209,17 @@ class TestRunExperiment:
                     "mean_reward", "final_mean_flmd_of_aggregated"):
             assert key in data["summary"]
 
+    def test_summary_is_byte_identical_across_reruns(self, tmp_path):
+        cfg = tiny_cfg(run={"episodes": 2, "rounds_per_episode": 4})
+        for name in ("a", "b"):
+            run_experiment(cfg, "mappo", tmp_path / name, train=True,
+                           log_every=0)
+        summary = (tmp_path / "a" / "summary.json").read_bytes()
+        assert (tmp_path / "b" / "summary.json").read_bytes() == summary
+        assert b"wall_time_s" not in summary
+        timings = json.loads((tmp_path / "a" / "timings.json").read_text())
+        assert timings["wall_time_s"] > 0
+
     def test_summary_is_strict_json_when_nothing_was_aggregated(
             self, tmp_path):
         # with no agents nothing is ever selected, so no episode has a

@@ -5,7 +5,8 @@ from race_wfl.errors import CheckpointError, RaceError
 from race_wfl.tsfen import (
     AdamState, DenseLayer, LstmLayer, MhsaLayer, TsfenConfig, TsfenNetwork,
     Workspace, adam_init, adam_step, load_params, masked_softmax,
-    masked_softmax_backward, save_params, _sigmoid,
+    masked_softmax_backward, save_params, _attn_softmax,
+    _attn_softmax_backward, _sigmoid,
 )
 
 
@@ -113,6 +114,111 @@ class TestLstm:
                 fd = (lp - lm) / (2 * step)
                 an = grads[name].ravel()[i]
                 assert abs(fd - an) <= 1e-4 * max(abs(fd), abs(an), 1e-6)
+
+
+def assert_close(actual, reference, rel=1e-13):
+    """Whole-tensor check: the largest deviation is at most ``rel`` of
+    the largest reference magnitude."""
+    assert actual.shape == reference.shape
+    scale = np.abs(reference).max()
+    assert np.abs(actual - reference).max() <= rel * scale
+
+
+def reference_lstm_forward(x, w, bias, nh):
+    """Per-step LSTM on the concatenated ``[x_t, h]``: one GEMM with all of
+    ``W`` per step.  Returns the final h and each step's values."""
+    b, m, _ = x.shape
+    h, c = np.zeros((b, nh)), np.zeros((b, nh))
+    steps = []
+    for t in range(m):
+        zin = np.concatenate([x[:, t, :], h], axis=1)
+        z = zin @ w + bias
+        i, f = _sigmoid(z[:, :nh]), _sigmoid(z[:, nh:2 * nh])
+        g, o = np.tanh(z[:, 2 * nh:3 * nh]), _sigmoid(z[:, 3 * nh:])
+        c_prev = c
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        steps.append((zin, i, f, g, o, c_prev, tc))
+    return h, steps
+
+
+def reference_lstm_backward(steps, dh_final, w, n_in):
+    """Backward of ``reference_lstm_forward``: per-step ``dW`` GEMMs and
+    per-step ``dx`` slices.  Returns (dW, db, dx)."""
+    b, m = dh_final.shape[0], len(steps)
+    dw, db = np.zeros_like(w), np.zeros(w.shape[1])
+    dx = np.zeros((b, m, n_in))
+    dh, dc = dh_final, np.zeros_like(dh_final)
+    for t in range(m - 1, -1, -1):
+        zin, i, f, g, o, c_prev, tc = steps[t]
+        do = dh * tc
+        dc = dc + dh * o * (1.0 - tc * tc)
+        dz = np.concatenate([dc * g * i * (1.0 - i),
+                             dc * c_prev * f * (1.0 - f),
+                             dc * i * (1.0 - g * g),
+                             do * o * (1.0 - o)], axis=1)
+        dw += zin.T @ dz
+        db += dz.sum(axis=0)
+        dzin = dz @ w.T
+        dx[:, t, :] = dzin[:, :n_in]
+        dh = dzin[:, n_in:]
+        dc = dc * f
+    return dw, db, dx
+
+
+class TestLstmMatchesPerStepReference:
+    """The hoisted input projection and the after-loop ``dW``, ``db`` and
+    ``dx`` against the concatenated per-step form, at the default
+    network's LSTM size."""
+
+    @pytest.mark.parametrize("batch", [1, 8, 32])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_whole_tensors_match(self, batch, reverse):
+        n_in, nh = 20 * 8, 128
+        rng = np.random.default_rng(batch)
+        layer = LstmLayer(n_in, nh, rng, "l")
+        w, bias = layer.params["l.W"], layer.params["l.b"]
+        x = rng.standard_normal((batch, 5, n_in))
+        if reverse:   # the backward direction reads a reversed view
+            x = x[:, ::-1, :]
+        dh = rng.standard_normal((batch, nh))
+        h, cache = layer.forward(x, layer.params)
+        grads = {}
+        dx = layer.backward(cache, dh, layer.params, grads)
+        ref_h, steps = reference_lstm_forward(x, w, bias, nh)
+        ref_dw, ref_db, ref_dx = reference_lstm_backward(steps, dh, w, n_in)
+        assert_close(h, ref_h)
+        assert_close(grads["l.W"], ref_dw)
+        assert_close(grads["l.b"], ref_db)
+        assert_close(dx, ref_dx)
+
+
+class TestAttentionSoftmaxMatchesReductions:
+    """BLAS row sums against ``sum(axis=-1)`` on whole attention tensors
+    of the default network (8 heads, 20 devices, 5 sub-periods)."""
+
+    @staticmethod
+    def _scores(rng, batch):
+        return 3.0 * rng.standard_normal((batch * 5, 8, 20, 20))
+
+    @pytest.mark.parametrize("batch", [1, 8, 32])
+    def test_forward(self, batch):
+        scores = self._scores(np.random.default_rng(batch), batch)
+        ref = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        ref /= ref.sum(axis=-1, keepdims=True)
+        assert_close(_attn_softmax(scores.copy()), ref)
+
+    @pytest.mark.parametrize("batch", [1, 8, 32])
+    def test_backward(self, batch):
+        rng = np.random.default_rng(batch)
+        attn = _attn_softmax(self._scores(rng, batch))
+        dattn = rng.standard_normal(attn.shape)
+        ref = (dattn - (dattn * attn).sum(axis=-1, keepdims=True)) \
+            * attn * 0.5
+        out = _attn_softmax_backward(attn, dattn.copy(), 0.5,
+                                     np.empty_like(attn))
+        assert_close(out, ref)
 
 
 class TestMaskedSoftmax:
