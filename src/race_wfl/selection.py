@@ -13,21 +13,25 @@ shared by the K agents, learns from TD residuals, advantages come from
 the exponentially weighted backward recursion over those residuals, and
 each agent's actor ascends the clipped importance-ratio objective on
 those shared advantages with moments-based adaptive steps.
+
+A training policy keeps one record per round: the state, the team
+reward, and the agents' (K, N) effective masks, (K,) actions and (K,)
+probabilities, 1.0 for an idle agent.  At an update, ``critic_update``
+fits the critic to the recorded states and rewards and returns every
+round's advantage; then each agent's ``ppo_update`` reads an
+``ActorBatch`` of those shared states and advantages and its own mask,
+action and probability columns, and steps only on the rounds it acted
+in.
 """
 
-import dataclasses
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import AssignmentError, CheckpointError, RaceError
-from .tsfen import (
-    AdamState, TsfenConfig, TsfenNetwork, Workspace, adam_init, adam_step,
-    load_params, save_params,
-)
+from .errors import AssignmentError, RaceError
+from .tsfen import AdamState, TsfenNetwork, Workspace, adam_step
 
 if TYPE_CHECKING:
     from .config import MappoSection
@@ -90,93 +94,44 @@ def gae(residuals: np.ndarray, gamma: float, lam: float) -> np.ndarray:
     return adv
 
 
-class Trajectory:
-    """Per-round records of named fields; each finished episode becomes
-    one dict of arrays stacked over its rounds."""
-
-    def __init__(self, *fields: str):
-        self.fields = fields
-        self.episodes = []
-        self._open = None
-
-    def start_episode(self):
-        self._open = [[] for _ in self.fields]
-
-    def record(self, *values):
-        for column, value in zip(self._open, values):
-            column.append(value)
-
-    def end_episode(self):
-        if self._open and self._open[0]:
-            self.episodes.append({name: np.asarray(column) for name, column
-                                  in zip(self.fields, self._open)})
-        self._open = None
-
-    def take(self) -> list:
-        """The finished episodes, emptying the buffer."""
-        episodes, self.episodes = self.episodes, []
-        return episodes
-
-
-@dataclass
-class Critic:
-    """The shared value network, its optimizer state, the states and team
-    rewards, and the batch ``critic_update`` leaves for the actors."""
-
-    net: TsfenNetwork
-    opt: AdamState
-    hyper: "MappoSection"
-    trajectory: Trajectory = field(
-        default_factory=lambda: Trajectory("states", "rewards"))
-    batch: dict | None = None
-
-
-@dataclass
-class AgentBundle:
-    """One agent's actor, its optimizer state, its own masks, actions and
-    old probabilities, and the shared critic."""
+class ActorBatch(NamedTuple):
+    """What one agent's ``ppo_update`` reads: its actor and Adam state,
+    the shared states, advantages and critic loss of the update's rounds,
+    and the agent's own effective masks, actions (-1 where it idled) and
+    old probabilities (1.0 where it idled), one row per round."""
 
     actor: TsfenNetwork
-    actor_opt: AdamState
-    critic: Critic
+    opt: AdamState
     hyper: "MappoSection"
-    trajectory: Trajectory = field(
-        default_factory=lambda: Trajectory("masks", "actions", "old_probs"))
+    states: np.ndarray
+    advantages: np.ndarray
+    critic_loss: float
+    masks: np.ndarray
+    actions: np.ndarray
+    old_probs: np.ndarray
 
 
-def make_critic(net_config: TsfenConfig, hyper: "MappoSection",
-                rng: np.random.Generator) -> Critic:
-    net = TsfenNetwork(dataclasses.replace(net_config, output_dim=1), rng)
-    return Critic(net=net, opt=adam_init(net.params), hyper=hyper)
-
-
-def make_bundle(net_config: TsfenConfig, hyper: "MappoSection",
-                critic: Critic, rng: np.random.Generator) -> AgentBundle:
-    actor = TsfenNetwork(net_config, rng)
-    return AgentBundle(actor=actor, actor_opt=adam_init(actor.params),
-                       critic=critic, hyper=hyper)
-
-
-def select_actions(agents, state: np.ndarray, mask: np.ndarray,
+def select_actions(actors, state: np.ndarray, mask: np.ndarray,
                    rng: np.random.Generator):
     """Sample one device per agent without collisions.
 
     Returns (actions, eff_masks, probs): action -1 marks an idle agent;
     ``eff_masks[k]`` is the mask agent k actually sampled from and
-    ``probs[k]`` the probability of its chosen device under that mask.
+    ``probs[k]`` the probability of its action under that mask (1.0 for
+    an idle agent, which had no other choice).
     """
     n = mask.shape[0]
-    k_agents = len(agents)
+    k_agents = len(actors)
     actions = np.full(k_agents, -1, dtype=np.int64)
     eff_masks = np.zeros((k_agents, n))
-    probs_out = np.zeros(k_agents)
+    probs_out = np.ones(k_agents)
     unclaimed = np.ones(n, dtype=bool)
-    for k, bundle in enumerate(agents):
+    for k, actor in enumerate(actors):
         eff = mask * unclaimed
         eff_masks[k] = eff
         if eff.max() <= 0.0:
             continue  # idle: nothing selectable remains
-        probs, _ = bundle.actor.policy(state[None], eff[None])
+        probs, _ = actor.policy(state[None], eff[None])
         p = probs[0]
         a = int(rng.choice(n, p=p))
         actions[k] = a
@@ -208,48 +163,48 @@ def check_actions(actions, mask: np.ndarray, n_agents: int) -> np.ndarray:
     raise AssignmentError(f"actions {raw.tolist()} pick {problem}")
 
 
-def _critic_values(critic: Critic, states: np.ndarray,
+def _critic_values(critic: TsfenNetwork, states: np.ndarray, size: int,
                    workspace: Workspace = None) -> np.ndarray:
-    # minibatch-sized chunks: a row's value does not depend on its batch,
+    # chunks of ``size`` rows: a row's value does not depend on its batch,
     # and no whole-episode activation cache is held at once
-    size = critic.hyper.batch_size
     return np.concatenate([
-        critic.net.value(states[i:i + size], workspace)[0]
+        critic.value(states[i:i + size], workspace)[0]
         for i in range(0, len(states), size)])
 
 
-def _actor_step(bundle: AgentBundle, states, masks, actions, old_probs,
-                advantages, workspace: Workspace = None):
-    """One clipped-surrogate ascent step on a minibatch."""
-    hyper = bundle.hyper
-    probs, caches = bundle.actor.policy(states, masks, workspace)
-    rows = np.arange(len(actions))
-    p_new = probs[rows, actions]
+def _actor_step(batch: ActorBatch, rows: np.ndarray,
+                workspace: Workspace = None):
+    """One clipped-surrogate ascent step on the minibatch ``rows``."""
+    hyper = batch.hyper
+    actions, old_probs = batch.actions[rows], batch.old_probs[rows]
+    advantages = batch.advantages[rows]
+    probs, caches = batch.actor.policy(batch.states[rows], batch.masks[rows],
+                                       workspace)
+    idx = np.arange(len(rows))
+    p_new = probs[idx, actions]
     ratio = p_new / old_probs
     # the min(.) gradient gate: unclipped branch active unless the ratio
     # already moved past the clip window in the profitable direction
     gate = np.where(advantages >= 0.0, ratio <= 1.0 + hyper.clip,
                     ratio >= 1.0 - hyper.clip)
-    coeff = gate * advantages / old_probs / len(actions)
+    coeff = gate * advantages / old_probs / len(rows)
     dprobs = np.zeros_like(probs)
-    dprobs[rows, actions] = -coeff  # minimize the negative surrogate
-    grads = bundle.actor.policy_backward(caches, dprobs)
-    adam_step(bundle.actor.params, grads, bundle.actor_opt,
-              hyper.learning_rate)
+    dprobs[idx, actions] = -coeff  # minimize the negative surrogate
+    grads = batch.actor.policy_backward(caches, dprobs)
+    adam_step(batch.actor.params, grads, batch.opt, hyper.learning_rate)
     return ratio
 
 
-def _critic_step(critic: Critic, states, targets,
-                 workspace: Workspace = None):
-    values, cache = critic.net.value(states, workspace)
+def _critic_step(critic: TsfenNetwork, opt: AdamState, learning_rate: float,
+                 states, targets, workspace: Workspace = None):
+    values, cache = critic.value(states, workspace)
     if not np.isfinite(values).all():
         raise RaceError("non-finite critic values: the critic has diverged")
     err = values - targets
     dlogits = np.zeros((len(targets), 1))
     dlogits[:, 0] = err / len(targets)
-    grads = critic.net.backward(cache, dlogits)
-    adam_step(critic.net.params, grads, critic.opt,
-              critic.hyper.learning_rate)
+    grads = critic.backward(cache, dlogits)
+    adam_step(critic.params, grads, opt, learning_rate)
     return float(0.5 * (err ** 2).mean())
 
 
@@ -261,68 +216,57 @@ def _minibatches(n: int, hyper: "MappoSection", rng: np.random.Generator):
             yield perm[start:start + hyper.batch_size]
 
 
-def critic_update(critic: Critic, rng: np.random.Generator) -> float:
-    """Consume the shared trajectory with ``ppo_epochs`` passes of
-    shuffled critic minibatches; return the last minibatch loss.
+def critic_update(critic: TsfenNetwork, opt: AdamState, hyper: "MappoSection",
+                  episodes, rng: np.random.Generator):
+    """Fit the shared critic to ``episodes``, a list of (states, rewards)
+    arrays, with ``ppo_epochs`` passes of shuffled minibatches.
 
-    Advantages and targets are computed per episode from the pre-update
-    critic; the states, advantages and loss are left in ``critic.batch``
-    for the agents' ``ppo_update`` calls.
+    Returns (advantages, loss): every round's advantage in episode order,
+    computed per episode from the pre-update critic, and the last
+    minibatch loss.
     """
-    hyper = critic.hyper
-    episodes = critic.trajectory.take()
-    if not episodes:
-        raise RaceError("critic_update called with an empty trajectory "
-                        "buffer")
+    if not episodes or not all(len(rewards) for _, rewards in episodes):
+        raise RaceError("critic_update called with an empty episode list "
+                        "or episode")
     workspace = Workspace()
     advs, targets = [], []
-    for ep in episodes:
-        values = _critic_values(critic, ep["states"], workspace)
+    for ep_states, rewards in episodes:
+        values = _critic_values(critic, ep_states, hyper.batch_size,
+                                workspace)
         # episodes end by horizon truncation, not termination: bootstrap
         # the cut with the last state's own value estimate
         v_next = np.append(values[1:], values[-1])
-        eps = ep["rewards"] + hyper.gamma * v_next - values
+        eps = rewards + hyper.gamma * v_next - values
         if not np.isfinite(eps).all():
             raise RaceError("non-finite TD residuals; aborting update")
         advs.append(gae(eps, hyper.gamma, hyper.gae_lambda))
-        targets.append(ep["rewards"] + hyper.gamma * v_next)
-    states = np.concatenate([ep["states"] for ep in episodes])
+        targets.append(rewards + hyper.gamma * v_next)
+    states = np.concatenate([ep_states for ep_states, _ in episodes])
     targets = np.concatenate(targets)
 
     loss = float("nan")
-    for sel in _minibatches(len(states), hyper, rng):
-        loss = _critic_step(critic, states[sel], targets[sel], workspace)
-    critic.batch = {"states": states, "advantages": np.concatenate(advs),
-                    "critic_loss": loss}
-    return loss
+    for rows in _minibatches(len(states), hyper, rng):
+        loss = _critic_step(critic, opt, hyper.learning_rate, states[rows],
+                            targets[rows], workspace)
+    return np.concatenate(advs), loss
 
 
-def ppo_update(bundle: AgentBundle, rng: np.random.Generator) -> dict:
-    """One agent's clipped-PPO actor update on its buffered episodes:
-    ``ppo_epochs`` passes of shuffled minibatches over the rounds it
-    acted in, on the states and advantages of ``bundle.critic.batch``.
-    Every forward draws its attention buffers from one workspace, which
-    is dropped on return.
+def ppo_update(batch: ActorBatch, rng: np.random.Generator) -> dict:
+    """One agent's clipped-PPO actor update: ``ppo_epochs`` passes of
+    shuffled minibatches over the batch's rounds, each step taken on the
+    minibatch rounds the agent acted in.  Every forward draws its
+    attention buffers from one workspace, which is dropped on return.
     """
-    hyper = bundle.hyper
-    batch = bundle.critic.batch
-    episodes = bundle.trajectory.take()
-    if not episodes:
-        raise RaceError("ppo_update called with an empty trajectory buffer")
-    masks, actions, old_probs = (np.concatenate([ep[name] for ep in episodes])
-                                 for name in ("masks", "actions", "old_probs"))
-    states, advs = batch["states"], batch["advantages"]
-    acted = actions >= 0
-
+    if len(batch.actions) == 0:
+        raise RaceError("ppo_update called with an empty batch")
+    acted = batch.actions >= 0
     workspace = Workspace()
-    stats = {"mean_advantage": float(advs.mean()),
-             "critic_loss": batch["critic_loss"], "mean_ratio": float("nan")}
-    for sel in _minibatches(len(states), hyper, rng):
-        act_sel = sel[acted[sel]]
-        if len(act_sel):
-            ratio = _actor_step(
-                bundle, states[act_sel], masks[act_sel], actions[act_sel],
-                old_probs[act_sel], advs[act_sel], workspace)
+    stats = {"mean_advantage": float(batch.advantages.mean()),
+             "critic_loss": batch.critic_loss, "mean_ratio": float("nan")}
+    for rows in _minibatches(len(acted), batch.hyper, rng):
+        rows = rows[acted[rows]]
+        if len(rows):
+            ratio = _actor_step(batch, rows, workspace)
             stats["mean_ratio"] = float(ratio.mean())
     return stats
 
@@ -379,46 +323,3 @@ def baseline_policy(kind: str, state: np.ndarray, mask: np.ndarray,
                     return actions, cursor
         return actions, (cursor + n) % n
     raise RaceError(f"unknown baseline policy {kind!r}")
-
-
-def _policy_params(agents, critic: Critic) -> dict:
-    """{checkpoint name: parameter array} over every actor and the critic."""
-    nets = [(f"agent{k}.actor", b.actor) for k, b in enumerate(agents)]
-    return {f"{prefix}.{name}": p
-            for prefix, net in nets + [("critic", critic.net)]
-            for name, p in net.params.items()}
-
-
-def save_agents(path, agents, critic: Critic) -> None:
-    """All agents' actors and the shared critic in one checkpoint file."""
-    save_params(path, _policy_params(agents, critic),
-                meta={"n_agents": len(agents)})
-
-
-def load_agents(path, agents, critic: Critic) -> None:
-    """Restore parameters saved by ``save_agents`` into ``agents`` and
-    ``critic``.
-
-    The checkpoint must hold exactly their parameter names, each with the
-    shape their networks expect (so one critic per agent is rejected);
-    otherwise ``CheckpointError`` is raised and nothing is modified.
-    """
-    merged, meta = load_params(path)
-    if meta.get("n_agents") != len(agents):
-        raise CheckpointError(
-            f"checkpoint holds {meta.get('n_agents')} agents, the scenario "
-            f"has {len(agents)}")
-    targets = _policy_params(agents, critic)
-    if set(merged) != set(targets):
-        missing = sorted(set(targets) - set(merged))
-        extra = sorted(set(merged) - set(targets))
-        raise CheckpointError(
-            f"checkpoint parameter names differ: missing {missing[:3]}, "
-            f"unexpected {extra[:3]}")
-    for name, p in targets.items():
-        if merged[name].shape != p.shape:
-            raise CheckpointError(
-                f"checkpoint {name} has shape {merged[name].shape}, the "
-                f"network expects {p.shape}")
-    for name, p in targets.items():
-        p[...] = merged[name]

@@ -30,9 +30,12 @@ from .config import (
     named_rng, network_config,
 )
 from .cost_model import round_delay
-from .errors import ConfigError, InfeasibleError, RaceError
+from .errors import (
+    CheckpointError, ConfigError, InfeasibleError, RaceError,
+)
 from .platoon import init_platoon, step_platoon
 from .resource_alloc import optimal_allocation
+from .tsfen import TsfenNetwork, adam_init, load_params, save_params
 
 log = logging.getLogger(__name__)
 
@@ -232,68 +235,115 @@ class World:
 
 class MappoPolicy:
     """K decentralized actors, one per sub-channel, and one centralized
-    critic that all of them share; a training policy records its
-    trajectory and updates every ``episodes_per_update`` episodes."""
+    critic that all of them share, with their Adam states and the policy
+    RNG.  A training policy records one tuple per round (state, team
+    reward, (K, N) effective masks, (K,) actions, (K,) probabilities)
+    and updates every ``episodes_per_update`` episodes."""
 
     def __init__(self, cfg: ScenarioConfig, seed: int, train: bool = True):
         net_cfg = network_config(cfg)
         winit = named_rng(seed, "weights-init", 1)
-        self.critic = sel.make_critic(net_cfg, cfg.mappo, winit)
-        self.agents = [sel.make_bundle(net_cfg, cfg.mappo, self.critic, winit)
+        # the critic draws its weights first, then actors 0..K-1
+        self.critic = TsfenNetwork(
+            dataclasses.replace(net_cfg, output_dim=1), winit)
+        self.actors = [TsfenNetwork(net_cfg, winit)
                        for _ in range(cfg.selection.n_subchannels)]
+        self.critic_opt = adam_init(self.critic.params)
+        self.actor_opts = [adam_init(a.params) for a in self.actors]
         self.rng = named_rng(seed, "policy" if train else "eval")
         self.train = train
-        self.cfg = cfg
+        self.hyper = cfg.mappo
         self._episodes_since_update = 0
+        self._episodes = []  # each episode's rounds since the last update
         self._pending = None
         self.update_stats = []
 
-    def _trajectories(self):
-        return [self.critic.trajectory] + [b.trajectory for b in self.agents]
-
     def begin_episode(self):
         if self.train:
-            for trajectory in self._trajectories():
-                trajectory.start_episode()
+            self._episodes.append([])
 
     def select(self, state, mask):
         actions, eff_masks, probs = sel.select_actions(
-            self.agents, state, mask, self.rng)
-        if self.train and self.agents:  # an agentless policy records nothing
+            self.actors, state, mask, self.rng)
+        if self.train and self.actors:  # an agentless policy records nothing
             self._pending = (state, eff_masks, actions, probs)
         return actions
 
     def observe(self, reward: float):
-        if self._pending is None:
-            return
-        state, eff_masks, actions, probs = self._pending
-        self.critic.trajectory.record(state, reward)
-        for k, bundle in enumerate(self.agents):
-            prob = probs[k] if actions[k] >= 0 else 1.0
-            bundle.trajectory.record(eff_masks[k], int(actions[k]), prob)
-        self._pending = None
+        if self._pending is not None:
+            state, eff_masks, actions, probs = self._pending
+            self._episodes[-1].append(
+                (state, reward, eff_masks, actions, probs))
+            self._pending = None
 
     def end_episode(self):
         if not self.train:
             return
-        for trajectory in self._trajectories():
-            trajectory.end_episode()
         self._episodes_since_update += 1
-        if self._episodes_since_update >= self.cfg.mappo.episodes_per_update:
-            # the K actor updates read the batch critic_update leaves
-            if self.agents:
-                sel.critic_update(self.critic, self.rng)
-            stats = [sel.ppo_update(bundle, self.rng)
-                     for bundle in self.agents]
-            self.critic.batch = None
-            self.update_stats.append(stats)
+        if self._episodes_since_update >= self.hyper.episodes_per_update:
+            self._update()
             self._episodes_since_update = 0
 
+    def _update(self):
+        """The critic's update, then each actor's in index order, on the
+        rounds recorded since the last update; none if there are none."""
+        episodes = [[np.array(column) for column in zip(*ep)]
+                    for ep in self._episodes if ep]
+        self._episodes = []
+        if not episodes:  # no round of the window had a selectable device
+            return
+        advantages, loss = sel.critic_update(
+            self.critic, self.critic_opt, self.hyper,
+            [(states, rewards) for states, rewards, *_ in episodes], self.rng)
+        states, _, masks, actions, probs = (np.concatenate(column)
+                                            for column in zip(*episodes))
+        self.update_stats.append([
+            sel.ppo_update(sel.ActorBatch(
+                actor, opt, self.hyper, states, advantages, loss,
+                masks[:, k], actions[:, k], probs[:, k]), self.rng)
+            for k, (actor, opt) in enumerate(zip(self.actors,
+                                                 self.actor_opts))])
+
+    def _params(self) -> dict:
+        """{checkpoint name: parameter array} over every actor and the
+        critic."""
+        nets = [(f"agent{k}.actor", a) for k, a in enumerate(self.actors)]
+        return {f"{prefix}.{name}": p
+                for prefix, net in nets + [("critic", self.critic)]
+                for name, p in net.params.items()}
+
     def save(self, path):
-        sel.save_agents(path, self.agents, self.critic)
+        """All actors and the shared critic in one checkpoint file."""
+        save_params(path, self._params(),
+                    meta={"n_agents": len(self.actors)})
 
     def load(self, path):
-        sel.load_agents(path, self.agents, self.critic)
+        """Restore parameters saved by ``save``.
+
+        The checkpoint must hold exactly this policy's parameter names,
+        each with the shape its networks expect (so one critic per agent
+        is rejected); otherwise ``CheckpointError`` is raised and nothing
+        is modified.
+        """
+        merged, meta = load_params(path)
+        if meta.get("n_agents") != len(self.actors):
+            raise CheckpointError(
+                f"checkpoint holds {meta.get('n_agents')} agents, the "
+                f"scenario has {len(self.actors)}")
+        targets = self._params()
+        if set(merged) != set(targets):
+            missing = sorted(set(targets) - set(merged))
+            extra = sorted(set(merged) - set(targets))
+            raise CheckpointError(
+                f"checkpoint parameter names differ: missing {missing[:3]}, "
+                f"unexpected {extra[:3]}")
+        for name, p in targets.items():
+            if merged[name].shape != p.shape:
+                raise CheckpointError(
+                    f"checkpoint {name} has shape {merged[name].shape}, the "
+                    f"network expects {p.shape}")
+        for name, p in targets.items():
+            p[...] = merged[name]
 
 
 class BaselinePolicy:
@@ -341,10 +391,12 @@ def run_experiment(cfg: ScenarioConfig, policy_kind: str, out_dir,
     except ValueError as exc:
         raise ConfigError(f"bad run override: {exc}") from exc
     seed, episodes = run.seed, run.episodes
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if train is None:
         train = policy_kind == "mappo" and checkpoint_in is None
+    elif train and policy_kind != "mappo":
+        raise ConfigError(f"policy {policy_kind!r} has nothing to train")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     world = World(cfg, seed)
     policy = make_policy(cfg, policy_kind, seed, train=train)
     if checkpoint_in is not None:
@@ -388,7 +440,7 @@ def run_experiment(cfg: ScenarioConfig, policy_kind: str, out_dir,
                 log.info("episode %d/%d reward %.4f sum-aoi %.2f acc %.3f",
                          ep + 1, episodes, ep_reward[ep], ep_sum_aoi[ep],
                          ep_accuracy[ep])
-    if train and hasattr(policy, "save"):
+    if train:
         policy.save(out_dir / "checkpoint_final.bin")
     wall_time_s = time.perf_counter() - t0
 

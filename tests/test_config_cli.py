@@ -500,6 +500,18 @@ class TestCli:
         assert len(errors) == 1
         assert "non-finite" in errors[0] and "\n" not in errors[0]
 
+    def test_train_without_a_selectable_device_exits_0(self, tmp_path):
+        # a zero drift threshold leaves no device eligible, so no round of
+        # an update window records anything
+        data = json.loads(json.dumps(TINY))
+        data["thresholds"] = {"threshold": 0.0}
+        path = tmp_path / "none.yaml"
+        path.write_text(yaml.safe_dump(data))
+        for cmd in (["baseline", "--policy", "random"], ["train"]):
+            assert main(cmd + ["--config", str(path), "--out-dir",
+                               str(tmp_path / cmd[0])]) == 0
+        assert (tmp_path / "train" / "checkpoint_final.bin").exists()
+
     def test_out_root_env_var(self, tiny_config, tmp_path, monkeypatch,
                               capsys):
         monkeypatch.setenv("RACE_WFL_OUT_ROOT", str(tmp_path / "root"))

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -6,40 +7,47 @@ import pytest
 from hypothesis import given, strategies as st
 
 from race_wfl import selection
-from race_wfl.config import MappoSection
+from race_wfl.config import MappoSection, config_from_dict
 from race_wfl.errors import CheckpointError, RaceError
 from race_wfl.selection import (
-    adaptive_mask, baseline_policy, binary_mask, build_state,
-    check_actions, critic_update, gae, greedy_aoi_actions, load_agents,
-    make_bundle, make_critic, ppo_update, save_agents, select_actions,
-    _actor_step, _critic_values,
+    ActorBatch, adaptive_mask, baseline_policy, binary_mask, build_state,
+    check_actions, critic_update, gae, greedy_aoi_actions, ppo_update,
+    select_actions, _actor_step, _critic_values,
 )
-from race_wfl.tsfen import TsfenConfig, load_params, save_params
+from race_wfl.simulation import MappoPolicy
+from race_wfl.tsfen import (
+    TsfenConfig, TsfenNetwork, adam_init, load_params, save_params,
+)
 
 SMALL_NET = dict(d_model=8, n_heads=2, squeeze_dim=3, lstm_hidden=5,
                  fc_hidden=6, feature_log=(False, False, False),
                  feature_center=(0.0, 0.0, 0.0),
                  feature_scale=(1.0, 1.0, 1.0))
+SMALL_MAPPO = {k: SMALL_NET[k] for k in
+               ("d_model", "n_heads", "squeeze_dim", "lstm_hidden",
+                "fc_hidden")}
 
 
-def small_agents(n_devices, history, k_agents, seed=0, uniform=False,
-                 hyper=MappoSection()):
-    """``k_agents`` bundles that share one critic (``agents[0].critic``).
-
-    The actors are drawn before the critic, so one agent gets the actor
-    and critic weights an actor-then-critic draw gives at ``seed``.
-    """
+def small_nets(n_devices, history, k_agents, seed=0, uniform=False):
+    """``k_agents`` actors, then one critic, drawn from ``seed``."""
     rng = np.random.default_rng(seed)
     cfg = TsfenConfig(n_devices=n_devices, history=history, **SMALL_NET)
-    agents = [make_bundle(cfg, hyper, None, rng) for _ in range(k_agents)]
-    critic = make_critic(cfg, hyper, rng)
-    for bundle in agents:
-        bundle.critic = critic
+    actors = [TsfenNetwork(cfg, rng) for _ in range(k_agents)]
+    critic = TsfenNetwork(dataclasses.replace(cfg, output_dim=1), rng)
     if uniform:
-        for b in agents:
-            for p in b.actor.params.values():
+        for actor in actors:
+            for p in actor.params.values():
                 p[:] = 0.0
-    return agents
+    return actors, critic
+
+
+def small_policy(n_devices, k_agents, seed=0, **mappo):
+    """A training ``MappoPolicy`` of small networks over two sub-periods."""
+    cfg = config_from_dict({
+        "platoon": {"n_followers": n_devices},
+        "selection": {"n_subchannels": k_agents, "subperiods": 2},
+        "mappo": {**SMALL_MAPPO, **mappo}})
+    return MappoPolicy(cfg, seed, train=True)
 
 
 class TestBuildState:
@@ -107,48 +115,50 @@ class TestMasks:
 
 class TestSelectActions:
     def test_single_eligible_device_is_forced(self):
-        agents = small_agents(4, 2, 1, uniform=True)
+        actors, _ = small_nets(4, 2, 1, uniform=True)
         state = np.zeros((2, 4, 3))
         mask = np.array([0.0, 0.0, 1.0, 0.0])
         rng = np.random.default_rng(0)
         for _ in range(20):
-            actions, eff, probs = select_actions(agents, state, mask, rng)
+            actions, eff, probs = select_actions(actors, state, mask, rng)
             assert actions[0] == 2
             assert probs[0] == 1.0
 
     def test_masked_devices_never_selected(self):
-        agents = small_agents(5, 2, 2, seed=3)
+        actors, _ = small_nets(5, 2, 2, seed=3)
         state = np.random.default_rng(1).uniform(size=(2, 5, 3))
         mask = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
         rng = np.random.default_rng(2)
         for _ in range(2000):
-            actions, _, _ = select_actions(agents, state, mask, rng)
+            actions, _, _ = select_actions(actors, state, mask, rng)
             assert 1 not in actions and 4 not in actions
 
     def test_no_collisions_and_legal_assignment(self):
-        agents = small_agents(6, 2, 3, seed=5)
+        actors, _ = small_nets(6, 2, 3, seed=5)
         state = np.random.default_rng(3).uniform(size=(2, 6, 3))
         mask = np.ones(6)
         rng = np.random.default_rng(4)
         for _ in range(200):
-            actions, _, _ = select_actions(agents, state, mask, rng)
+            actions, _, _ = select_actions(actors, state, mask, rng)
             chosen = actions[actions >= 0]
             assert len(set(chosen)) == len(chosen)
             check_actions(actions, mask, 3)
 
     def test_surplus_agents_idle(self):
-        agents = small_agents(4, 2, 3, uniform=True)
+        actors, _ = small_nets(4, 2, 3, uniform=True)
         state = np.zeros((2, 4, 3))
         mask = np.array([1.0, 0.0, 1.0, 0.0])  # two eligible, three agents
-        actions, _, _ = select_actions(agents, state, mask,
-                                       np.random.default_rng(0))
+        actions, eff, probs = select_actions(actors, state, mask,
+                                             np.random.default_rng(0))
         assert (actions >= 0).sum() == 2
         assert actions[2] == -1
+        # the idle agent sampled from an empty mask, with certainty
+        assert (eff[2] == 0.0).all() and probs[2] == 1.0
 
     def test_matches_enumerated_conflict_distribution(self):
         # two uniform agents over three devices: agent 0 uniform, agent 1
         # uniform over the remaining two; per-device marginal is 2/3
-        agents = small_agents(3, 1, 2, uniform=True)
+        actors, _ = small_nets(3, 1, 2, uniform=True)
         state = np.zeros((1, 3, 3))
         mask = np.ones(3)
         rng = np.random.default_rng(11)
@@ -156,7 +166,7 @@ class TestSelectActions:
         counts = np.zeros(3)
         pair_counts = {}
         for _ in range(n_rounds):
-            actions, _, _ = select_actions(agents, state, mask, rng)
+            actions, _, _ = select_actions(actors, state, mask, rng)
             for a in actions:
                 counts[a] += 1
             pair_counts[tuple(actions)] = pair_counts.get(tuple(actions),
@@ -194,170 +204,228 @@ class TestTdAndGae:
         assert adv[-1] == eps[-1]
 
 
-def _trajectories(agents):
-    return [agents[0].critic.trajectory] + [b.trajectory for b in agents]
-
-
-def _fill_episode(agents, rng, n_devices, history, steps=12):
-    """One episode recorded the way ``MappoPolicy`` records it: the state
-    and the team reward once, each agent's mask, action and probability."""
-    for trajectory in _trajectories(agents):
-        trajectory.start_episode()
+def _random_rounds(actors, rng, n_devices, history, steps=12):
+    """``steps`` rounds of uniform random states, every device eligible:
+    (states, rewards, masks, actions, probs), the last three with one
+    column per agent, as ``select_actions`` returns them."""
+    rounds = []
     for _ in range(steps):
         state = rng.uniform(size=(history, n_devices, 3))
-        actions, eff_masks, probs = select_actions(
-            agents, state, np.ones(n_devices), rng)
-        agents[0].critic.trajectory.record(state, float(rng.uniform(-2, 0)))
-        for k, bundle in enumerate(agents):
-            prob = probs[k] if actions[k] >= 0 else 1.0
-            bundle.trajectory.record(eff_masks[k], int(actions[k]), prob)
-    for trajectory in _trajectories(agents):
-        trajectory.end_episode()
+        actions, masks, probs = select_actions(actors, state,
+                                               np.ones(n_devices), rng)
+        rounds.append((state, float(rng.uniform(-2, 0)), masks, actions,
+                       probs))
+    return [np.array(column) for column in zip(*rounds)]
 
 
-def _update(agents, rng):
-    critic_update(agents[0].critic, rng)
-    return [ppo_update(bundle, rng) for bundle in agents]
+def _play(policy, rng, n_devices, steps=12, masks=None):
+    """One training episode of ``policy`` on uniform random states and
+    team rewards; round t uses ``masks[t]``, by default every device."""
+    policy.begin_episode()
+    for t in range(steps):
+        state = rng.uniform(size=(2, n_devices, 3))
+        policy.select(state, np.ones(n_devices) if masks is None
+                      else masks[t])
+        policy.observe(float(rng.uniform(-2, 0)))
+    policy.end_episode()
+
+
+def _record_calls(monkeypatch, name):
+    """Every later call of ``selection.<name>`` as (args, result)."""
+    calls = []
+    orig = getattr(selection, name)
+
+    def recorded(*args):
+        calls.append((args, orig(*args)))
+        return calls[-1][1]
+    monkeypatch.setattr(selection, name, recorded)
+    return calls
 
 
 class TestPpoUpdate:
     def test_ratio_is_one_before_any_update(self):
         rng = np.random.default_rng(0)
-        agents = small_agents(4, 2, 1, seed=9)
-        _fill_episode(agents, rng, 4, 2)
-        states = agents[0].critic.trajectory.episodes[0]["states"]
-        ep = agents[0].trajectory.episodes[0]
-        probs, _ = agents[0].actor.policy(states, ep["masks"])
-        recomputed = probs[np.arange(len(ep["actions"])), ep["actions"]]
-        ratio = recomputed / ep["old_probs"]
+        actors, _ = small_nets(4, 2, 1, seed=9)
+        states, _, masks, actions, probs = _random_rounds(actors, rng, 4, 2)
+        recomputed, _ = actors[0].policy(states, masks[:, 0])
+        ratio = (recomputed[np.arange(len(states)), actions[:, 0]]
+                 / probs[:, 0])
         assert (ratio == 1.0).all()
 
     def test_every_agent_records_its_batch_one_probability(self):
         rng = np.random.default_rng(0)
-        agents = small_agents(4, 2, 2, seed=9)
-        _fill_episode(agents, rng, 4, 2)
-        states = agents[0].critic.trajectory.episodes[0]["states"]
-        for bundle in agents:
-            ep = bundle.trajectory.episodes[0]
-            rows = np.arange(len(ep["actions"]))
+        actors, _ = small_nets(4, 2, 2, seed=9)
+        states, _, masks, actions, probs = _random_rounds(actors, rng, 4, 2)
+        rows = np.arange(len(states))
+        for k, actor in enumerate(actors):
             # the recorded probability is the batch-1 forward's, exactly
-            single = [bundle.actor.policy(states[i:i + 1],
-                                          ep["masks"][i:i + 1])[0][0, a]
-                      for i, a in enumerate(ep["actions"])]
-            assert (np.array(single) == ep["old_probs"]).all()
+            single = [actor.policy(states[i:i + 1], masks[i:i + 1, k])[0][0, a]
+                      for i, a in enumerate(actions[:, k])]
+            assert (np.array(single) == probs[:, k]).all()
             # a minibatch forward may differ from the batch-1 one in the
             # last bit, so the update's first ratio is one within 2 ulps
-            probs, _ = bundle.actor.policy(states, ep["masks"])
-            ratio = probs[rows, ep["actions"]] / ep["old_probs"]
+            batched, _ = actor.policy(states, masks[:, k])
+            ratio = batched[rows, actions[:, k]] / probs[:, k]
             assert np.abs(ratio - 1.0).max() <= 2 * np.finfo(float).eps
 
     def test_zero_advantage_leaves_actor_unchanged(self):
-        bundle = small_agents(4, 2, 1, seed=1)[0]
-        before = {k: v.copy() for k, v in bundle.actor.params.items()}
+        (actor,), _ = small_nets(4, 2, 1, seed=1)
+        before = {k: v.copy() for k, v in actor.params.items()}
         rng = np.random.default_rng(2)
-        states = rng.uniform(size=(8, 2, 4, 3))
-        masks = np.ones((8, 4))
-        actions = rng.integers(0, 4, size=8)
-        _actor_step(bundle, states, masks, actions, np.full(8, 0.25),
-                    np.zeros(8))
+        batch = ActorBatch(
+            actor, adam_init(actor.params), MappoSection(),
+            states=rng.uniform(size=(8, 2, 4, 3)), advantages=np.zeros(8),
+            critic_loss=0.0, masks=np.ones((8, 4)),
+            actions=rng.integers(0, 4, size=8), old_probs=np.full(8, 0.25))
+        ppo_update(batch, rng)
         for k in before:
-            assert (bundle.actor.params[k] == before[k]).all()
+            assert (actor.params[k] == before[k]).all()
 
     def test_bandit_probability_rises_under_positive_advantage(self):
         # fixed positive advantage on device 0: its probability must rise
         # monotonically (the surrogate gradient has a fixed sign)
-        bundle = small_agents(2, 1, 1, seed=3)[0]
+        (actor,), _ = small_nets(2, 1, 1, seed=3)
+        opt = adam_init(actor.params)
         state = np.full((1, 1, 2, 3), 0.5)
         mask = np.ones((1, 2))
         history = []
         for _ in range(10):
-            p, _ = bundle.actor.policy(state, mask)
+            p, _ = actor.policy(state, mask)
             history.append(p[0, 0])
-            _actor_step(
-                bundle,
-                np.repeat(state, 16, axis=0), np.repeat(mask, 16, axis=0),
-                np.zeros(16, dtype=np.int64), np.full(16, p[0, 0]),
-                np.ones(16))
-        p, _ = bundle.actor.policy(state, mask)
+            batch = ActorBatch(
+                actor, opt, MappoSection(), np.repeat(state, 16, axis=0),
+                np.ones(16), 0.0, np.repeat(mask, 16, axis=0),
+                np.zeros(16, dtype=np.int64), np.full(16, p[0, 0]))
+            _actor_step(batch, np.arange(16))
+        p, _ = actor.policy(state, mask)
         history.append(p[0, 0])
         assert all(b > a for a, b in zip(history, history[1:]))
 
-    def test_update_consumes_buffer_and_reports_stats(self):
+    def test_update_consumes_the_rounds_and_reports_stats(self,
+                                                          monkeypatch):
+        calls = _record_calls(monkeypatch, "ppo_update")
         rng = np.random.default_rng(5)
-        agents = small_agents(4, 2, 3, seed=5)
-        for _ in range(2):
-            _fill_episode(agents, rng, 4, 2)
-        stats = _update(agents, np.random.default_rng(6))
-        assert all(t.episodes == [] for t in _trajectories(agents))
-        assert len(stats) == 3
-        for entry in stats:
-            assert all(np.isfinite(v) for v in entry.values())
-            assert entry["critic_loss"] == stats[0]["critic_loss"]
+        policy = small_policy(4, 3, seed=5, episodes_per_update=2)
+        for _ in range(4):
+            _play(policy, rng, 4)
+        # each update reads only the 24 rounds recorded since the last one
+        assert [len(args[0].states) for args, _ in calls] == [24] * 6
+        assert len(policy.update_stats) == 2
+        for stats in policy.update_stats:
+            assert len(stats) == 3
+            for entry in stats:
+                assert all(np.isfinite(v) for v in entry.values())
+                assert entry["critic_loss"] == stats[0]["critic_loss"]
 
-    def test_empty_buffer_errors(self):
-        rng = np.random.default_rng(0)
-        agents = small_agents(3, 2, 1)
+    def test_empty_input_errors(self):
+        (actor,), critic = small_nets(3, 2, 1)
+        hyper, rng = MappoSection(), np.random.default_rng(0)
+        no_states = np.zeros((0, 2, 3, 3))
+        for episodes in ([], [(no_states, np.zeros(0))]):
+            with pytest.raises(RaceError, match="empty"):
+                critic_update(critic, adam_init(critic.params), hyper,
+                              episodes, rng)
+        empty = ActorBatch(actor, adam_init(actor.params), hyper, no_states,
+                           np.zeros(0), 0.0, np.zeros((0, 3)),
+                           np.zeros(0, dtype=np.int64), np.zeros(0))
         with pytest.raises(RaceError, match="empty"):
-            critic_update(agents[0].critic, rng)
-        _fill_episode(agents, rng, 3, 2)
-        _update(agents, rng)
-        with pytest.raises(RaceError, match="empty"):
-            ppo_update(agents[0], rng)
+            ppo_update(empty, rng)
+
+    def test_a_window_without_a_recorded_round_skips_its_update(self):
+        # with no selectable device a World never asks the policy to
+        # select, so an update window can end with nothing recorded
+        policy = small_policy(3, 1, episodes_per_update=2)
+        stream = policy.rng.bit_generator.state
+        for _ in range(2):
+            policy.begin_episode()
+            policy.end_episode()
+        assert policy.update_stats == []
+        assert policy.rng.bit_generator.state == stream  # nothing drawn
+        # an empty episode in a window with a recorded one adds no rounds
+        policy.begin_episode()
+        policy.end_episode()
+        _play(policy, np.random.default_rng(0), 3)
+        assert len(policy.update_stats) == 1
 
     def test_critic_loss_decreases_on_a_fixed_problem(self):
         rng = np.random.default_rng(7)
-        agents = small_agents(3, 2, 1, seed=7)
+        actors, critic = small_nets(3, 2, 1, seed=7)
+        opt = adam_init(critic.params)
         losses = []
         for _ in range(6):
-            _fill_episode(agents, rng, 3, 2, steps=30)
-            losses.append(critic_update(agents[0].critic,
-                                        np.random.default_rng(8)))
+            states, rewards, *_ = _random_rounds(actors, rng, 3, 2, steps=30)
+            _, loss = critic_update(critic, opt, MappoSection(),
+                                    [(states, rewards)],
+                                    np.random.default_rng(8))
+            losses.append(loss)
         assert losses[-1] < losses[0]
 
 
 class TestSharedCritic:
-    HYPER = MappoSection(batch_size=5, ppo_epochs=3)
-
-    def _count_steps(self, monkeypatch, name):
-        calls = []
-        orig = getattr(selection, name)
-
-        def counted(owner, *args, **kwargs):
-            calls.append((owner, args))
-            return orig(owner, *args, **kwargs)
-        monkeypatch.setattr(selection, name, counted)
-        return calls
+    HYPER = dict(batch_size=5, ppo_epochs=3)
 
     @pytest.mark.parametrize("k_agents", [1, 3])
     def test_critic_steps_do_not_depend_on_the_agent_count(
             self, monkeypatch, k_agents):
-        critic_steps = self._count_steps(monkeypatch, "_critic_step")
-        actor_steps = self._count_steps(monkeypatch, "_actor_step")
+        critic_steps = _record_calls(monkeypatch, "_critic_step")
+        actor_steps = _record_calls(monkeypatch, "_actor_step")
         rng = np.random.default_rng(2)
-        agents = small_agents(4, 2, k_agents, seed=2, hyper=self.HYPER)
+        policy = small_policy(4, k_agents, seed=2, episodes_per_update=2,
+                              **self.HYPER)
         for _ in range(2):
-            _fill_episode(agents, rng, 4, 2, steps=12)
-        _update(agents, rng)
-        per_network = self.HYPER.ppo_epochs * math.ceil(24 / 5)
+            _play(policy, rng, 4)
+        per_network = self.HYPER["ppo_epochs"] * math.ceil(24 / 5)
         assert len(critic_steps) == per_network
-        assert {id(c) for c, _ in critic_steps} == {id(agents[0].critic)}
+        assert {id(args[0]) for args, _ in critic_steps} \
+            == {id(policy.critic)}
         # every agent acted in every round, so each takes the same steps
         assert len(actor_steps) == k_agents * per_network
+        for actor in policy.actors:
+            assert sum(args[0].actor is actor
+                       for args, _ in actor_steps) == per_network
 
     def test_every_actor_step_reads_the_shared_advantages(self,
                                                           monkeypatch):
-        actor_steps = self._count_steps(monkeypatch, "_actor_step")
+        critic_calls = _record_calls(monkeypatch, "critic_update")
+        actor_steps = _record_calls(monkeypatch, "_actor_step")
         rng = np.random.default_rng(3)
-        agents = small_agents(5, 2, 3, seed=3, hyper=self.HYPER)
-        _fill_episode(agents, rng, 5, 2, steps=17)
-        _update(agents, rng)
-        shared = agents[0].critic.batch["advantages"]
+        policy = small_policy(5, 3, seed=3, episodes_per_update=1,
+                              **self.HYPER)
+        _play(policy, rng, 5, steps=17)
+        [(_, (shared, _))] = critic_calls
         # each epoch visits every round once, in the agent's own order
-        expected = np.sort(np.tile(shared, self.HYPER.ppo_epochs))
-        for bundle in agents:
-            seen = np.concatenate([args[4] for b, args in actor_steps
-                                   if b is bundle])
+        expected = np.sort(np.tile(shared, self.HYPER["ppo_epochs"]))
+        for actor in policy.actors:
+            batches = [args for args, _ in actor_steps
+                       if args[0].actor is actor]
+            assert all(batch.advantages is shared for batch, *_ in batches)
+            seen = np.concatenate([batch.advantages[rows]
+                                   for batch, rows, _ in batches])
             assert np.sort(seen).tobytes() == expected.tobytes()
+
+
+def test_idle_agent_records_certain_idling_and_steps_only_when_it_acted(
+        monkeypatch):
+    batches = _record_calls(monkeypatch, "ppo_update")
+    actor_steps = _record_calls(monkeypatch, "_actor_step")
+    policy = small_policy(4, 3, seed=1, batch_size=4, ppo_epochs=2,
+                          episodes_per_update=1)
+    # odd rounds leave two eligible devices for three agents
+    odd = np.arange(10) % 2 == 1
+    masks = [np.array([1.0, 0.0, 1.0, 0.0]) if o else np.ones(4)
+             for o in odd]
+    _play(policy, np.random.default_rng(4), 4, steps=10, masks=masks)
+    (first, _), (second, _), (idle, _) = batches
+    assert (first[0].actions >= 0).all() and (second[0].actions >= 0).all()
+    idle = idle[0]
+    assert (idle.actions[odd] == -1).all()
+    assert (idle.old_probs[odd] == 1.0).all()
+    assert (idle.masks[odd] == 0.0).all()
+    assert (idle.actions[~odd] >= 0).all()
+    # each epoch steps once on every round the agent acted in, on no other
+    rows = np.concatenate([args[1] for args, _ in actor_steps
+                           if args[0] is idle])
+    assert sorted(rows.tolist()) == sorted(np.flatnonzero(~odd).tolist() * 2)
 
 
 class TestBaselines:
@@ -415,62 +483,61 @@ class TestBaselines:
 
 
 def test_agent_checkpoint_round_trip(tmp_path):
-    agents = small_agents(4, 2, 2, seed=4)
+    policy = small_policy(4, 2, seed=4)
     path = tmp_path / "agents.bin"
-    save_agents(path, agents, agents[0].critic)
+    policy.save(path)
     names, _ = load_params(path)
     assert {n.split(".")[0] + "." + n.split(".")[1] for n in names
             if n.startswith("agent")} == {"agent0.actor", "agent1.actor"}
     assert any(n.startswith("critic.") for n in names)
-    fresh = small_agents(4, 2, 2, seed=99)
-    load_agents(path, fresh, fresh[0].critic)
-    for a, b in zip(agents, fresh):
-        for k in a.actor.params:
-            assert (a.actor.params[k] == b.actor.params[k]).all()
-    for k, p in agents[0].critic.net.params.items():
-        assert (fresh[0].critic.net.params[k] == p).all()
+    fresh = small_policy(4, 2, seed=99)
+    fresh.load(path)
+    for a, b in zip(policy.actors, fresh.actors):
+        for k in a.params:
+            assert (a.params[k] == b.params[k]).all()
+    for k, p in policy.critic.params.items():
+        assert (fresh.critic.params[k] == p).all()
 
 
 def test_agent_checkpoint_of_another_shape_is_rejected(tmp_path):
     path = tmp_path / "agents.bin"
-    agents = small_agents(4, 2, 2, seed=4)
-    save_agents(path, agents, agents[0].critic)
-    other = small_agents(5, 2, 2, seed=9)
-    before = {k: p.copy() for k, p in other[0].actor.params.items()}
+    small_policy(4, 2, seed=4).save(path)
+    other = small_policy(5, 2, seed=9)
+    before = {k: p.copy() for k, p in other.actors[0].params.items()}
     with pytest.raises(CheckpointError, match="shape"):
-        load_agents(path, other, other[0].critic)
-    for k, p in other[0].actor.params.items():
+        other.load(path)
+    for k, p in other.actors[0].params.items():
         assert (p == before[k]).all()  # nothing half-loaded
 
 
-def save_per_agent_critic_checkpoint(path, agents):
+def save_per_agent_critic_checkpoint(path, policy):
     """A checkpoint in the layout with one critic per agent:
     ``agent{k}.actor.*`` and ``agent{k}.critic.*``."""
     params = {f"agent{k}.{role}.{name}": p
-              for k, bundle in enumerate(agents)
-              for role, net in (("actor", bundle.actor),
-                                ("critic", bundle.critic.net))
+              for k, actor in enumerate(policy.actors)
+              for role, net in (("actor", actor), ("critic", policy.critic))
               for name, p in net.params.items()}
-    save_params(path, params, meta={"n_agents": len(agents)})
+    save_params(path, params, meta={"n_agents": len(policy.actors)})
 
 
 def test_per_agent_critic_checkpoint_is_rejected(tmp_path):
     path = tmp_path / "old.bin"
-    save_per_agent_critic_checkpoint(path, small_agents(4, 2, 2, seed=4))
-    fresh = small_agents(4, 2, 2, seed=9)
-    before = {k: p.copy() for k, p in fresh[0].critic.net.params.items()}
+    save_per_agent_critic_checkpoint(path, small_policy(4, 2, seed=4))
+    fresh = small_policy(4, 2, seed=9)
+    before = {k: p.copy() for k, p in fresh.critic.params.items()}
     with pytest.raises(CheckpointError, match="names differ"):
-        load_agents(path, fresh, fresh[0].critic)
-    for k, p in fresh[0].critic.net.params.items():
+        fresh.load(path)
+    for k, p in fresh.critic.params.items():
         assert (p == before[k]).all()
 
 
 def test_critic_values_in_chunks_equal_one_whole_batch_forward():
     rng = np.random.default_rng(3)
-    critic = make_critic(TsfenConfig(n_devices=20), MappoSection(), rng)
+    critic = TsfenNetwork(TsfenConfig(n_devices=20, output_dim=1), rng)
     shape = (40, 5, 20)  # one full minibatch-sized chunk and a partial one
     states = np.stack([rng.uniform(0.0, 0.5, shape),
                        10.0 ** rng.uniform(8.0, 16.0, shape),
                        rng.uniform(0.0, 5.0, shape)], axis=-1)
-    whole, _ = critic.net.value(states)
-    assert _critic_values(critic, states).tobytes() == whole.tobytes()
+    whole, _ = critic.value(states)
+    chunked = _critic_values(critic, states, MappoSection().batch_size)
+    assert chunked.tobytes() == whole.tobytes()

@@ -7,7 +7,9 @@ import pytest
 
 from race_wfl import selection
 from race_wfl.config import config_from_dict
-from race_wfl.errors import AssignmentError, CollisionError, InfeasibleError
+from race_wfl.errors import (
+    AssignmentError, CollisionError, ConfigError, InfeasibleError,
+)
 from race_wfl.simulation import (
     BaselinePolicy, MappoPolicy, World, make_policy, run_experiment,
 )
@@ -260,7 +262,7 @@ class TestRunExperiment:
         cfg = tiny_cfg(selection={"n_subchannels": 0})
         policy = MappoPolicy(cfg, cfg.run.seed, train=True)
         # a World never asks an agentless policy to select; a direct
-        # caller may, and must not grow the shared trajectory either
+        # caller may, and must not get a round recorded either
         state, mask = np.zeros((3, 8, 3)), np.ones(8)
         for _ in range(3):
             policy.begin_episode()
@@ -268,15 +270,23 @@ class TestRunExperiment:
                 assert len(policy.select(state, mask)) == 0
                 policy.observe(0.0)
             policy.end_episode()
-        assert policy.critic.trajectory.episodes == []
-        assert policy.update_stats == [[], [], []]
+        # nothing recorded, so no update window ran an update
+        assert policy.update_stats == []
+
+    def test_training_a_baseline_policy_is_rejected(self, tmp_path):
+        cfg = tiny_cfg(run={"checkpoint_every": 1})
+        with pytest.raises(ConfigError, match="nothing to train"):
+            run_experiment(cfg, "random", tmp_path / "r", train=True,
+                           log_every=0)
+        assert not (tmp_path / "r").exists()  # rejected before the run
 
 
 class TestSharedCritic:
     def test_policy_holds_exactly_one_critic(self, tmp_path):
         cfg = tiny_cfg(selection={"n_subchannels": 3})
         policy = MappoPolicy(cfg, cfg.run.seed)
-        assert all(b.critic is policy.critic for b in policy.agents)
+        assert len(policy.actors) == len(policy.actor_opts) == 3
+        assert policy.critic.config.out_dim == 1
         policy.save(tmp_path / "policy.bin")
         names, meta = load_params(tmp_path / "policy.bin")
         assert meta == {"n_agents": 3}
@@ -284,24 +294,24 @@ class TestSharedCritic:
             == {"agent0", "agent1", "agent2"}
         critic_names = {n for n in names if ".actor." not in n}
         assert critic_names == {f"critic.{k}"
-                                for k in policy.critic.net.params}
+                                for k in policy.critic.params}
 
     def test_each_agent_update_returns_finite_stats(self, monkeypatch,
                                                     tmp_path):
-        # a training episode calls ``selection.ppo_update(bundle, rng)``
+        # a training episode calls ``selection.ppo_update(batch, rng)``
         # once per agent, through the module attribute
         calls = []
         orig = selection.ppo_update
 
-        def recorded(bundle, rng):
-            calls.append((bundle, orig(bundle, rng)))
+        def recorded(batch, rng):
+            calls.append((batch, orig(batch, rng)))
             return calls[-1][1]
         monkeypatch.setattr(selection, "ppo_update", recorded)
         cfg = tiny_cfg(selection={"n_subchannels": 3},
                        run={"episodes": 1})
         run_experiment(cfg, "mappo", tmp_path, train=True, log_every=0)
         assert len(calls) == 3
-        assert len({id(bundle) for bundle, _ in calls}) == 3
+        assert len({id(batch.actor) for batch, _ in calls}) == 3
         for _, stats in calls:
             assert all(np.isfinite(v) for v in stats.values())
         assert len({stats["critic_loss"] for _, stats in calls}) == 1
