@@ -130,11 +130,21 @@ class ChannelSection:
         if not 0.0 <= self.estimation_error_variance <= 1.0:
             raise ValueError("estimation_error_variance must lie in [0, 1]")
         try:
-            dbm_to_watts(self.noise_variance_dbm)
+            noise_w = dbm_to_watts(self.noise_variance_dbm)
         except OverflowError:
             raise ValueError(f"noise_variance_dbm = "
                              f"{self.noise_variance_dbm!r} overflows the "
                              f"noise power in watts") from None
+        # a gain is frequency_factor * distance ** -path_loss_exponent /
+        # noise power times a fading draw; an infinite one reads as an
+        # infinite rate and a zero transmission time in Stage 1
+        if not (noise_w > 0.0
+                and math.isfinite(self.frequency_factor / noise_w)):
+            raise ValueError(
+                f"frequency_factor = {self.frequency_factor!r} over the "
+                f"noise power of {noise_w!r} W (noise_variance_dbm = "
+                f"{self.noise_variance_dbm!r}) overflows the channel gain "
+                f"at 1 m")
 
 
 @dataclass(frozen=True)
@@ -148,6 +158,11 @@ class CostSection:
 
     def __post_init__(self):
         device_profile(self, 1)    # runs DeviceProfile's checks
+        # Stage 1 cubes cpu_hz in Python floats, which raise
+        # OverflowError instead of returning inf
+        if not _finite_power(self.cpu_hz, 3):
+            raise ValueError(f"cpu_hz = {self.cpu_hz!r} overflows Stage 1's "
+                             f"cpu_hz ** 3")
 
 
 @dataclass(frozen=True)
@@ -331,6 +346,19 @@ def network_config(cfg: ScenarioConfig) -> TsfenConfig:
 def _validate(cfg: ScenarioConfig) -> None:
     if cfg.selection.n_subchannels > cfg.platoon.n_followers:
         raise ConfigError("more sub-channels than follower devices")
+    # Stage 1 compares a device's computation energy at full CPU,
+    # power_coeff * work_cycles * cpu_hz ** 2, with its budget; an infinite
+    # one clamps chi to 0 and the computation delay divides by it.  No
+    # device holds more than all task samples.
+    c = cfg.cost
+    e_full = c.power_coeff * (c.cycles_per_sample * cfg.task.n_samples) \
+        * c.cpu_hz ** 2
+    if not math.isfinite(e_full):
+        raise ConfigError(
+            f"bad value in section cost: power_coeff = {c.power_coeff!r}, "
+            f"cycles_per_sample = {c.cycles_per_sample!r} and cpu_hz = "
+            f"{c.cpu_hz!r} overflow the computation energy at full CPU of "
+            f"a device holding all {cfg.task.n_samples} task samples")
     for dev in cfg.task.adversary_devices:
         if not (_fits(dev, int) and 0 <= dev < cfg.platoon.n_followers):
             raise ConfigError(f"adversary device index {dev!r} out of range")

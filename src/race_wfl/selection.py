@@ -256,17 +256,22 @@ def ppo_update(batch: ActorBatch, rng: np.random.Generator) -> dict:
     shuffled minibatches over the batch's rounds, each step taken on the
     minibatch rounds the agent acted in.  Every forward draws its
     attention buffers from one workspace, which is dropped on return.
+
+    The statistics are finite: ``steps`` counts the actor steps taken,
+    and ``mean_ratio`` (the last step's mean importance ratio) is left
+    out when an agent that never acted took none.
     """
     if len(batch.actions) == 0:
         raise RaceError("ppo_update called with an empty batch")
     acted = batch.actions >= 0
     workspace = Workspace()
     stats = {"mean_advantage": float(batch.advantages.mean()),
-             "critic_loss": batch.critic_loss, "mean_ratio": float("nan")}
+             "critic_loss": batch.critic_loss, "steps": 0}
     for rows in _minibatches(len(acted), batch.hyper, rng):
         rows = rows[acted[rows]]
         if len(rows):
             ratio = _actor_step(batch, rows, workspace)
+            stats["steps"] += 1
             stats["mean_ratio"] = float(ratio.mean())
     return stats
 

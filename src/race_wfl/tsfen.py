@@ -9,17 +9,21 @@ critic reuses the same trunk with a scalar head.
 
 Everything is float64 numpy with hand-written reverse-mode gradients:
 each layer's ``forward`` returns an output plus a cache, and ``backward``
-consumes the cache and the upstream gradient.  The attention's large
-intermediates come from a ``Workspace`` that the caller may keep across
-steps of one update, so that consecutive minibatches reuse its memory
-instead of faulting fresh pages in.  Work is shaped into few, large BLAS
-calls: the attention projections are 2-D GEMMs over every (batch,
-sub-period, device) row, the attention softmax sums its rows with a BLAS
-matrix-vector product, and the LSTM leaves only its recurrent GEMM in
-the time loop (see ``LstmLayer``).  The masked softmax maps a
-zero mask entry to exactly zero probability (additive log-mask), and
-probabilities of maskable entries are floored at ``prob_floor`` and
-renormalized for numerical stability.
+consumes the cache and the upstream gradient.  The embedding, the
+attention and the squeeze are one layer (``MhsaLayer``): nothing
+nonlinear lies between the embedding and the query/key/value projection
+or between the output projection and the squeeze, so each pair is
+applied as its product, a (F+1, 3D) and a (D, S) matrix, and no
+D-wide intermediate is formed.  The attention's large intermediates come
+from a ``Workspace`` that the caller may keep across steps of one
+update, so that consecutive minibatches reuse its memory instead of
+faulting fresh pages in.  Work is shaped into few, large BLAS calls: the
+attention softmax sums its rows with a BLAS matrix-vector product, and
+the LSTM leaves only its recurrent GEMM in the time loop (see
+``LstmLayer``).  The masked softmax maps a zero mask entry to exactly
+zero probability (additive log-mask), and probabilities of maskable
+entries are floored at ``prob_floor`` and renormalized for numerical
+stability.
 """
 
 import json
@@ -42,21 +46,29 @@ def _row_sums(a):
     return (a.reshape(-1, n) @ np.ones(n)).reshape(a.shape[:-1] + (1,))
 
 
+def _row_max(a):
+    """Maxima over the last axis, with a trailing axis of 1, as a loop of
+    ``np.maximum`` over its columns: faster than ``a.max(axis=-1)`` on
+    short rows, and a max is exact in any order."""
+    top = a[..., :1].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(top, a[..., j:j + 1], out=top)
+    return top
+
+
 def _attn_softmax(scores):
     """Row-softmax over the last axis, in place."""
-    scores -= scores.max(axis=-1, keepdims=True)
+    scores -= _row_max(scores)
     np.exp(scores, out=scores)
     scores /= _row_sums(scores)
     return scores
 
 
-def _attn_softmax_backward(attn, dattn, inv_scale, product):
+def _attn_softmax_backward(attn, dattn, product):
     """Softmax backward over the last axis; overwrites ``dattn`` with the
-    score gradient scaled by ``inv_scale``.  ``product`` is scratch of
-    ``attn``'s shape."""
+    score gradient.  ``product`` is scratch of ``attn``'s shape."""
     dattn -= _row_sums(np.multiply(dattn, attn, out=product))
     dattn *= attn
-    dattn *= inv_scale
     return dattn
 
 
@@ -146,77 +158,101 @@ class DenseLayer:
 
 
 class MhsaLayer:
-    """Scaled dot-product multi-head self-attention over the device axis.
+    """Linear embedding, scaled dot-product multi-head self-attention over
+    the device axis and linear squeeze, in folded form.
 
-    Input (B, M, N, D); attention runs independently per (batch,
-    sub-period) pair with parameters shared across sub-periods.  The
-    query/key/value projections live in one fused (D, 3D) matrix whose
-    column blocks are the per-head projections.  The projection, the
-    attention weights, the context and their gradients live in a
-    ``Workspace``; the layer output and every gradient it returns are
-    fresh arrays.
+    Input (B, M, N, F) features, output (B, M, N, S); attention runs
+    independently per (batch, sub-period) pair with parameters shared
+    across sub-periods.  The parameters are those of the three layers
+    applied one after another: the embedding ``embed.W`` (F, D) and
+    ``embed.b``, the query/key/value projections in one fused (D, 3D)
+    matrix ``mhsa.Wqkv`` whose column blocks are the per-head
+    projections, the output projection ``mhsa.Wo`` (D, D) and the squeeze
+    ``squeeze.W`` (D, S) and ``squeeze.b``.  With ``x1 = [x, 1]`` and
+    ``E = [embed.W; embed.b]`` the layer computes
+    ``qkv = x1 @ (E @ Wqkv)`` and ``s = ctx @ (Wo @ squeeze.W) +
+    squeeze.b``, and the score scale ``1 / sqrt(Dh)`` rides in the query
+    columns of ``E @ Wqkv``.  ``backward`` forms ``G = x1.T @ dqkv`` and
+    ``H = ctx.T @ ds`` and takes every weight gradient from those two
+    small matrices.
+
+    The augmented input, the projection, the attention weights, the
+    context and their gradients live in a ``Workspace``; the layer output
+    and every gradient it returns are fresh arrays.
     """
 
-    def __init__(self, d_model, n_heads, rng, prefix):
-        self.prefix = prefix
+    def __init__(self, n_in, d_model, n_heads, n_out, rng):
         self.d = d_model
         self.h = n_heads
         self.dh = d_model // n_heads
+        # drawn in layer order: embedding, attention, squeeze
         self.params = {
-            f"{prefix}.Wqkv": _uniform_init(rng, d_model,
-                                            (d_model, 3 * d_model)),
-            f"{prefix}.Wo": _uniform_init(rng, d_model, (d_model, d_model)),
+            "embed.W": _uniform_init(rng, n_in, (n_in, d_model)),
+            "embed.b": _uniform_init(rng, n_in, (d_model,)),
+            "mhsa.Wqkv": _uniform_init(rng, d_model, (d_model, 3 * d_model)),
+            "mhsa.Wo": _uniform_init(rng, d_model, (d_model, d_model)),
+            "squeeze.W": _uniform_init(rng, d_model, (d_model, n_out)),
+            "squeeze.b": _uniform_init(rng, d_model, (n_out,)),
         }
 
     def forward(self, x, params, workspace=None):
         ws = Workspace() if workspace is None else workspace
         ws.generation += 1
-        p = self.prefix
-        b, m, n, d = x.shape
-        bm, h, dh = b * m, self.h, self.dh
-        xf = x.reshape(bm * n, d)
+        b, m, n, f = x.shape
+        bm, d, h, dh = b * m, self.d, self.h, self.dh
+        x1 = ws.take("mhsa.x1", (bm * n, f + 1))
+        x1[:, :f] = x.reshape(-1, f)
+        x1[:, f] = 1.0
+        e = np.vstack((params["embed.W"], params["embed.b"]))
+        w_in = e @ params["mhsa.Wqkv"]
+        w_in[:, :d] *= 1.0 / np.sqrt(dh)
         qkv = ws.take("mhsa.qkv", (bm, n, 3 * d))
-        np.matmul(xf, params[f"{p}.Wqkv"], out=qkv.reshape(bm * n, 3 * d))
+        np.matmul(x1, w_in, out=qkv.reshape(bm * n, 3 * d))
         # q, k and v are (B*, H, N, Dh) head views of the fused projection
         q, k, v = qkv.reshape(bm, n, 3, h, dh).transpose(2, 0, 3, 1, 4)
         scores = ws.take("mhsa.attn", (bm, h, n, n))
         np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
-        scores *= 1.0 / np.sqrt(dh)
         attn = _attn_softmax(scores)
         ctx = ws.take("mhsa.ctx", (bm, n, h, dh))
         np.matmul(attn, v, out=ctx.transpose(0, 2, 1, 3))
         ctx = ctx.reshape(bm * n, d)
-        out = (ctx @ params[f"{p}.Wo"]).reshape(b, m, n, d)
-        return out, (x, xf, q, k, v, attn, ctx, ws, ws.generation)
+        w_out = params["mhsa.Wo"] @ params["squeeze.W"]
+        out = ctx @ w_out + params["squeeze.b"]
+        return (out.reshape(b, m, n, -1),
+                (x1, e, w_out, q, k, v, attn, ctx, ws, ws.generation))
 
     def backward(self, cache, dout, params, grads):
-        p = self.prefix
-        x, xf, q, k, v, attn, ctx, ws, generation = cache
+        x1, e, w_out, q, k, v, attn, ctx, ws, generation = cache
         if ws.generation != generation:
             raise RaceError("stale MHSA cache: a later forward has reused "
                             "its workspace buffers")
-        b, m, n, d = x.shape
-        bm, h, _, dh = q.shape
-        dflat = dout.reshape(-1, d)
-        grads[f"{p}.Wo"] = ctx.T @ dflat
+        bm, h, n, dh = q.shape
+        d = h * dh
+        dflat = dout.reshape(bm * n, -1)
+        hmat = ctx.T @ dflat
+        grads["mhsa.Wo"] = hmat @ params["squeeze.W"].T
+        grads["squeeze.W"] = params["mhsa.Wo"].T @ hmat
+        grads["squeeze.b"] = dflat.sum(axis=0)
         dheads = ws.take("mhsa.dheads", (bm * n, d))
-        np.matmul(dflat, params[f"{p}.Wo"].T, out=dheads)
+        np.matmul(dflat, w_out.T, out=dheads)
         dheads = dheads.reshape(bm, n, h, dh).transpose(0, 2, 1, 3)
         dattn = ws.take("mhsa.dattn", (bm, h, n, n))
         np.matmul(dheads, v.transpose(0, 1, 3, 2), out=dattn)
-        # dq, dk and dv are written straight into the fused gradient
+        # dq, dk and dv are written straight into the fused gradient; dq
+        # is taken with respect to the scaled queries
         dqkv = ws.take("mhsa.dqkv", (bm, n, 3, h, dh))
         dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
         np.matmul(attn.transpose(0, 1, 3, 2), dheads, out=dv)
         dscores = _attn_softmax_backward(
-            attn, dattn, 1.0 / np.sqrt(dh),
-            ws.take("mhsa.dattn_attn", attn.shape))
+            attn, dattn, ws.take("mhsa.dattn_attn", attn.shape))
         np.matmul(dscores, k, out=dq)
         np.matmul(dscores.transpose(0, 1, 3, 2), q, out=dk)
-        dqkv = dqkv.reshape(-1, 3 * d)
-        grads[f"{p}.Wqkv"] = xf.T @ dqkv
-        dxf = dqkv @ params[f"{p}.Wqkv"].T
-        return dxf.reshape(b, m, n, d)
+        gmat = x1.T @ dqkv.reshape(bm * n, 3 * d)
+        gmat[:, :d] *= 1.0 / np.sqrt(dh)
+        grads["mhsa.Wqkv"] = e.T @ gmat
+        de = gmat @ params["mhsa.Wqkv"].T
+        grads["embed.W"] = de[:-1]
+        grads["embed.b"] = de[-1]
 
 
 def _sigmoid(z):
@@ -360,17 +396,16 @@ class TsfenNetwork:
     def __init__(self, config: TsfenConfig, rng: np.random.Generator):
         self.config = config
         c = config
-        self.embed = DenseLayer(c.feature_dim, c.d_model, rng, "embed")
-        self.mhsa = MhsaLayer(c.d_model, c.n_heads, rng, "mhsa")
-        self.squeeze = DenseLayer(c.d_model, c.squeeze_dim, rng, "squeeze")
+        self.mhsa = MhsaLayer(c.feature_dim, c.d_model, c.n_heads,
+                              c.squeeze_dim, rng)
         lstm_in = c.n_devices * c.squeeze_dim
         self.lstm_fwd = LstmLayer(lstm_in, c.lstm_hidden, rng, "lstm_fwd")
         self.lstm_bwd = LstmLayer(lstm_in, c.lstm_hidden, rng, "lstm_bwd")
         self.fc1 = DenseLayer(2 * c.lstm_hidden, c.fc_hidden, rng, "fc1")
         self.fc2 = DenseLayer(c.fc_hidden, c.out_dim, rng, "fc2")
         self.params = {}
-        for layer in (self.embed, self.mhsa, self.squeeze, self.lstm_fwd,
-                      self.lstm_bwd, self.fc1, self.fc2):
+        for layer in (self.mhsa, self.lstm_fwd, self.lstm_bwd, self.fc1,
+                      self.fc2):
             self.params.update(layer.params)
 
     def preprocess(self, states: np.ndarray) -> np.ndarray:
@@ -398,9 +433,7 @@ class TsfenNetwork:
         with np.errstate(over="ignore", invalid="ignore"):
             x = self.preprocess(states)
             p = self.params
-            e, c_embed = self.embed.forward(x, p)
-            a, c_mhsa = self.mhsa.forward(e, p, workspace)
-            s, c_squeeze = self.squeeze.forward(a, p)
+            s, c_mhsa = self.mhsa.forward(x, p, workspace)
             b, m, n, dsq = s.shape
             seq = s.reshape(b, m, n * dsq)
             h_fwd, c_fwd = self.lstm_fwd.forward(seq, p)
@@ -409,14 +442,12 @@ class TsfenNetwork:
             f1, c_fc1 = self.fc1.forward(h, p)
             relu = np.maximum(f1, 0.0)
             logits, c_fc2 = self.fc2.forward(relu, p)
-        cache = (c_embed, c_mhsa, c_squeeze, (b, m, n, dsq), c_fwd, c_bwd,
-                 c_fc1, f1, c_fc2)
+        cache = (c_mhsa, (b, m, n, dsq), c_fwd, c_bwd, c_fc1, f1, c_fc2)
         return logits, cache
 
     def backward(self, cache, dlogits):
         """Gradients of a scalar loss with logit-gradient ``dlogits``."""
-        (c_embed, c_mhsa, c_squeeze, shape, c_fwd, c_bwd, c_fc1, f1,
-         c_fc2) = cache
+        c_mhsa, shape, c_fwd, c_bwd, c_fc1, f1, c_fc2 = cache
         b, m, n, dsq = shape
         p = self.params
         grads = {}
@@ -427,10 +458,7 @@ class TsfenNetwork:
         dseq = self.lstm_fwd.backward(c_fwd, dh[:, :nh], p, grads)
         dseq_b = self.lstm_bwd.backward(c_bwd, dh[:, nh:], p, grads)
         dseq = dseq + dseq_b[:, ::-1, :]
-        ds = dseq.reshape(b, m, n, dsq)
-        da = self.squeeze.backward(c_squeeze, ds, p, grads)
-        de = self.mhsa.backward(c_mhsa, da, p, grads)
-        self.embed.backward(c_embed, de, p, grads)
+        self.mhsa.backward(c_mhsa, dseq.reshape(b, m, n, dsq), p, grads)
         return grads
 
     def policy(self, states: np.ndarray, mask: np.ndarray,

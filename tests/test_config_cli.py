@@ -333,13 +333,18 @@ class TestCli:
         assert "\n" not in errors[0]
         assert not (tmp_path / "r" / "rounds.csv").exists()
 
-    # finite values whose car-following or noise-power terms overflow
+    # finite values whose car-following, noise-power, channel-gain or
+    # Stage-1 terms overflow
     @pytest.mark.parametrize("section, name, value", [
         ("platoon", "speed_max", 1.0e300),
         ("platoon", "d_min", 1.0e300),
         ("platoon", "t_min", 1.0e300),
         ("platoon", "v_des", 1.0e-300),
         ("channel", "noise_variance_dbm", 1.0e300),
+        ("channel", "noise_variance_dbm", -1.0e300),
+        ("channel", "frequency_factor", 1.0e300),
+        ("cost", "cpu_hz", 1.0e300),
+        ("cost", "power_coeff", 1.0e300),
     ])
     def test_extreme_value_exits_2_naming_the_field(self, tmp_path, caplog,
                                                     section, name, value):

@@ -65,73 +65,73 @@ PINNED_BLAS_THREADS = 2
 NETWORK_HASHES = {
     1: {
         "embed.W":
-            "8698550b3226c092f2cc9cba0515c4d203b23e9b8e3fcbd0502debe81f699f7f",
+            "43d57b8f5de63b3f4255a32bd6e29aac0bfcc1838e07baba125a3139e1ad0e97",
         "embed.b":
-            "73970e737e316ae91225432990d52def41320ed5513ff4173329bb7045e56aea",
+            "e797f50215dc4c0b629e32d725b543302835084243753a224403970250569b47",
         "fc1.W":
-            "7d51b7ffaffd276d65a5ddb4adae991b69a436e34234fc037f252a4f76825c14",
+            "ecdb6dc708c9798c7dafb22b7ea81824a8527f7b581b85415906c6acb5ce5349",
         "fc1.b":
             "1f362d3ec5f49f17cb70513a051341663461e40ca26e801a66bff82ef7c96eb5",
         "fc2.W":
-            "2d4ab47ef11946b1235be7063d8646d6705c8c0a799fb96ec8257216d7704677",
+            "d5cab2c0996b63ee9a23933c06afffc6b97a3f4d021a2b90d75e411d6ea0b0a6",
         "fc2.b":
             "1df53324ebd669bdd80b13a9b6f2e2fafb2d27dc140bee4ea6e66c9daa550065",
         "logits":
-            "3131c3eaec0f9c3114f3c3ca446300f806d253432dc533cd8f57d68f875acae8",
+            "9ecbc025dca3988d8e2b8620eff0d66d565f8b894a261f231c4b6c81b4cc3bcd",
         "lstm_bwd.W":
-            "a16e537f058897bb6b3864020d4e881ab1f7651a13675ee745c4363fee68ae53",
+            "11149c888fa9807a55d73f99d4dd7be7e427388a42284bc8559e362c5cd184ca",
         "lstm_bwd.b":
-            "9cf383f030ffc26220d0d09bab37030144327fd95cb6b0d2820c04e3ca6ec693",
+            "f322f19a2e84003e43c38c1cf7656444e573f362df8c9a97a06ed270cc62d20e",
         "lstm_fwd.W":
-            "2b82e6645698c1dd0731c48dc30f7c724f588a8a56097a8965972a88cdeaf37e",
+            "45075791028b275377c569afe365c19bbcea6082b41474487ad639d6c634a64f",
         "lstm_fwd.b":
-            "b504f0fbb028a2ac7f7433b3e2e540ebd3462d36e9b5cee14f49cc07116f886e",
+            "c574a99d808009ef6163ff206babf7065f0c3da555feb7a2125f11f7becc91ab",
         "mhsa.Wo":
-            "28781b562da53ac52e8d4f670805d41db3847873150b9108926ace1b587187f2",
+            "0326ff158315d0931368461feb63bebacc5613b9acbc14ef9f4e37a14fa8aa31",
         "mhsa.Wqkv":
-            "213e2a545f28a939128837ccecddeab0f4e29b6d95aa6968ad960b5c3aba16a9",
+            "8839a5ca073ebb4bae95bd79367e2f6900d755c75789fb96ea9772e6a0dd723f",
         "squeeze.W":
-            "edc2ebe8b0318ed2bd3a71c48a1e21d4689376aff33a1c845c9e3a63f97fcadf",
+            "590ce44c4f5b85947917bcfceb32cf955938a35b619d9437b33278468fdcec23",
         "squeeze.b":
-            "140d00a86316b1c38ddb0b8318654fa69609e2aab3d6845248eae5e5e268493e",
+            "04fc7f967e9ac68b97da2922532188144c151ce8d4ac967e00475f58b702393d",
     },
     32: {
         "embed.W":
-            "2763f402842221c6012dd277496daf304d44754fc86110098d05483ed2b7cd89",
+            "94070da962877d3cc6be28c16b2746c0fd239ff6c0bfce967065a1ee7fc5a13b",
         "embed.b":
-            "9fb047c25c2bb9e46bf5012098835fabfba53d11e161c62b71930d519a4bd762",
+            "8ee33440959fc2b2f49db6d1e903527a51181aad905f5641a05f37a2f1a7897b",
         "fc1.W":
-            "6941d2d813d4d771f17cd69cb1d82b71e37a1ead30c17217fb72c49225ebb097",
+            "7c41632491e290508b2fae46cab9e1a5579dea9db2942811df8a8a0d05b0cb59",
         "fc1.b":
             "c09d3bf1de758d271a1224bc0c1b2871bd3a9c3638a007c8b466d2befd6bb431",
         "fc2.W":
-            "0a190e31d1f5435ec3ec01a9c19011a7f4c2f797111347281d8c5ea3e83c9499",
+            "bef2d24f19baf0cb3c4e7550f300ec9cb5aa6c886338242a8c45e6fac680f5cd",
         "fc2.b":
             "b369a24f3a8d1d7d7a22a46f3be7b9c493e6be4a23f00e489d3387aa94ea088e",
         "logits":
-            "603fcaf49df6e016437b9750a719168bce8c8f5ca94b2b32fe7b1cf99cfcd561",
+            "5495e08d5de3a4a26a0fd0697afa0d9ade90af8e71cfe2ebf160722d4b46760b",
         "lstm_bwd.W":
-            "3a88d19e1d46bfae80ce9926786a4233090c14b256c1c2873f40517a4d9b3085",
+            "26b4737d2961a1309899b84a236c3726ae5606522f01f35228ed7a68e034e86d",
         "lstm_bwd.b":
-            "dc2ab5c5c8dc90698ca81b53d80a2156c5a94b70801befe62f387e5ca1516389",
+            "4288d755beffdcfa7e7eff4c537dc0e48931d99224491dc2abeac5db2eaf910a",
         "lstm_fwd.W":
-            "ea1622dc105792620aec9a698db0ec18e9fda072c5907cdf70de24e70cfc3886",
+            "0649bfe0c8064dd1245f7c0596b1879cb764b6ff925acb952551dd335e6ee601",
         "lstm_fwd.b":
-            "4e2841e4252d62aa5c0f0da0b2c6ac429a64ec061f98bcae1eee1215bf6ac52b",
+            "3ebc47fa6057687da1d25e58f08293d63a91ae758c1131197745903409248ba5",
         "mhsa.Wo":
-            "0edad7800c02e1024f1b8c12afb700e8489a4fcd0aac876bacaa48daafc37065",
+            "4d68972ccdabdb0de505ee48d133251c734b5b9a8de0bb8dc1647f1562ae844b",
         "mhsa.Wqkv":
-            "67cbc4104bf31710bfe6469172fdff88f903484278aed0db02fbd439e5b6393f",
+            "a0fec69a1e3c8ab1804def47da34c6dc7084f6a7387d4e86162da1b5b96e2811",
         "squeeze.W":
-            "a994c5fb9a7c56cc2caf894b95a26c069a21382a838dd601eef3496a0987b1f0",
+            "a6fd7868bd3b1473eceae0fa48b90d225fba39877d125f48d56506bc5db02e01",
         "squeeze.b":
-            "57a9b647c6210d4f8f999c46d963e60c5dff1bfa75450dc8915087d3bda788ab",
+            "3e6d129c42bef0bacd78e583aeb1dc7caf51f646fc04becf7329dbe9b7ecd56d",
     },
 }
 
 TRAIN_HASHES = {
     "checkpoint_final.bin":
-        "37e72eefd38f705991ac775da928d24cf18d95cdc64d491a7f1ca9a9f1bab361",
+        "1a692a6e5444ddd1889ce0ddddd8a7bd6e59ef5be64ec5ba26257dde257abd34",
     "rounds.csv":
         "6fdb7eef566dc72a99e9c5933670668dba32ae8a6ef9c45f3d0b868513782bb0",
 }
@@ -143,7 +143,7 @@ TRAIN_CONFIG = {
 
 UPDATED_TRAIN_HASHES = {
     "checkpoint_final.bin":
-        "e33ea051bd118100e0749b21056fc0b8ca38a6dd527c5f04d8a68105dc1b1898",
+        "fd6fd959627a9c877ec321b2ab66d13168e0a414134115e6c8682277c9685dad",
     "rounds.csv":
         "0d052227cd3379a6938b0490c7caf625f7efd4ce02b99e110ae3f4d4ed51a708",
 }

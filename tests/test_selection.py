@@ -428,6 +428,25 @@ def test_idle_agent_records_certain_idling_and_steps_only_when_it_acted(
     assert sorted(rows.tolist()) == sorted(np.flatnonzero(~odd).tolist() * 2)
 
 
+def test_agent_that_never_acted_reports_zero_steps_and_no_ratio(
+        monkeypatch):
+    actor_steps = _record_calls(monkeypatch, "_actor_step")
+    policy = small_policy(4, 3, seed=6, batch_size=4, ppo_epochs=2,
+                          episodes_per_update=1)
+    # two eligible devices for three agents in every round
+    masks = [np.array([1.0, 0.0, 1.0, 0.0])] * 6
+    _play(policy, np.random.default_rng(6), 4, steps=6, masks=masks)
+    [stats] = policy.update_stats
+    for actor, entry in zip(policy.actors, stats):
+        assert all(np.isfinite(v) for v in entry.values())
+        assert entry["steps"] == sum(args[0].actor is actor
+                                     for args, _ in actor_steps)
+    *acting, idle = stats
+    assert all(entry["steps"] == 4 and "mean_ratio" in entry
+               for entry in acting)
+    assert idle["steps"] == 0 and "mean_ratio" not in idle
+
+
 class TestBaselines:
     def test_greedy_tie_break_takes_lowest_indices(self):
         actions = greedy_aoi_actions(np.full(5, 2.0), np.ones(5), 3)

@@ -1,3 +1,6 @@
+import copy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,8 +9,11 @@ from race_wfl.tsfen import (
     AdamState, DenseLayer, LstmLayer, MhsaLayer, TsfenConfig, TsfenNetwork,
     Workspace, adam_init, adam_step, load_params, masked_softmax,
     masked_softmax_backward, save_params, _attn_softmax,
-    _attn_softmax_backward, _sigmoid,
+    _attn_softmax_backward, _row_max, _sigmoid,
 )
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def plain_config(**kw):
@@ -21,27 +27,31 @@ def plain_config(**kw):
 
 
 class TestMhsa:
+    """Properties of the folded embedding -> attention -> squeeze layer."""
+
     def test_identical_rows_give_uniform_attention(self):
         rng = np.random.default_rng(0)
-        layer = MhsaLayer(8, 2, rng, "m")
-        x = np.tile(rng.standard_normal(8), (1, 1, 5, 1))
+        layer = MhsaLayer(3, 8, 2, 4, rng)
+        x = np.tile(rng.standard_normal(3), (1, 1, 5, 1))
         _, cache = layer.forward(x, layer.params)
-        attn = cache[5]
+        attn = cache[6]   # the (B*M, H, N, N) attention weights
         assert attn == pytest.approx(np.full_like(attn, 1 / 5), rel=1e-12)
 
     def test_single_device_reduces_to_value_projection(self):
         rng = np.random.default_rng(1)
-        layer = MhsaLayer(8, 2, rng, "m")
-        x = rng.standard_normal((1, 3, 1, 8))
-        out, _ = layer.forward(x, layer.params)
-        w_v = layer.params["m.Wqkv"][:, 16:]  # value block of the fused map
-        expected = x @ w_v @ layer.params["m.Wo"]
+        layer = MhsaLayer(3, 8, 2, 4, rng)
+        p = layer.params
+        x = rng.standard_normal((1, 3, 1, 3))
+        out, _ = layer.forward(x, p)
+        w_v = p["mhsa.Wqkv"][:, 16:]  # value block of the fused map
+        e = x @ p["embed.W"] + p["embed.b"]
+        expected = e @ w_v @ p["mhsa.Wo"] @ p["squeeze.W"] + p["squeeze.b"]
         assert out == pytest.approx(expected, rel=1e-12)
 
     def test_permutation_equivariance_over_devices(self):
         rng = np.random.default_rng(2)
-        layer = MhsaLayer(8, 4, rng, "m")
-        x = rng.standard_normal((2, 2, 6, 8))
+        layer = MhsaLayer(3, 8, 4, 4, rng)
+        x = rng.standard_normal((2, 2, 6, 3))
         out, _ = layer.forward(x, layer.params)
         perm = rng.permutation(6)
         out_p, _ = layer.forward(x[:, :, perm, :], layer.params)
@@ -49,16 +59,18 @@ class TestMhsa:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        layer = MhsaLayer(8, 2, rng, "m")
-        x = rng.standard_normal((2, 1, 4, 8))
-        r = rng.standard_normal((2, 1, 4, 8))
+        layer = MhsaLayer(3, 8, 2, 4, rng)
+        x = rng.standard_normal((2, 1, 4, 3))
+        r = rng.standard_normal((2, 1, 4, 4))
         out, cache = layer.forward(x, layer.params)
         grads = {}
         layer.backward(cache, r, layer.params, grads)
+        assert grads.keys() == layer.params.keys()
         h = 1e-5
         for name, p in layer.params.items():
             flat = p.ravel()
-            for i in rng.choice(flat.size, size=8, replace=False):
+            for i in rng.choice(flat.size, size=min(8, flat.size),
+                                replace=False):
                 orig = flat[i]
                 flat[i] = orig + h
                 lp = float((layer.forward(x, layer.params)[0] * r).sum())
@@ -194,13 +206,100 @@ class TestLstmMatchesPerStepReference:
         assert_close(dx, ref_dx)
 
 
+class UnfoldedMhsa:
+    """Embedding, attention and squeeze applied layer by layer, with the
+    score scale applied to the scores: the composition that ``MhsaLayer``
+    folds.  It has ``MhsaLayer``'s interface, so a network can run on it
+    in place of its attention layer."""
+
+    def __init__(self, n_heads):
+        self.h = n_heads
+
+    def forward(self, x, params, workspace=None):
+        p = params
+        b, m, n, _ = x.shape
+        e = x @ p["embed.W"] + p["embed.b"]
+        d = e.shape[-1]
+        h, dh = self.h, d // self.h
+        qkv = e @ p["mhsa.Wqkv"]
+        # (B, M, H, N, Dh) per-head queries, keys and values
+        q, k, v = (qkv[..., i * d:(i + 1) * d].reshape(b, m, n, h, dh)
+                   .transpose(0, 1, 3, 2, 4) for i in range(3))
+        scores = q @ k.swapaxes(-1, -2) / np.sqrt(dh)
+        attn = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        attn /= attn.sum(axis=-1, keepdims=True)
+        ctx = (attn @ v).transpose(0, 1, 3, 2, 4).reshape(b, m, n, d)
+        a = ctx @ p["mhsa.Wo"]
+        out = a @ p["squeeze.W"] + p["squeeze.b"]
+        return out, (x, e, q, k, v, attn, ctx, a)
+
+    def backward(self, cache, dout, params, grads):
+        p = params
+        x, e, q, k, v, attn, ctx, a = cache
+        b, m, h, n, dh = q.shape
+        d = h * dh
+
+        def rows(t):
+            return t.reshape(-1, t.shape[-1])
+
+        grads["squeeze.W"] = rows(a).T @ rows(dout)
+        grads["squeeze.b"] = rows(dout).sum(axis=0)
+        da = dout @ p["squeeze.W"].T
+        grads["mhsa.Wo"] = rows(ctx).T @ rows(da)
+        dheads = (da @ p["mhsa.Wo"].T).reshape(b, m, n, h, dh) \
+            .transpose(0, 1, 3, 2, 4)
+        dattn = dheads @ v.swapaxes(-1, -2)
+        dscores = (dattn - (dattn * attn).sum(axis=-1, keepdims=True)) \
+            * attn / np.sqrt(dh)
+        dqkv = np.concatenate([
+            t.transpose(0, 1, 3, 2, 4).reshape(b, m, n, d)
+            for t in (dscores @ k, dscores.swapaxes(-1, -2) @ q,
+                      attn.swapaxes(-1, -2) @ dheads)], axis=-1)
+        grads["mhsa.Wqkv"] = rows(e).T @ rows(dqkv)
+        de = dqkv @ p["mhsa.Wqkv"].T
+        grads["embed.W"] = rows(x).T @ rows(de)
+        grads["embed.b"] = rows(de).sum(axis=0)
+
+
+class TestFoldedAttentionMatchesUnfolded:
+    """Whole-network logits and every parameter gradient of the folded
+    attention layer against ``UnfoldedMhsa``, at the default network size
+    with the actor's and the critic's head."""
+
+    @pytest.mark.parametrize("batch", [1, 8, 32])
+    @pytest.mark.parametrize("out_dim", [None, 1])
+    def test_whole_tensors_match(self, batch, out_dim):
+        rng = np.random.default_rng(batch)
+        cfg = TsfenConfig(n_devices=20, output_dim=out_dim)
+        net = TsfenNetwork(cfg, rng)
+        ref = copy.copy(net)   # shares every parameter array
+        ref.mhsa = UnfoldedMhsa(cfg.n_heads)
+        states = _states(rng, cfg, batch)
+        dlogits = rng.standard_normal((batch, cfg.out_dim))
+        logits, cache = net.forward(states)
+        grads = net.backward(cache, dlogits)
+        ref_logits, ref_cache = ref.forward(states)
+        ref_grads = ref.backward(ref_cache, dlogits)
+        assert_close(logits, ref_logits)
+        assert grads.keys() == ref_grads.keys() == net.params.keys()
+        for name, g in ref_grads.items():
+            assert_close(grads[name], g)
+
+
 class TestAttentionSoftmaxMatchesReductions:
-    """BLAS row sums against ``sum(axis=-1)`` on whole attention tensors
-    of the default network (8 heads, 20 devices, 5 sub-periods)."""
+    """The column-loop row max and the BLAS row sums against
+    ``max(axis=-1)`` and ``sum(axis=-1)`` on whole attention tensors of
+    the default network (8 heads, 20 devices, 5 sub-periods)."""
 
     @staticmethod
     def _scores(rng, batch):
         return 3.0 * rng.standard_normal((batch * 5, 8, 20, 20))
+
+    @pytest.mark.parametrize("batch", [1, 32])
+    def test_row_max_is_bit_identical(self, batch):
+        scores = self._scores(np.random.default_rng(batch), batch)
+        ref = scores.max(axis=-1, keepdims=True)
+        assert _row_max(scores).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("batch", [1, 8, 32])
     def test_forward(self, batch):
@@ -214,10 +313,8 @@ class TestAttentionSoftmaxMatchesReductions:
         rng = np.random.default_rng(batch)
         attn = _attn_softmax(self._scores(rng, batch))
         dattn = rng.standard_normal(attn.shape)
-        ref = (dattn - (dattn * attn).sum(axis=-1, keepdims=True)) \
-            * attn * 0.5
-        out = _attn_softmax_backward(attn, dattn.copy(), 0.5,
-                                     np.empty_like(attn))
+        ref = (dattn - (dattn * attn).sum(axis=-1, keepdims=True)) * attn
+        out = _attn_softmax_backward(attn, dattn.copy(), np.empty_like(attn))
         assert_close(out, ref)
 
 
@@ -377,12 +474,12 @@ class TestWorkspace:
 
     def test_returned_output_survives_a_later_forward(self):
         rng = np.random.default_rng(10)
-        layer = MhsaLayer(8, 2, rng, "m")
+        layer = MhsaLayer(3, 8, 2, 4, rng)
         ws = Workspace()
-        out, _ = layer.forward(rng.standard_normal((2, 3, 5, 8)),
+        out, _ = layer.forward(rng.standard_normal((2, 3, 5, 3)),
                                layer.params, ws)
         kept = out.copy()
-        layer.forward(rng.standard_normal((2, 3, 5, 8)), layer.params, ws)
+        layer.forward(rng.standard_normal((2, 3, 5, 3)), layer.params, ws)
         assert out.tobytes() == kept.tobytes()
 
 
@@ -434,6 +531,27 @@ class TestCheckpoints:
         assert set(loaded) == set(net.params)
         for k in net.params:
             assert (loaded[k] == net.params[k]).all()
+
+    def test_layered_checkpoint_gives_its_logits(self):
+        # an actor and a critic saved by the layer-by-layer network (embed,
+        # attention and squeeze applied one after another), with the
+        # logits that network gave on four states drawn from
+        # ``states_seed``; the folded layer reads the same parameters
+        params, meta = load_params(DATA / "tsfen_layered.bin")
+        srng = np.random.default_rng(meta["states_seed"])
+        shape = (4, meta["network"]["history"],
+                 meta["network"]["n_devices"])
+        states = np.stack([srng.uniform(0.0, 0.5, shape),
+                           10.0 ** srng.uniform(8.0, 16.0, shape),
+                           srng.uniform(0.0, 5.0, shape)], axis=-1)
+        for head, out_dim in (("actor", None), ("critic", 1)):
+            cfg = TsfenConfig(output_dim=out_dim, **meta["network"])
+            net = TsfenNetwork(cfg, np.random.default_rng(0))
+            for name, p in net.params.items():
+                assert params[f"{head}.{name}"].shape == p.shape
+                p[...] = params[f"{head}.{name}"]
+            logits, _ = net.forward(states)
+            assert_close(logits, np.array(meta["logits"][head]))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
