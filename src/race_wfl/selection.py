@@ -165,8 +165,10 @@ def check_actions(actions, mask: np.ndarray, n_agents: int) -> np.ndarray:
 
 def _critic_values(critic: TsfenNetwork, states: np.ndarray, size: int,
                    workspace: Workspace = None) -> np.ndarray:
-    # chunks of ``size`` rows: a row's value does not depend on its batch,
-    # and no whole-episode activation cache is held at once
+    # chunks of ``size`` rows, so that no whole-episode activation cache
+    # is held at once.  The chunk size is part of the values' bits: a
+    # row's value can differ in the last bit between a 1-row chunk and a
+    # larger one
     return np.concatenate([
         critic.value(states[i:i + size], workspace)[0]
         for i in range(0, len(states), size)])

@@ -166,7 +166,9 @@ class World:
         state = sel.build_state(self.snapshots, subperiods)
 
         # per-device resource allocation at the latest gains
-        gain_now = gains[-1]
+        # Python floats: an overflow in Stage 1 gives inf (and then an
+        # ArithmeticError), not a numpy warning
+        gain_now = gains[-1].tolist()
         alloc = [None] * n
         feasible = np.zeros(n)
         for dev in range(n):
@@ -175,6 +177,10 @@ class World:
                     self.profiles[dev], gain_now[dev], cfg.channel.bandwidth)
             except InfeasibleError:
                 continue
+            except (ValueError, ArithmeticError) as exc:
+                # a gain or profile beyond the solver's float range
+                raise ConfigError(f"allocation for device {dev}: {exc}") \
+                    from exc
             feasible[dev] = 1.0
 
         if cfg.selection.mask == "binary":

@@ -11,16 +11,17 @@ Everything is float64 numpy with hand-written reverse-mode gradients:
 each layer's ``forward`` returns an output plus a cache, and ``backward``
 consumes the cache and the upstream gradient.  The embedding, the
 attention and the squeeze are one layer (``MhsaLayer``): nothing
-nonlinear lies between the embedding and the query/key/value projection
-or between the output projection and the squeeze, so each pair is
-applied as its product, a (F+1, 3D) and a (D, S) matrix, and no
-D-wide intermediate is formed.  The attention's large intermediates come
-from a ``Workspace`` that the caller may keep across steps of one
-update, so that consecutive minibatches reuse its memory instead of
-faulting fresh pages in.  Work is shaped into few, large BLAS calls: the
-attention softmax sums its rows with a BLAS matrix-vector product, and
-the LSTM leaves only its recurrent GEMM in the time loop (see
-``LstmLayer``).  The masked softmax maps a zero mask entry to exactly
+nonlinear lies between a device's features and the queries, keys and
+values, or between the attention's output and the squeeze, so the layer
+works in the (F+1)-wide augmented input instead of the D-wide model
+space: each head's scores are a bilinear form in it, and its output a
+linear map of its attention-weighted mean.  The attention's large
+intermediates come from a ``Workspace`` that the caller may keep across
+steps of one update, so that consecutive minibatches reuse its memory
+instead of faulting fresh pages in.  Work is shaped into few, large BLAS
+calls and long contiguous passes: the attention scores are stored
+key-major, and the LSTM leaves only its recurrent GEMM in the time loop
+(see ``LstmLayer``).  The masked softmax maps a zero mask entry to exactly
 zero probability (additive log-mask), and probabilities of maskable
 entries are floored at ``prob_floor`` and renormalized for numerical
 stability.
@@ -39,37 +40,41 @@ from .errors import CheckpointError, RaceError
 _MAGIC = b"TSFCKPT1"
 
 
-def _row_sums(a):
-    """Sums over the last axis as one BLAS matrix-vector product, with a
-    trailing axis of 1 to broadcast against ``a``; ``a`` is contiguous."""
-    n = a.shape[-1]
-    return (a.reshape(-1, n) @ np.ones(n)).reshape(a.shape[:-1] + (1,))
+def _attend(scores, xb, u, inv_z):
+    """Softmax over axis 0 of key-major scores (N_key, B*, Q), and each
+    query's attention-weighted mean of ``xb``'s (B*, N_key, F+1) rows.
 
-
-def _row_max(a):
-    """Maxima over the last axis, with a trailing axis of 1, as a loop of
-    ``np.maximum`` over its columns: faster than ``a.max(axis=-1)`` on
-    short rows, and a max is exact in any order."""
-    top = a[..., :1].copy()
-    for j in range(1, a.shape[-1]):
-        np.maximum(top, a[..., j:j + 1], out=top)
-    return top
-
-
-def _attn_softmax(scores):
-    """Row-softmax over the last axis, in place."""
-    scores -= _row_max(scores)
+    Overwrites ``scores`` with the unnormalized weights ``exp(s - max)``,
+    whose largest entry per column is 1, writes the means into ``u``
+    (B*, Q, F+1) and the reciprocal softmax sums into ``inv_z``
+    (B* * Q, 1).  ``xb``'s last column is 1, so the last column of the
+    unnormalized means is the softmax sum and no pass of its own sums the
+    weights.
+    """
+    scores -= scores.max(axis=0)
     np.exp(scores, out=scores)
-    scores /= _row_sums(scores)
-    return scores
+    np.matmul(scores.transpose(1, 2, 0), xb, out=u)
+    rows = u.reshape(-1, u.shape[-1])
+    np.divide(1.0, rows[:, -1:], out=inv_z)
+    rows *= inv_z
 
 
-def _attn_softmax_backward(attn, dattn, product):
-    """Softmax backward over the last axis; overwrites ``dattn`` with the
-    score gradient.  ``product`` is scratch of ``attn``'s shape."""
-    dattn -= _row_sums(np.multiply(dattn, attn, out=product))
-    dattn *= attn
-    return dattn
+def _attend_backward(weights, xb, u, inv_z, du, dscores):
+    """Key-major score gradient of ``_attend`` from the means' gradient
+    ``du``, written into ``dscores``; overwrites ``du``.
+
+    The softmax backward's row sum ``sum_j attn * dattn`` equals the row
+    dot product ``u . du``, because ``dattn`` is ``xb @ du.T``.  It is
+    subtracted from ``du``'s ones column before that GEMM, and ``du`` is
+    scaled by ``inv_z`` so that the unnormalized weights stand for the
+    attention.
+    """
+    rows = du.reshape(-1, du.shape[-1])
+    rows[:, -1] -= np.einsum("ij,ij->i", u.reshape(rows.shape), rows)
+    rows *= inv_z
+    np.matmul(xb, du.transpose(0, 2, 1), out=dscores.transpose(1, 0, 2))
+    dscores *= weights
+    return dscores
 
 
 class Workspace:
@@ -159,7 +164,8 @@ class DenseLayer:
 
 class MhsaLayer:
     """Linear embedding, scaled dot-product multi-head self-attention over
-    the device axis and linear squeeze, in folded form.
+    the device axis and linear squeeze, factored through the layer's
+    (F+1)-wide augmented input.
 
     Input (B, M, N, F) features, output (B, M, N, S); attention runs
     independently per (batch, sub-period) pair with parameters shared
@@ -168,17 +174,34 @@ class MhsaLayer:
     ``embed.b``, the query/key/value projections in one fused (D, 3D)
     matrix ``mhsa.Wqkv`` whose column blocks are the per-head
     projections, the output projection ``mhsa.Wo`` (D, D) and the squeeze
-    ``squeeze.W`` (D, S) and ``squeeze.b``.  With ``x1 = [x, 1]`` and
-    ``E = [embed.W; embed.b]`` the layer computes
-    ``qkv = x1 @ (E @ Wqkv)`` and ``s = ctx @ (Wo @ squeeze.W) +
-    squeeze.b``, and the score scale ``1 / sqrt(Dh)`` rides in the query
-    columns of ``E @ Wqkv``.  ``backward`` forms ``G = x1.T @ dqkv`` and
-    ``H = ctx.T @ ds`` and takes every weight gradient from those two
-    small matrices.
+    ``squeeze.W`` (D, S) and ``squeeze.b``.
 
-    The augmented input, the projection, the attention weights, the
-    context and their gradients live in a ``Workspace``; the layer output
-    and every gradient it returns are fresh arrays.
+    With ``x1 = [x, 1]`` and ``E = [embed.W; embed.b]``, head h's queries,
+    keys and values are ``x1 @ Wq_h``, ``x1 @ Wk_h`` and ``x1 @ Wv_h``,
+    where ``[Wq_h, Wk_h, Wv_h]`` are (F+1, Dh) column blocks of
+    ``E @ Wqkv``.  Its scores are therefore ``x1 A_h x1.T`` with the
+    (F+1, F+1) matrix ``A_h = Wq_h Wk_h.T / sqrt(Dh)``, and its share of
+    the squeezed output is ``(attn_h @ x1) M_h`` with the (F+1, S) matrix
+    ``M_h = Wv_h (Wo @ squeeze.W)_h``.  The layer computes exactly that:
+    one GEMM ``x1 @ [A_h]`` and one batched GEMM give the scores, and
+    ``U @ [M_h] + squeeze.b`` the output, where ``U`` holds each query's
+    attention-weighted mean of ``x1`` per head.  No query, key, value or
+    D-wide context is formed.  The factoring saves flops while F+1 <
+    D/H; a narrower head still gives the same function.
+
+    The scores are kept key-major, (N_key, B*M, N_query*H), so that the
+    softmax's max, subtract and exp are passes over long contiguous rows.
+    Its normalizer needs no pass of its own: ``x1``'s last column is 1,
+    so the last column of the unnormalized ``U`` is each softmax's sum.
+    In ``backward`` the softmax row sum ``sum_j attn * dattn`` equals
+    ``U . dU`` row by row, and is subtracted from ``dU``'s last column
+    before the GEMM that forms the score gradient.  Every weight gradient
+    comes from the small matrices ``x1.T @ dP`` (the ``A_h``) and
+    ``U.T @ dout`` (the ``M_h``).
+
+    The augmented input, the projection, the attention weights and their
+    gradients live in a ``Workspace``; the layer output and every
+    gradient it returns are fresh arrays.
     """
 
     def __init__(self, n_in, d_model, n_heads, n_out, rng):
@@ -195,60 +218,73 @@ class MhsaLayer:
             "squeeze.b": _uniform_init(rng, d_model, (n_out,)),
         }
 
+    def _heads(self, w_in):
+        """(H, F+1, Dh) query, key and value blocks of ``E @ Wqkv``."""
+        f1 = w_in.shape[0]
+        return w_in.reshape(f1, 3, self.h, self.dh).transpose(1, 2, 0, 3)
+
     def forward(self, x, params, workspace=None):
         ws = Workspace() if workspace is None else workspace
         ws.generation += 1
         b, m, n, f = x.shape
-        bm, d, h, dh = b * m, self.d, self.h, self.dh
-        x1 = ws.take("mhsa.x1", (bm * n, f + 1))
+        bm, h, f1 = b * m, self.h, f + 1
+        x1 = ws.take("mhsa.x1", (bm * n, f1))
         x1[:, :f] = x.reshape(-1, f)
         x1[:, f] = 1.0
+        xb = x1.reshape(bm, n, f1)
         e = np.vstack((params["embed.W"], params["embed.b"]))
         w_in = e @ params["mhsa.Wqkv"]
-        w_in[:, :d] *= 1.0 / np.sqrt(dh)
-        qkv = ws.take("mhsa.qkv", (bm, n, 3 * d))
-        np.matmul(x1, w_in, out=qkv.reshape(bm * n, 3 * d))
-        # q, k and v are (B*, H, N, Dh) head views of the fused projection
-        q, k, v = qkv.reshape(bm, n, 3, h, dh).transpose(2, 0, 3, 1, 4)
-        scores = ws.take("mhsa.attn", (bm, h, n, n))
-        np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
-        attn = _attn_softmax(scores)
-        ctx = ws.take("mhsa.ctx", (bm, n, h, dh))
-        np.matmul(attn, v, out=ctx.transpose(0, 2, 1, 3))
-        ctx = ctx.reshape(bm * n, d)
+        w_in[:, :self.d] *= 1.0 / np.sqrt(self.dh)
+        wq, wk, wv = self._heads(w_in)
+        a_cat = (wq @ wk.transpose(0, 2, 1)).transpose(1, 0, 2) \
+            .reshape(f1, h * f1)
+        # proj rows are (B*M*N, H*(F+1)); per (batch, sub-period) its
+        # (N*H, F+1) view has one row per (query, head)
+        proj = ws.take("mhsa.proj", (bm * n, h * f1))
+        np.matmul(x1, a_cat, out=proj)
+        per_query = proj.reshape(bm, n * h, f1)
+        weights = ws.take("mhsa.attn", (n, bm, n * h))
+        np.matmul(xb, per_query.transpose(0, 2, 1),
+                  out=weights.transpose(1, 0, 2))
+        # U overwrites the projection, which the scores no longer need
+        inv_z = ws.take("mhsa.inv_z", (bm * n * h, 1))
+        _attend(weights, xb, per_query, inv_z)
         w_out = params["mhsa.Wo"] @ params["squeeze.W"]
-        out = ctx @ w_out + params["squeeze.b"]
+        m_cat = (wv @ w_out.reshape(h, self.dh, -1)).reshape(h * f1, -1)
+        out = proj @ m_cat + params["squeeze.b"]
         return (out.reshape(b, m, n, -1),
-                (x1, e, w_out, q, k, v, attn, ctx, ws, ws.generation))
+                (x1, e, w_in, w_out, m_cat, weights, proj, inv_z, ws,
+                 ws.generation))
 
     def backward(self, cache, dout, params, grads):
-        x1, e, w_out, q, k, v, attn, ctx, ws, generation = cache
+        x1, e, w_in, w_out, m_cat, weights, proj, inv_z, ws, generation \
+            = cache
         if ws.generation != generation:
             raise RaceError("stale MHSA cache: a later forward has reused "
                             "its workspace buffers")
-        bm, h, n, dh = q.shape
-        d = h * dh
+        n, bm, nh = weights.shape
+        h, dh, f1 = self.h, self.dh, x1.shape[1]
+        xb = x1.reshape(bm, n, f1)
+        wq, wk, wv = self._heads(w_in)
         dflat = dout.reshape(bm * n, -1)
-        hmat = ctx.T @ dflat
+        dm = (proj.T @ dflat).reshape(h, f1, -1)
+        hmat = (wv.transpose(0, 2, 1) @ dm).reshape(self.d, -1)
         grads["mhsa.Wo"] = hmat @ params["squeeze.W"].T
         grads["squeeze.W"] = params["mhsa.Wo"].T @ hmat
         grads["squeeze.b"] = dflat.sum(axis=0)
-        dheads = ws.take("mhsa.dheads", (bm * n, d))
-        np.matmul(dflat, w_out.T, out=dheads)
-        dheads = dheads.reshape(bm, n, h, dh).transpose(0, 2, 1, 3)
-        dattn = ws.take("mhsa.dattn", (bm, h, n, n))
-        np.matmul(dheads, v.transpose(0, 1, 3, 2), out=dattn)
-        # dq, dk and dv are written straight into the fused gradient; dq
-        # is taken with respect to the scaled queries
-        dqkv = ws.take("mhsa.dqkv", (bm, n, 3, h, dh))
-        dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
-        np.matmul(attn.transpose(0, 1, 3, 2), dheads, out=dv)
-        dscores = _attn_softmax_backward(
-            attn, dattn, ws.take("mhsa.dattn_attn", attn.shape))
-        np.matmul(dscores, k, out=dq)
-        np.matmul(dscores.transpose(0, 1, 3, 2), q, out=dk)
-        gmat = x1.T @ dqkv.reshape(bm * n, 3 * d)
-        gmat[:, :d] *= 1.0 / np.sqrt(dh)
+        dwv = dm @ w_out.reshape(h, dh, -1).transpose(0, 2, 1)
+        dproj = ws.take("mhsa.dproj", proj.shape)
+        np.matmul(dflat, m_cat.T, out=dproj)
+        per_query = dproj.reshape(bm, nh, f1)
+        dscores = _attend_backward(
+            weights, xb, proj.reshape(bm, nh, f1), inv_z, per_query,
+            ws.take("mhsa.dattn", weights.shape))
+        # dP overwrites dU
+        np.matmul(dscores.transpose(1, 2, 0), xb, out=per_query)
+        da = (x1.T @ dproj).reshape(f1, h, f1).transpose(1, 0, 2)
+        gmat = np.stack((da @ wk, da.transpose(0, 2, 1) @ wq, dwv)) \
+            .transpose(2, 0, 1, 3).reshape(f1, 3 * self.d)
+        gmat[:, :self.d] *= 1.0 / np.sqrt(dh)
         grads["mhsa.Wqkv"] = e.T @ gmat
         de = gmat @ params["mhsa.Wqkv"].T
         grads["embed.W"] = de[:-1]

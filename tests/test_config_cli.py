@@ -361,6 +361,29 @@ class TestCli:
             f"configuration error: bad value in section {section}: ")
         assert name in errors[0]
 
+    # values no section can bound, because the Stage-1 terms they break
+    # depend on the budget left or on the distance: chi ** 3 underflows
+    # in the power-capped branch, and every gain is 0
+    @pytest.mark.parametrize("section, name, value", [
+        ("cost", "power_coeff", 1.0e270),
+        ("channel", "path_loss_exponent", 1.0e300),
+    ])
+    def test_allocation_beyond_float_range_exits_2(self, tmp_path, caplog,
+                                                   capsys, section, name,
+                                                   value):
+        data = json.loads(json.dumps(TINY))
+        data.setdefault(section, {})[name] = value
+        path = tmp_path / "extreme.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert main(["baseline", "--policy", "greedy_aoi", "--config",
+                     str(path), "--out-dir", str(tmp_path / "r")]) == 2
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert errors[0].startswith("configuration error: round 0 ")
+        assert "allocation for device 0: " in errors[0]
+        assert "Traceback" not in capsys.readouterr().err + caplog.text
+
     @pytest.mark.parametrize("row, column", [
         ("100,1e7,0.5e9,1e-28,0.0316,-0.1,1e6,1e6", "max_energy_j"),
         ("100,1e7,0.5e9,1e-28,0.0316,0.1,1e6,abc", "gain"),

@@ -65,73 +65,73 @@ PINNED_BLAS_THREADS = 2
 NETWORK_HASHES = {
     1: {
         "embed.W":
-            "43d57b8f5de63b3f4255a32bd6e29aac0bfcc1838e07baba125a3139e1ad0e97",
+            "e80f74ef961a34f1f60d2b85a4fe9a6d5aab732861bbd3fc8e95889dbf454a06",
         "embed.b":
-            "e797f50215dc4c0b629e32d725b543302835084243753a224403970250569b47",
+            "bff4757814ba5180104af9af3fd6c03da01d8eaf31272201c7bbeeb00a73dd67",
         "fc1.W":
-            "ecdb6dc708c9798c7dafb22b7ea81824a8527f7b581b85415906c6acb5ce5349",
+            "0a82ab978266a64fe78107c46b8e71739f7ae2b712ac8d5b23f887751b7cc33e",
         "fc1.b":
             "1f362d3ec5f49f17cb70513a051341663461e40ca26e801a66bff82ef7c96eb5",
         "fc2.W":
-            "d5cab2c0996b63ee9a23933c06afffc6b97a3f4d021a2b90d75e411d6ea0b0a6",
+            "3e1fba2da1d992aba751475d36139c0dd8b075299a1a9ede7c6c1bd3758f6646",
         "fc2.b":
             "1df53324ebd669bdd80b13a9b6f2e2fafb2d27dc140bee4ea6e66c9daa550065",
         "logits":
-            "9ecbc025dca3988d8e2b8620eff0d66d565f8b894a261f231c4b6c81b4cc3bcd",
+            "f59bbdfb9f505b98088ea8a10779ebdd9db973a50793a3cf3d9c7e3efeae8150",
         "lstm_bwd.W":
-            "11149c888fa9807a55d73f99d4dd7be7e427388a42284bc8559e362c5cd184ca",
+            "bfc424eab75c3d8f8d3bdc73e4779479cb4a034069f4951312a2137a8423c245",
         "lstm_bwd.b":
-            "f322f19a2e84003e43c38c1cf7656444e573f362df8c9a97a06ed270cc62d20e",
+            "11a7573cc285646da201cf395d77e26032b171aea152e18fbe57b5a9c5c61c75",
         "lstm_fwd.W":
-            "45075791028b275377c569afe365c19bbcea6082b41474487ad639d6c634a64f",
+            "057cd41da91be698996fa10f667847cbcc1dbb0413ffad32c55164b4dbf4e14e",
         "lstm_fwd.b":
-            "c574a99d808009ef6163ff206babf7065f0c3da555feb7a2125f11f7becc91ab",
+            "e86339e2d9484c34d52647f197d6fbfcf66d1c399973c3c09e053b0b3ef4d33b",
         "mhsa.Wo":
-            "0326ff158315d0931368461feb63bebacc5613b9acbc14ef9f4e37a14fa8aa31",
+            "fb01c49057aa8e4cd32b974888404200882275dc3bc71ae3e915f38ba6204b45",
         "mhsa.Wqkv":
-            "8839a5ca073ebb4bae95bd79367e2f6900d755c75789fb96ea9772e6a0dd723f",
+            "39e34f13949c17012252d4c0ccc5fc4ba31d38940c5f485b0c002da46df2fab7",
         "squeeze.W":
-            "590ce44c4f5b85947917bcfceb32cf955938a35b619d9437b33278468fdcec23",
+            "e7830e5dc1d9389113dff2976c72922e0a772fa03ecb56de89dc3129d54a42cb",
         "squeeze.b":
-            "04fc7f967e9ac68b97da2922532188144c151ce8d4ac967e00475f58b702393d",
+            "c2f92a99b7c32e0ffc7c3ddcefd7c70fa0a540cdf2fdca9a75ffcd3a7a8792c9",
     },
     32: {
         "embed.W":
-            "94070da962877d3cc6be28c16b2746c0fd239ff6c0bfce967065a1ee7fc5a13b",
+            "8d079b759bf08c2cc4d903b4d90a1e762f62f7ffaa71149efdac56a3b8f6523e",
         "embed.b":
-            "8ee33440959fc2b2f49db6d1e903527a51181aad905f5641a05f37a2f1a7897b",
+            "078aa0640ec812afb2acd4bd3a45d8e37e4a249e8ce472c0a9622cb4a0e254b6",
         "fc1.W":
-            "7c41632491e290508b2fae46cab9e1a5579dea9db2942811df8a8a0d05b0cb59",
+            "59b8e8b284aa0149046cc0f89f47ed71f988457dea42834c0b27d64227fa7897",
         "fc1.b":
             "c09d3bf1de758d271a1224bc0c1b2871bd3a9c3638a007c8b466d2befd6bb431",
         "fc2.W":
-            "bef2d24f19baf0cb3c4e7550f300ec9cb5aa6c886338242a8c45e6fac680f5cd",
+            "6fd834bbee64f2395b3209e04575694e0b129f8139f8e4500bf3739fdcd98fd6",
         "fc2.b":
             "b369a24f3a8d1d7d7a22a46f3be7b9c493e6be4a23f00e489d3387aa94ea088e",
         "logits":
-            "5495e08d5de3a4a26a0fd0697afa0d9ade90af8e71cfe2ebf160722d4b46760b",
+            "28cdc7af049a0a6d663aaf8a5b79f35c1cf528d08048275a00ed311b21a4ebfc",
         "lstm_bwd.W":
-            "26b4737d2961a1309899b84a236c3726ae5606522f01f35228ed7a68e034e86d",
+            "70c26486864c8fa694bd25fdcf0eb74a74cde87c8896663336fd4a82bbeab0f5",
         "lstm_bwd.b":
-            "4288d755beffdcfa7e7eff4c537dc0e48931d99224491dc2abeac5db2eaf910a",
+            "ee80e4781e8ce90d0ed2de5d2a59eefcfe846032cd054c0b411f93fddf334a43",
         "lstm_fwd.W":
-            "0649bfe0c8064dd1245f7c0596b1879cb764b6ff925acb952551dd335e6ee601",
+            "450e7e20052559beaa2cf2c3249fe91904978f646030ca1f708de971fab6d3fb",
         "lstm_fwd.b":
-            "3ebc47fa6057687da1d25e58f08293d63a91ae758c1131197745903409248ba5",
+            "7da5aad711f06276936b87e06e3df0508156fb9e1eba7f2cd838a4928bb90a9c",
         "mhsa.Wo":
-            "4d68972ccdabdb0de505ee48d133251c734b5b9a8de0bb8dc1647f1562ae844b",
+            "c89afc16d09d30e84bd5c7b144d664d6ccf16648c4172ade95ba48d882f4ca79",
         "mhsa.Wqkv":
-            "a0fec69a1e3c8ab1804def47da34c6dc7084f6a7387d4e86162da1b5b96e2811",
+            "07b9d3a025592a0b7bdbc450d5df5d4d6df5ec093b9d1daaaaab983ae776eb4f",
         "squeeze.W":
-            "a6fd7868bd3b1473eceae0fa48b90d225fba39877d125f48d56506bc5db02e01",
+            "1ba74c9d3743be3c4ee6f402b45ba7a5b40c596fb4d3f457f4808f60d783d261",
         "squeeze.b":
-            "3e6d129c42bef0bacd78e583aeb1dc7caf51f646fc04becf7329dbe9b7ecd56d",
+            "6caaa6ec2975497a90b9a48073e914c64ee411a2160a339246643292dae10d8a",
     },
 }
 
 TRAIN_HASHES = {
     "checkpoint_final.bin":
-        "1a692a6e5444ddd1889ce0ddddd8a7bd6e59ef5be64ec5ba26257dde257abd34",
+        "18d085ee950f6e9e4c89a13dda245be7d03d5317810e10f3961f55c5fcacaf7f",
     "rounds.csv":
         "6fdb7eef566dc72a99e9c5933670668dba32ae8a6ef9c45f3d0b868513782bb0",
 }
@@ -143,7 +143,7 @@ TRAIN_CONFIG = {
 
 UPDATED_TRAIN_HASHES = {
     "checkpoint_final.bin":
-        "fd6fd959627a9c877ec321b2ab66d13168e0a414134115e6c8682277c9685dad",
+        "6d87e08813e41e738e8f74e8c3f3f15cc62aaea40cab020d15a1849f4df0b58e",
     "rounds.csv":
         "0d052227cd3379a6938b0490c7caf625f7efd4ce02b99e110ae3f4d4ed51a708",
 }

@@ -8,8 +8,8 @@ from race_wfl.errors import CheckpointError, RaceError
 from race_wfl.tsfen import (
     AdamState, DenseLayer, LstmLayer, MhsaLayer, TsfenConfig, TsfenNetwork,
     Workspace, adam_init, adam_step, load_params, masked_softmax,
-    masked_softmax_backward, save_params, _attn_softmax,
-    _attn_softmax_backward, _row_max, _sigmoid,
+    masked_softmax_backward, save_params, _attend, _attend_backward,
+    _sigmoid,
 )
 
 
@@ -34,7 +34,8 @@ class TestMhsa:
         layer = MhsaLayer(3, 8, 2, 4, rng)
         x = np.tile(rng.standard_normal(3), (1, 1, 5, 1))
         _, cache = layer.forward(x, layer.params)
-        attn = cache[6]   # the (B*M, H, N, N) attention weights
+        weights = cache[5]   # key-major (N, B*M, N*H), unnormalized
+        attn = weights / weights.sum(axis=0)
         assert attn == pytest.approx(np.full_like(attn, 1 / 5), rel=1e-12)
 
     def test_single_device_reduces_to_value_projection(self):
@@ -262,15 +263,14 @@ class UnfoldedMhsa:
 
 
 class TestFoldedAttentionMatchesUnfolded:
-    """Whole-network logits and every parameter gradient of the folded
-    attention layer against ``UnfoldedMhsa``, at the default network size
-    with the actor's and the critic's head."""
+    """Whole-network logits and every parameter gradient of the factored
+    attention layer against ``UnfoldedMhsa``: at the default network size
+    with the actor's and the critic's head, and at head widths at and
+    below F+1 and device counts other than 20, which the same code path
+    serves."""
 
-    @pytest.mark.parametrize("batch", [1, 8, 32])
-    @pytest.mark.parametrize("out_dim", [None, 1])
-    def test_whole_tensors_match(self, batch, out_dim):
-        rng = np.random.default_rng(batch)
-        cfg = TsfenConfig(n_devices=20, output_dim=out_dim)
+    @staticmethod
+    def _check(cfg, batch, rng):
         net = TsfenNetwork(cfg, rng)
         ref = copy.copy(net)   # shares every parameter array
         ref.mhsa = UnfoldedMhsa(cfg.n_heads)
@@ -285,36 +285,76 @@ class TestFoldedAttentionMatchesUnfolded:
         for name, g in ref_grads.items():
             assert_close(grads[name], g)
 
+    @pytest.mark.parametrize("batch", [1, 8, 32])
+    @pytest.mark.parametrize("out_dim", [None, 1])
+    def test_whole_tensors_match(self, batch, out_dim):
+        cfg = TsfenConfig(n_devices=20, output_dim=out_dim)
+        self._check(cfg, batch, np.random.default_rng(batch))
 
-class TestAttentionSoftmaxMatchesReductions:
-    """The column-loop row max and the BLAS row sums against
-    ``max(axis=-1)`` and ``sum(axis=-1)`` on whole attention tensors of
-    the default network (8 heads, 20 devices, 5 sub-periods)."""
+    @pytest.mark.parametrize("d_model,n_heads", [(8, 8), (16, 4), (16, 2)])
+    @pytest.mark.parametrize("n_devices", [1, 7, 20])
+    def test_narrow_heads_and_other_device_counts(self, d_model, n_heads,
+                                                  n_devices):
+        cfg = TsfenConfig(n_devices=n_devices, d_model=d_model,
+                          n_heads=n_heads, lstm_hidden=16, fc_hidden=16)
+        self._check(cfg, 4, np.random.default_rng(d_model + n_devices))
+
+
+class TestKeyMajorAttentionMatchesReductions:
+    """``_attend`` and ``_attend_backward`` on key-major score tensors of
+    the default network (8 heads, 20 devices, 5 sub-periods) against a
+    softmax and a softmax backward written with ``max`` and ``sum`` over
+    the key axis."""
 
     @staticmethod
-    def _scores(rng, batch):
-        return 3.0 * rng.standard_normal((batch * 5, 8, 20, 20))
+    def _inputs(rng, batch, n=20, heads=8, f1=4):
+        bm = batch * 5
+        scores = 3.0 * rng.standard_normal((n, bm, n * heads))
+        xb = rng.standard_normal((bm, n, f1))
+        xb[..., -1] = 1.0   # the augmented input's ones column
+        return scores, xb
+
+    @staticmethod
+    def _softmax(scores):
+        attn = np.exp(scores - scores.max(axis=0))
+        return attn / attn.sum(axis=0)
 
     @pytest.mark.parametrize("batch", [1, 32])
-    def test_row_max_is_bit_identical(self, batch):
-        scores = self._scores(np.random.default_rng(batch), batch)
-        ref = scores.max(axis=-1, keepdims=True)
-        assert _row_max(scores).tobytes() == ref.tobytes()
+    def test_largest_weight_is_exactly_one(self, batch):
+        scores, xb = self._inputs(np.random.default_rng(batch), batch)
+        weights = scores.copy()
+        _attend(weights, xb, np.empty((xb.shape[0], scores.shape[2], 4)),
+                np.empty((xb.shape[0] * scores.shape[2], 1)))
+        # the max is exact, so its column's exp is exp(0.0)
+        assert (weights.max(axis=0) == 1.0).all()
+        assert (weights.argmax(axis=0) == scores.argmax(axis=0)).all()
 
     @pytest.mark.parametrize("batch", [1, 8, 32])
     def test_forward(self, batch):
-        scores = self._scores(np.random.default_rng(batch), batch)
-        ref = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        ref /= ref.sum(axis=-1, keepdims=True)
-        assert_close(_attn_softmax(scores.copy()), ref)
+        scores, xb = self._inputs(np.random.default_rng(batch), batch)
+        bm, q = xb.shape[0], scores.shape[2]
+        attn = self._softmax(scores)
+        ref_u = np.einsum("jbq,bjc->bqc", attn, xb)
+        weights, u, inv_z = scores.copy(), np.empty((bm, q, 4)), \
+            np.empty((bm * q, 1))
+        _attend(weights, xb, u, inv_z)
+        assert_close(weights * inv_z.reshape(bm, q), attn)
+        assert_close(u, ref_u)
 
     @pytest.mark.parametrize("batch", [1, 8, 32])
     def test_backward(self, batch):
         rng = np.random.default_rng(batch)
-        attn = _attn_softmax(self._scores(rng, batch))
-        dattn = rng.standard_normal(attn.shape)
-        ref = (dattn - (dattn * attn).sum(axis=-1, keepdims=True)) * attn
-        out = _attn_softmax_backward(attn, dattn.copy(), np.empty_like(attn))
+        scores, xb = self._inputs(rng, batch)
+        bm, q = xb.shape[0], scores.shape[2]
+        weights, u, inv_z = scores.copy(), np.empty((bm, q, 4)), \
+            np.empty((bm * q, 1))
+        _attend(weights, xb, u, inv_z)
+        du = rng.standard_normal(u.shape)
+        attn = self._softmax(scores)
+        dattn = np.einsum("bjc,bqc->jbq", xb, du)
+        ref = (dattn - (dattn * attn).sum(axis=0)) * attn
+        out = _attend_backward(weights, xb, u, inv_z, du.copy(),
+                               np.empty_like(weights))
         assert_close(out, ref)
 
 
