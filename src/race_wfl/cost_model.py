@@ -1,17 +1,15 @@
-"""Per-device computation/communication costs and the round delay.
+"""Per-device resources, computation costs and the round delay.
 
 Computation time scales inversely with the allocated CPU fraction while
-computation energy grows with its square; transmission time is the model
-size over the achievable rate and transmission energy is the radiated
-power times that time.  The round delay is the longest total delay among
-the devices the sub-channel agents picked.
+computation energy grows with its square; the transmission side lives
+with the allocation solver in ``resource_alloc``.  The round delay is the
+longest total delay among the devices the sub-channel agents picked.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import data_rate
 from .errors import RaceError
 
 
@@ -42,46 +40,12 @@ class DeviceProfile:
         return self.cycles_per_sample * self.sample_count
 
 
-@dataclass(frozen=True)
-class DeviceCosts:
-    comp_time: float
-    comp_energy: float
-    tx_time: float
-    tx_energy: float
-
-    @property
-    def total_time(self) -> float:
-        return self.comp_time + self.tx_time
-
-    @property
-    def total_energy(self) -> float:
-        return self.comp_energy + self.tx_energy
-
-
 def comp_costs(p: DeviceProfile, chi: float) -> tuple[float, float]:
     """(time, energy) of local training at CPU fraction ``chi`` > 0."""
     if chi <= 0:
         raise RaceError("chi = 0 gives infinite computation delay")
     eff_hz = chi * p.cpu_hz
     return p.work_cycles / eff_hz, p.power_coeff * p.work_cycles * eff_hz ** 2
-
-
-def device_costs(p: DeviceProfile, chi: float, rho: float, gain: float,
-                 bandwidth: float) -> DeviceCosts:
-    """Full cost breakdown for a selected device.
-
-    ``chi`` and ``rho`` must be strictly positive: a selected device with
-    a zero allocation would never finish its round.
-    """
-    if rho <= 0:
-        raise RaceError("rho = 0 gives zero rate and infinite delay")
-    comp_time, comp_energy = comp_costs(p, chi)
-    rate = data_rate(bandwidth, rho, p.max_power_w, gain)
-    if rate <= 0:
-        raise RaceError("zero data rate: transmission never completes")
-    tx_time = p.model_bits / rate
-    tx_energy = rho * p.max_power_w * tx_time
-    return DeviceCosts(comp_time, comp_energy, tx_time, tx_energy)
 
 
 def round_delay(actions: np.ndarray, delays: np.ndarray) -> float:

@@ -121,32 +121,6 @@ def step_platoon(state: PlatoonState, p: PlatoonSection,
                         state.lengths.copy())
 
 
-def simulate_platoon(state: PlatoonState, p: PlatoonSection, n_steps: int,
-                     leader_targets: np.ndarray | float | None = None):
-    """Run ``n_steps`` updates; returns (positions, speeds) trajectories
-    of shape (n_steps + 1, n), row 0 the initial state. Raises
-    CollisionError on a fault."""
-    if leader_targets is None:
-        leader_targets = float(state.speeds[0])
-    if np.isscalar(leader_targets):
-        leader_targets = np.full(n_steps, float(leader_targets))
-    leader_targets = np.asarray(leader_targets, dtype=np.float64)
-    if leader_targets.shape != (n_steps,):
-        raise ValueError("leader_targets must have one entry per step")
-    x = state.positions.tolist()
-    v = state.speeds.tolist()
-    acc = state.accelerations.tolist()
-    lengths = state.lengths.tolist()
-    traj_x = [x.copy()]
-    traj_v = [v.copy()]
-    for s, target in enumerate(leader_targets.tolist()):
-        if _step_kernel(x, v, acc, lengths, p, target) > 0:
-            raise CollisionError(f"collision at step {s + 1}")
-        traj_x.append(x.copy())
-        traj_v.append(v.copy())
-    return np.array(traj_x), np.array(traj_v)
-
-
 def init_platoon(p: PlatoonSection, rng: np.random.Generator,
                  leader_speed: float | None = None) -> PlatoonState:
     """Random initial platoon: speeds and bumper gaps drawn uniformly."""

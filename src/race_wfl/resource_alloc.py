@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cost_model import DeviceProfile
+from .cost_model import DeviceProfile, comp_costs
 from .errors import ConvergenceError, InfeasibleError, RaceError
 
 LN2 = 0.6931471805599453
@@ -156,12 +156,11 @@ def _stationary_rate(kappa, mz, cpu_hz, bits, bandwidth, gain, emax):
 
 
 def _result(profile, chi, rho, delta, binding, multipliers):
-    ecp = profile.power_coeff * profile.work_cycles * (
-        chi * profile.cpu_hz) ** 2
+    comp_time, ecp = comp_costs(profile, chi)
     res = AllocationResult(
         chi=float(chi), rho=float(rho), tx_time=float(delta),
         binding=binding, multipliers=multipliers,
-        comp_time=float(profile.work_cycles / (chi * profile.cpu_hz)),
+        comp_time=float(comp_time),
         energy=float(ecp + rho * profile.max_power_w * delta),
     )
     if (binding is Binding.ENERGY_BINDING and not res.energy

@@ -41,18 +41,16 @@ log = logging.getLogger(__name__)
 _LOG_TINY = -745.0  # exp underflows to 0 below this
 
 
-def build_state(history, m: int) -> np.ndarray:
-    """Stack the last ``m`` per-sub-period snapshots into (m, N, 3).
-
-    ``history`` is a sequence of (N, 3) arrays ordered oldest to newest;
-    shorter histories are padded by repeating the earliest snapshot.
-    """
-    if len(history) == 0:
-        raise RaceError("need at least one snapshot")
-    frames = list(history)[-m:]
-    while len(frames) < m:
-        frames.insert(0, frames[0])
-    return np.stack([np.asarray(f, dtype=np.float64) for f in frames])
+def build_state(drift: np.ndarray, gains: np.ndarray,
+                aoi: np.ndarray) -> np.ndarray:
+    """One round's (M, N, 3) MDP state from its (M, N) per-sub-period
+    channel gains: row (m, i) is device i's (drift, gain in sub-period m,
+    age)."""
+    state = np.empty(gains.shape + (3,))
+    state[..., 0] = drift
+    state[..., 1] = gains
+    state[..., 2] = aoi
+    return state
 
 
 def binary_mask(drift: np.ndarray, threshold: float) -> np.ndarray:
@@ -65,22 +63,30 @@ def adaptive_mask(drift: np.ndarray, threshold: float, temperature: float,
     """Soft eligibility that decays in drift and sharpens over rounds.
 
     Ineligible devices get weight exp(-temperature * drift *
-    (1 - pl_ratio)^(-round_index)); an exponent below the float range is
-    clamped to zero weight (hard exclusion) with a log record.
+    (1 - pl_ratio)^(-round_index)); an exponent below the float range,
+    or a growth factor beyond it, is clamped to zero weight (hard
+    exclusion) with a log record.
     """
     if not 0.0 < pl_ratio < 1.0:
         raise RaceError("pl_ratio must lie in (0, 1)")
     if temperature <= 0.0:
         raise RaceError("temperature must be > 0")
     drift = np.asarray(drift, dtype=np.float64)
-    growth = math.exp(-round_index * math.log1p(-pl_ratio))
-    exponent = -temperature * drift * growth
-    clamped = exponent < _LOG_TINY
+    eligible = drift <= threshold
+    try:
+        growth = math.exp(-round_index * math.log1p(-pl_ratio))
+    except OverflowError:
+        # zero weight for every ineligible device; eligible ones get 1
+        exponent = np.full_like(drift, -math.inf)
+    else:
+        with np.errstate(over="ignore"):  # -inf is clamped below
+            exponent = -temperature * drift * growth
+    clamped = (exponent < _LOG_TINY) & ~eligible
     if clamped.any():
         log.warning("adaptive mask underflow for %d device(s); "
                     "clamping to zero weight", int(clamped.sum()))
     soft = np.where(clamped, 0.0, np.exp(np.maximum(exponent, _LOG_TINY)))
-    return np.where(drift <= threshold, 1.0, soft)
+    return np.where(eligible, 1.0, soft)
 
 
 def gae(residuals: np.ndarray, gamma: float, lam: float) -> np.ndarray:
@@ -96,16 +102,15 @@ def gae(residuals: np.ndarray, gamma: float, lam: float) -> np.ndarray:
 
 class ActorBatch(NamedTuple):
     """What one agent's ``ppo_update`` reads: its actor and Adam state,
-    the shared states, advantages and critic loss of the update's rounds,
-    and the agent's own effective masks, actions (-1 where it idled) and
-    old probabilities (1.0 where it idled), one row per round."""
+    the shared states and advantages of the update's rounds, and the
+    agent's own effective masks, actions (-1 where it idled) and old
+    probabilities (1.0 where it idled), one row per round."""
 
     actor: TsfenNetwork
     opt: AdamState
     hyper: "MappoSection"
     states: np.ndarray
     advantages: np.ndarray
-    critic_loss: float
     masks: np.ndarray
     actions: np.ndarray
     old_probs: np.ndarray
@@ -267,8 +272,7 @@ def ppo_update(batch: ActorBatch, rng: np.random.Generator) -> dict:
         raise RaceError("ppo_update called with an empty batch")
     acted = batch.actions >= 0
     workspace = Workspace()
-    stats = {"mean_advantage": float(batch.advantages.mean()),
-             "critic_loss": batch.critic_loss, "steps": 0}
+    stats = {"steps": 0}
     for rows in _minibatches(len(acted), batch.hyper, rng):
         rows = rows[acted[rows]]
         if len(rows):

@@ -16,7 +16,6 @@ import dataclasses
 import json
 import logging
 import time
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -97,7 +96,6 @@ class World:
         self.aoi = np.zeros(self.n_devices)
         self.round_index = 0
         self.grad_norm_init = None
-        self.snapshots = deque(maxlen=cfg.selection.subperiods)
 
     def current_threshold(self) -> float:
         th = self.cfg.thresholds
@@ -161,19 +159,18 @@ class World:
             pos = prev_pos + frac * (new_pos - prev_pos)
             dists = pos[0] - pos[1:]
             gains[m] = realize_gains(dists, cfg.channel, self.channel_rng)
-            self.snapshots.append(
-                np.stack([drift, gains[m], self.aoi], axis=1))
-        state = sel.build_state(self.snapshots, subperiods)
+        state = sel.build_state(drift, gains, self.aoi)
 
         # per-device resource allocation at the latest gains
         # Python floats: an overflow in Stage 1 gives inf (and then an
         # ArithmeticError), not a numpy warning
         gain_now = gains[-1].tolist()
-        alloc = [None] * n
         feasible = np.zeros(n)
+        delays = np.zeros(n)
+        energies = np.zeros(n)
         for dev in range(n):
             try:
-                alloc[dev] = optimal_allocation(
+                res = optimal_allocation(
                     self.profiles[dev], gain_now[dev], cfg.channel.bandwidth)
             except InfeasibleError:
                 continue
@@ -182,6 +179,8 @@ class World:
                 raise ConfigError(f"allocation for device {dev}: {exc}") \
                     from exc
             feasible[dev] = 1.0
+            delays[dev] = res.total_delay
+            energies[dev] = res.energy
 
         if cfg.selection.mask == "binary":
             mask = sel.binary_mask(drift, threshold)
@@ -199,12 +198,7 @@ class World:
             actions = np.full(self.n_agents, -1, dtype=np.int64)
         chosen = np.zeros(n, dtype=bool)
         chosen[actions[actions >= 0]] = True
-
-        delays = np.zeros(n)
-        energies = np.zeros(n)
-        for dev in np.flatnonzero(chosen):
-            delays[dev] = alloc[dev].total_delay
-            energies[dev] = alloc[dev].energy
+        energies[~chosen] = 0.0  # only the chosen devices spend
         delta_round = round_delay(actions, delays)
 
         self.aoi = aoi_metrics.update_aoi_vector(self.aoi, chosen,
@@ -244,7 +238,10 @@ class MappoPolicy:
     critic that all of them share, with their Adam states and the policy
     RNG.  A training policy records one tuple per round (state, team
     reward, (K, N) effective masks, (K,) actions, (K,) probabilities)
-    and updates every ``episodes_per_update`` episodes."""
+    and updates every ``episodes_per_update`` episodes.  Each update
+    appends one entry to ``update_stats``: the critic's last minibatch
+    loss, the mean advantage and, under ``agents``, what each agent's
+    ``ppo_update`` returned."""
 
     def __init__(self, cfg: ScenarioConfig, seed: int, train: bool = True):
         net_cfg = network_config(cfg)
@@ -303,12 +300,15 @@ class MappoPolicy:
             [(states, rewards) for states, rewards, *_ in episodes], self.rng)
         states, _, masks, actions, probs = (np.concatenate(column)
                                             for column in zip(*episodes))
-        self.update_stats.append([
-            sel.ppo_update(sel.ActorBatch(
-                actor, opt, self.hyper, states, advantages, loss,
-                masks[:, k], actions[:, k], probs[:, k]), self.rng)
-            for k, (actor, opt) in enumerate(zip(self.actors,
-                                                 self.actor_opts))])
+        self.update_stats.append({
+            "critic_loss": loss,
+            "mean_advantage": float(advantages.mean()),
+            "agents": [
+                sel.ppo_update(sel.ActorBatch(
+                    actor, opt, self.hyper, states, advantages,
+                    masks[:, k], actions[:, k], probs[:, k]), self.rng)
+                for k, (actor, opt) in enumerate(zip(self.actors,
+                                                     self.actor_opts))]})
 
     def _params(self) -> dict:
         """{checkpoint name: parameter array} over every actor and the

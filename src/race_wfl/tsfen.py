@@ -147,14 +147,14 @@ class DenseLayer:
             f"{prefix}.b": _uniform_init(rng, n_in, (n_out,)),
         }
 
-    def forward(self, x, params):
-        w = params[f"{self.prefix}.W"]
-        b = params[f"{self.prefix}.b"]
+    def forward(self, x):
+        w = self.params[f"{self.prefix}.W"]
+        b = self.params[f"{self.prefix}.b"]
         return x @ w + b, x
 
-    def backward(self, cache, dout, params, grads):
+    def backward(self, cache, dout, grads):
         x = cache
-        w = params[f"{self.prefix}.W"]
+        w = self.params[f"{self.prefix}.W"]
         x2 = x.reshape(-1, x.shape[-1])
         d2 = dout.reshape(-1, dout.shape[-1])
         grads[f"{self.prefix}.W"] = x2.T @ d2
@@ -223,7 +223,8 @@ class MhsaLayer:
         f1 = w_in.shape[0]
         return w_in.reshape(f1, 3, self.h, self.dh).transpose(1, 2, 0, 3)
 
-    def forward(self, x, params, workspace=None):
+    def forward(self, x, workspace=None):
+        params = self.params
         ws = Workspace() if workspace is None else workspace
         ws.generation += 1
         b, m, n, f = x.shape
@@ -256,7 +257,8 @@ class MhsaLayer:
                 (x1, e, w_in, w_out, m_cat, weights, proj, inv_z, ws,
                  ws.generation))
 
-    def backward(self, cache, dout, params, grads):
+    def backward(self, cache, dout, grads):
+        params = self.params
         x1, e, w_in, w_out, m_cat, weights, proj, inv_z, ws, generation \
             = cache
         if ws.generation != generation:
@@ -320,13 +322,14 @@ class LstmLayer:
                                          (4 * n_hidden,)),
         }
 
-    def forward(self, x, params):
+    def forward(self, x):
         # x: (B, M, n_in)
-        w = params[f"{self.prefix}.W"]
+        w = self.params[f"{self.prefix}.W"]
         b, m, n_in = x.shape
         nh = self.nh
         x2 = x.reshape(-1, n_in)
-        zx = (x2 @ w[:n_in] + params[f"{self.prefix}.b"]).reshape(b, m, -1)
+        zx = (x2 @ w[:n_in] + self.params[f"{self.prefix}.b"]) \
+            .reshape(b, m, -1)
         w_h = w[n_in:]
         # hprev[:, t] is the hidden state entering step t
         hprev = np.zeros((b, m, nh))
@@ -346,9 +349,9 @@ class LstmLayer:
             steps.append((i, f, g, o, c_prev, tc))
         return h, (x2, hprev, steps)
 
-    def backward(self, cache, dh_final, params, grads):
+    def backward(self, cache, dh_final, grads):
         p = self.prefix
-        w = params[f"{p}.W"]
+        w = self.params[f"{p}.W"]
         x2, hprev, steps = cache
         b, m, nh = hprev.shape
         n_in = x2.shape[1]
@@ -468,16 +471,15 @@ class TsfenNetwork:
         """
         with np.errstate(over="ignore", invalid="ignore"):
             x = self.preprocess(states)
-            p = self.params
-            s, c_mhsa = self.mhsa.forward(x, p, workspace)
+            s, c_mhsa = self.mhsa.forward(x, workspace)
             b, m, n, dsq = s.shape
             seq = s.reshape(b, m, n * dsq)
-            h_fwd, c_fwd = self.lstm_fwd.forward(seq, p)
-            h_bwd, c_bwd = self.lstm_bwd.forward(seq[:, ::-1, :], p)
+            h_fwd, c_fwd = self.lstm_fwd.forward(seq)
+            h_bwd, c_bwd = self.lstm_bwd.forward(seq[:, ::-1, :])
             h = np.concatenate([h_fwd, h_bwd], axis=1)
-            f1, c_fc1 = self.fc1.forward(h, p)
+            f1, c_fc1 = self.fc1.forward(h)
             relu = np.maximum(f1, 0.0)
-            logits, c_fc2 = self.fc2.forward(relu, p)
+            logits, c_fc2 = self.fc2.forward(relu)
         cache = (c_mhsa, (b, m, n, dsq), c_fwd, c_bwd, c_fc1, f1, c_fc2)
         return logits, cache
 
@@ -485,16 +487,15 @@ class TsfenNetwork:
         """Gradients of a scalar loss with logit-gradient ``dlogits``."""
         c_mhsa, shape, c_fwd, c_bwd, c_fc1, f1, c_fc2 = cache
         b, m, n, dsq = shape
-        p = self.params
         grads = {}
-        drelu = self.fc2.backward(c_fc2, dlogits, p, grads)
+        drelu = self.fc2.backward(c_fc2, dlogits, grads)
         df1 = drelu * (f1 > 0.0)
-        dh = self.fc1.backward(c_fc1, df1, p, grads)
+        dh = self.fc1.backward(c_fc1, df1, grads)
         nh = self.config.lstm_hidden
-        dseq = self.lstm_fwd.backward(c_fwd, dh[:, :nh], p, grads)
-        dseq_b = self.lstm_bwd.backward(c_bwd, dh[:, nh:], p, grads)
+        dseq = self.lstm_fwd.backward(c_fwd, dh[:, :nh], grads)
+        dseq_b = self.lstm_bwd.backward(c_bwd, dh[:, nh:], grads)
         dseq = dseq + dseq_b[:, ::-1, :]
-        self.mhsa.backward(c_mhsa, dseq.reshape(b, m, n, dsq), p, grads)
+        self.mhsa.backward(c_mhsa, dseq.reshape(b, m, n, dsq), grads)
         return grads
 
     def policy(self, states: np.ndarray, mask: np.ndarray,

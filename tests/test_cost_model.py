@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from race_wfl.cost_model import DeviceProfile, device_costs, round_delay
+from race_wfl.cost_model import DeviceProfile, comp_costs, round_delay
 from race_wfl.errors import AssignmentError, RaceError
 from race_wfl.selection import check_actions
 
@@ -14,45 +14,21 @@ PROFILE = DeviceProfile(
 
 def test_comp_time_table_values():
     # mu = 1e7 cycles, one sample, 0.5 GHz fully allocated -> 20 ms
-    c = device_costs(PROFILE, 1.0, 1.0, 1e3, 1e6)
-    assert c.comp_time == pytest.approx(0.02, rel=0, abs=0)
+    comp_time, _ = comp_costs(PROFILE, 1.0)
+    assert comp_time == pytest.approx(0.02, rel=0, abs=0)
 
 
 def test_chi_scaling_laws_exact():
     chi = 0.25
-    a = device_costs(PROFILE, chi, 1.0, 1e3, 1e6)
-    b = device_costs(PROFILE, 2 * chi, 1.0, 1e3, 1e6)
-    assert b.comp_time == 0.5 * a.comp_time
-    assert b.comp_energy == 4.0 * a.comp_energy
+    a_time, a_energy = comp_costs(PROFILE, chi)
+    b_time, b_energy = comp_costs(PROFILE, 2 * chi)
+    assert b_time == 0.5 * a_time
+    assert b_energy == 4.0 * a_energy
 
 
-def test_tx_costs_arithmetic_oracle():
-    # 1 Mbit at 5 Mbit/s with rho*P = 10 mW -> 0.2 s and 2 mJ
-    prof = DeviceProfile(
-        sample_count=1, cycles_per_sample=1e7, cpu_hz=0.5e9,
-        power_coeff=1e-28, max_power_w=0.1, max_energy_j=0.1,
-        model_bits=1e6,
-    )
-    rho = 0.1
-    gain = (2 ** 5 - 1) / (rho * prof.max_power_w)  # rate = 5 Mbit/s at B = 1 MHz
-    c = device_costs(prof, 1.0, rho, gain, 1e6)
-    assert c.tx_time == pytest.approx(0.2, rel=1e-12)
-    assert c.tx_energy == pytest.approx(2e-3, rel=1e-12)
-
-
-def test_energy_and_time_identities():
-    c = device_costs(PROFILE, 0.7, 0.4, 2e3, 1e6)
-    assert c.total_energy == c.comp_energy + c.tx_energy
-    assert c.total_time == c.comp_time + c.tx_time
-
-
-def test_zero_allocations_error():
+def test_zero_cpu_fraction_errors():
     with pytest.raises(RaceError):
-        device_costs(PROFILE, 0.0, 1.0, 1e3, 1e6)
-    with pytest.raises(RaceError):
-        device_costs(PROFILE, 1.0, 0.0, 1e3, 1e6)
-    with pytest.raises(RaceError):
-        device_costs(PROFILE, 1.0, 1.0, 0.0, 1e6)  # zero gain, zero rate
+        comp_costs(PROFILE, 0.0)
 
 
 def test_round_delay_single_device():

@@ -24,9 +24,10 @@ SHA-256 hashes of
   with the adaptive threshold, the adaptive mask and an adversary,
   ``round_robin`` with the energy budget binding, and ``random`` with a
   budget so small that devices are infeasible and agents idle;
-* ``simulate_platoon`` positions and speeds for three cruising platoons
-  and one whose leader brakes to a standstill, so that every vehicle
-  takes the stop-within-a-sub-step branch;
+* the positions and speeds of repeated ``step_platoon`` calls, initial
+  state first, for three cruising platoons and one whose leader brakes
+  to a standstill, so that every vehicle takes the stop-within-a-sub-step
+  branch;
 * the ``race-wfl allocate`` table of seeded log-uniform profiles whose
   rows reach the slack, interior-binding, power-capped and infeasible
   outcomes.  The default scenario reaches only the first;
@@ -54,7 +55,7 @@ import pytest
 
 from race_wfl.cli import main
 from race_wfl.config import PlatoonSection, config_from_dict
-from race_wfl.platoon import init_platoon, simulate_platoon
+from race_wfl.platoon import init_platoon, step_platoon
 from race_wfl.simulation import run_experiment
 from race_wfl.tsfen import TsfenConfig, TsfenNetwork
 
@@ -306,8 +307,12 @@ def platoon_hashes() -> dict:
     out = {}
     for name, (seed, steps, targets) in cases.items():
         state = init_platoon(PlatoonSection(), np.random.default_rng(seed))
-        tx, tv = simulate_platoon(state, PlatoonSection(), steps, targets)
-        out[name] = _sha(tx.tobytes() + tv.tobytes())
+        xs, vs = [state.positions], [state.speeds]
+        for target in np.broadcast_to(targets, steps):
+            state = step_platoon(state, PlatoonSection(), target)
+            xs.append(state.positions)
+            vs.append(state.speeds)
+        out[name] = _sha(np.array(xs).tobytes() + np.array(vs).tobytes())
     return out
 
 

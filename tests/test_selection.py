@@ -51,30 +51,26 @@ def small_policy(n_devices, k_agents, seed=0, **mappo):
 
 
 class TestBuildState:
-    def test_single_period_keeps_only_current(self):
-        snap = np.arange(6, dtype=float).reshape(2, 3)
-        out = build_state([snap * 0.1, snap], 1)
-        assert (out[0] == snap).all()
+    def test_single_period_is_one_snapshot(self):
+        drift, gains, aoi = np.array([0.1, 0.2]), np.array([[3.0, 4.0]]), \
+            np.array([5.0, 6.0])
+        out = build_state(drift, gains, aoi)
+        assert out.shape == (1, 2, 3)
+        assert out[0].tolist() == [[0.1, 3.0, 5.0], [0.2, 4.0, 6.0]]
 
     def test_constant_system_gives_identical_frames(self):
-        snap = np.ones((4, 3))
-        out = build_state([snap] * 7, 5)
+        out = build_state(np.ones(4), np.ones((5, 4)), np.ones(4))
         assert out.shape == (5, 4, 3)
         assert (out == 1.0).all()
 
-    def test_short_history_pads_with_earliest(self):
-        a = np.zeros((2, 3))
-        b = np.ones((2, 3))
-        out = build_state([a, b], 4)
-        assert (out[0] == 0).all() and (out[1] == 0).all()
-        assert (out[2] == 0).all() and (out[3] == 1).all()
-
-    def test_frames_equal_recorded_snapshots(self):
+    def test_frames_equal_per_sub_period_snapshots(self):
         rng = np.random.default_rng(0)
-        snaps = [rng.uniform(size=(3, 3)) for _ in range(6)]
-        out = build_state(snaps, 4)
-        for i, snap in enumerate(snaps[-4:]):
-            assert (out[i] == snap).all()
+        drift, gains, aoi = (rng.uniform(size=3), rng.uniform(size=(4, 3)),
+                             rng.uniform(size=3))
+        out = build_state(drift, gains, aoi)
+        for m in range(4):
+            snap = np.stack([drift, gains[m], aoi], axis=1)
+            assert out[m].tobytes() == snap.tobytes()
 
 
 class TestMasks:
@@ -105,6 +101,24 @@ class TestMasks:
             m = adaptive_mask(np.array([5.0]), 0.1, 10.0, 0.5, 500)
         assert m[0] == 0.0
         assert "clamping" in caplog.text
+
+    @pytest.mark.parametrize("round_index", [1020, 1024, 1200])
+    def test_growth_past_the_float_range_gives_zero_weight(self, caplog,
+                                                           round_index):
+        # (1 - 0.5)^-round overflows a float from about round 1024, and
+        # its product with a drift of 20 from about round 1020
+        with caplog.at_level(logging.WARNING):
+            m = adaptive_mask(np.array([0.0, 0.1, 20.0]), 0.1, 1.0, 0.5,
+                              round_index)
+        assert m.tolist() == [1.0, 1.0, 0.0]
+        assert "underflow for 1 device(s)" in caplog.text
+
+    def test_eligible_devices_are_never_counted_as_clamped(self, caplog):
+        # device 1's exponent is below the float range, but it is eligible
+        with caplog.at_level(logging.WARNING):
+            m = adaptive_mask(np.array([0.05, 0.2]), 0.3, 1.0, 0.1, 80)
+        assert m.tolist() == [1.0, 1.0]
+        assert "underflow" not in caplog.text
 
     def test_parameter_validation(self):
         with pytest.raises(RaceError):
@@ -275,7 +289,7 @@ class TestPpoUpdate:
         batch = ActorBatch(
             actor, adam_init(actor.params), MappoSection(),
             states=rng.uniform(size=(8, 2, 4, 3)), advantages=np.zeros(8),
-            critic_loss=0.0, masks=np.ones((8, 4)),
+            masks=np.ones((8, 4)),
             actions=rng.integers(0, 4, size=8), old_probs=np.full(8, 0.25))
         ppo_update(batch, rng)
         for k in before:
@@ -294,7 +308,7 @@ class TestPpoUpdate:
             history.append(p[0, 0])
             batch = ActorBatch(
                 actor, opt, MappoSection(), np.repeat(state, 16, axis=0),
-                np.ones(16), 0.0, np.repeat(mask, 16, axis=0),
+                np.ones(16), np.repeat(mask, 16, axis=0),
                 np.zeros(16, dtype=np.int64), np.full(16, p[0, 0]))
             _actor_step(batch, np.arange(16))
         p, _ = actor.policy(state, mask)
@@ -312,10 +326,13 @@ class TestPpoUpdate:
         assert [len(args[0].states) for args, _ in calls] == [24] * 6
         assert len(policy.update_stats) == 2
         for stats in policy.update_stats:
-            assert len(stats) == 3
-            for entry in stats:
+            assert stats.keys() == {"critic_loss", "mean_advantage",
+                                    "agents"}
+            assert np.isfinite(stats["critic_loss"])
+            assert np.isfinite(stats["mean_advantage"])
+            assert len(stats["agents"]) == 3
+            for entry in stats["agents"]:
                 assert all(np.isfinite(v) for v in entry.values())
-                assert entry["critic_loss"] == stats[0]["critic_loss"]
 
     def test_empty_input_errors(self):
         (actor,), critic = small_nets(3, 2, 1)
@@ -326,7 +343,7 @@ class TestPpoUpdate:
                 critic_update(critic, adam_init(critic.params), hyper,
                               episodes, rng)
         empty = ActorBatch(actor, adam_init(actor.params), hyper, no_states,
-                           np.zeros(0), 0.0, np.zeros((0, 3)),
+                           np.zeros(0), np.zeros((0, 3)),
                            np.zeros(0, dtype=np.int64), np.zeros(0))
         with pytest.raises(RaceError, match="empty"):
             ppo_update(empty, rng)
@@ -436,7 +453,8 @@ def test_agent_that_never_acted_reports_zero_steps_and_no_ratio(
     # two eligible devices for three agents in every round
     masks = [np.array([1.0, 0.0, 1.0, 0.0])] * 6
     _play(policy, np.random.default_rng(6), 4, steps=6, masks=masks)
-    [stats] = policy.update_stats
+    [update] = policy.update_stats
+    stats = update["agents"]
     for actor, entry in zip(policy.actors, stats):
         assert all(np.isfinite(v) for v in entry.values())
         assert entry["steps"] == sum(args[0].actor is actor

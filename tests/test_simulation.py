@@ -57,6 +57,26 @@ class TestRoundInvariants:
                 assert chosen[dev]
                 assert led.drift[dev] <= led.eligible_threshold
 
+    def test_state_holds_this_rounds_sub_periods(self):
+        cfg = tiny_cfg()
+        world = World(cfg)
+        policy = make_policy(cfg, "greedy_aoi", cfg.run.seed)
+        world.reset(0)
+        aoi_prev = world.aoi.copy()
+        for _ in range(4):
+            states = []
+            led = world.advance_round(
+                lambda state, mask: states.append(state)
+                or policy.select(state, mask))
+            [state] = states
+            assert state.shape == (3, 8, 3)
+            # every sub-period sees the round's drift and the ages before
+            # its update, with a channel draw of its own
+            assert (state[..., 0] == led.drift).all()
+            assert (state[..., 2] == aoi_prev).all()
+            assert len({row.tobytes() for row in state[..., 1]}) == 3
+            aoi_prev = led.aoi.copy()
+
     def test_rerun_reproduces_identical_ledgers(self):
         cfg = tiny_cfg()
         def collect():
@@ -314,4 +334,3 @@ class TestSharedCritic:
         assert len({id(batch.actor) for batch, _ in calls}) == 3
         for _, stats in calls:
             assert all(np.isfinite(v) for v in stats.values())
-        assert len({stats["critic_loss"] for _, stats in calls}) == 1

@@ -33,7 +33,7 @@ class TestMhsa:
         rng = np.random.default_rng(0)
         layer = MhsaLayer(3, 8, 2, 4, rng)
         x = np.tile(rng.standard_normal(3), (1, 1, 5, 1))
-        _, cache = layer.forward(x, layer.params)
+        _, cache = layer.forward(x)
         weights = cache[5]   # key-major (N, B*M, N*H), unnormalized
         attn = weights / weights.sum(axis=0)
         assert attn == pytest.approx(np.full_like(attn, 1 / 5), rel=1e-12)
@@ -43,7 +43,7 @@ class TestMhsa:
         layer = MhsaLayer(3, 8, 2, 4, rng)
         p = layer.params
         x = rng.standard_normal((1, 3, 1, 3))
-        out, _ = layer.forward(x, p)
+        out, _ = layer.forward(x)
         w_v = p["mhsa.Wqkv"][:, 16:]  # value block of the fused map
         e = x @ p["embed.W"] + p["embed.b"]
         expected = e @ w_v @ p["mhsa.Wo"] @ p["squeeze.W"] + p["squeeze.b"]
@@ -53,9 +53,9 @@ class TestMhsa:
         rng = np.random.default_rng(2)
         layer = MhsaLayer(3, 8, 4, 4, rng)
         x = rng.standard_normal((2, 2, 6, 3))
-        out, _ = layer.forward(x, layer.params)
+        out, _ = layer.forward(x)
         perm = rng.permutation(6)
-        out_p, _ = layer.forward(x[:, :, perm, :], layer.params)
+        out_p, _ = layer.forward(x[:, :, perm, :])
         assert out_p == pytest.approx(out[:, :, perm, :], rel=1e-10)
 
     def test_gradient_matches_finite_differences(self):
@@ -63,9 +63,9 @@ class TestMhsa:
         layer = MhsaLayer(3, 8, 2, 4, rng)
         x = rng.standard_normal((2, 1, 4, 3))
         r = rng.standard_normal((2, 1, 4, 4))
-        out, cache = layer.forward(x, layer.params)
+        out, cache = layer.forward(x)
         grads = {}
-        layer.backward(cache, r, layer.params, grads)
+        layer.backward(cache, r, grads)
         assert grads.keys() == layer.params.keys()
         h = 1e-5
         for name, p in layer.params.items():
@@ -74,9 +74,9 @@ class TestMhsa:
                                 replace=False):
                 orig = flat[i]
                 flat[i] = orig + h
-                lp = float((layer.forward(x, layer.params)[0] * r).sum())
+                lp = float((layer.forward(x)[0] * r).sum())
                 flat[i] = orig - h
-                lm = float((layer.forward(x, layer.params)[0] * r).sum())
+                lm = float((layer.forward(x)[0] * r).sum())
                 flat[i] = orig
                 fd = (lp - lm) / (2 * h)
                 an = grads[name].ravel()[i]
@@ -88,14 +88,14 @@ class TestLstm:
         layer = LstmLayer(3, 4, np.random.default_rng(0), "l")
         for k in layer.params:
             layer.params[k][:] = 0.0
-        h, _ = layer.forward(np.zeros((2, 5, 3)), layer.params)
+        h, _ = layer.forward(np.zeros((2, 5, 3)))
         assert (h == 0.0).all()
 
     def test_single_step_equals_one_cell(self):
         rng = np.random.default_rng(1)
         layer = LstmLayer(3, 4, rng, "l")
         x = rng.standard_normal((2, 1, 3))
-        h, _ = layer.forward(x, layer.params)
+        h, _ = layer.forward(x)
         w = layer.params["l.W"]
         b = layer.params["l.b"]
         zin = np.concatenate([x[:, 0, :], np.zeros((2, 4))], axis=1)
@@ -111,18 +111,18 @@ class TestLstm:
         layer = LstmLayer(3, 4, rng, "l")
         x = rng.standard_normal((2, 3, 3))
         r = rng.standard_normal((2, 4))
-        h, cache = layer.forward(x, layer.params)
+        h, cache = layer.forward(x)
         grads = {}
-        layer.backward(cache, r, layer.params, grads)
+        layer.backward(cache, r, grads)
         step = 1e-5
         for name, p in layer.params.items():
             flat = p.ravel()
             for i in rng.choice(flat.size, size=10, replace=False):
                 orig = flat[i]
                 flat[i] = orig + step
-                lp = float((layer.forward(x, layer.params)[0] * r).sum())
+                lp = float((layer.forward(x)[0] * r).sum())
                 flat[i] = orig - step
-                lm = float((layer.forward(x, layer.params)[0] * r).sum())
+                lm = float((layer.forward(x)[0] * r).sum())
                 flat[i] = orig
                 fd = (lp - lm) / (2 * step)
                 an = grads[name].ravel()[i]
@@ -196,9 +196,9 @@ class TestLstmMatchesPerStepReference:
         if reverse:   # the backward direction reads a reversed view
             x = x[:, ::-1, :]
         dh = rng.standard_normal((batch, nh))
-        h, cache = layer.forward(x, layer.params)
+        h, cache = layer.forward(x)
         grads = {}
-        dx = layer.backward(cache, dh, layer.params, grads)
+        dx = layer.backward(cache, dh, grads)
         ref_h, steps = reference_lstm_forward(x, w, bias, nh)
         ref_dw, ref_db, ref_dx = reference_lstm_backward(steps, dh, w, n_in)
         assert_close(h, ref_h)
@@ -213,11 +213,12 @@ class UnfoldedMhsa:
     folds.  It has ``MhsaLayer``'s interface, so a network can run on it
     in place of its attention layer."""
 
-    def __init__(self, n_heads):
+    def __init__(self, n_heads, params):
         self.h = n_heads
+        self.params = params
 
-    def forward(self, x, params, workspace=None):
-        p = params
+    def forward(self, x, workspace=None):
+        p = self.params
         b, m, n, _ = x.shape
         e = x @ p["embed.W"] + p["embed.b"]
         d = e.shape[-1]
@@ -234,8 +235,8 @@ class UnfoldedMhsa:
         out = a @ p["squeeze.W"] + p["squeeze.b"]
         return out, (x, e, q, k, v, attn, ctx, a)
 
-    def backward(self, cache, dout, params, grads):
-        p = params
+    def backward(self, cache, dout, grads):
+        p = self.params
         x, e, q, k, v, attn, ctx, a = cache
         b, m, h, n, dh = q.shape
         d = h * dh
@@ -273,7 +274,7 @@ class TestFoldedAttentionMatchesUnfolded:
     def _check(cfg, batch, rng):
         net = TsfenNetwork(cfg, rng)
         ref = copy.copy(net)   # shares every parameter array
-        ref.mhsa = UnfoldedMhsa(cfg.n_heads)
+        ref.mhsa = UnfoldedMhsa(cfg.n_heads, net.params)
         states = _states(rng, cfg, batch)
         dlogits = rng.standard_normal((batch, cfg.out_dim))
         logits, cache = net.forward(states)
@@ -516,10 +517,9 @@ class TestWorkspace:
         rng = np.random.default_rng(10)
         layer = MhsaLayer(3, 8, 2, 4, rng)
         ws = Workspace()
-        out, _ = layer.forward(rng.standard_normal((2, 3, 5, 3)),
-                               layer.params, ws)
+        out, _ = layer.forward(rng.standard_normal((2, 3, 5, 3)), ws)
         kept = out.copy()
-        layer.forward(rng.standard_normal((2, 3, 5, 3)), layer.params, ws)
+        layer.forward(rng.standard_normal((2, 3, 5, 3)), ws)
         assert out.tobytes() == kept.tobytes()
 
 
