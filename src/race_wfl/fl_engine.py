@@ -6,6 +6,13 @@ split of each class across devices, so small concentrations give strongly
 non-IID shards.  Local training is exactly one full-batch gradient step
 per round, which makes the relative model drift identically equal to
 ``lr * |grad| / |global|`` and keeps every drift-related check exact.
+
+A round's local steps are one pass over all shards (``local_steps``):
+the samples are regrouped once so that each shard is a contiguous row
+block, each block's logits come from its own GEMM into one buffer, and
+the softmax runs once over all rows.  A shard's rows therefore equal a
+one-shard call (``local_gradient``) bit for bit, which a single GEMM over
+all samples would not guarantee.
 """
 
 import logging
@@ -43,6 +50,13 @@ class SyntheticTask:
     def device_data(self, n: int):
         idx = self.shards[n]
         return self.features[idx], self.labels[idx]
+
+    def contiguous(self):
+        """(features, labels, offsets): the samples regrouped so that
+        shard n is rows ``offsets[n]:offsets[n + 1]``, in its own order."""
+        order = np.concatenate(self.shards)
+        offsets = np.concatenate([[0], np.cumsum(self.shard_sizes())])
+        return self.features[order], self.labels[order], offsets
 
 
 def generate_task(seed: int, n_devices: int, n_classes: int, model_dim: int,
@@ -102,26 +116,81 @@ def _unflatten(weights: np.ndarray, n_classes: int,
     return np.asarray(weights).reshape(n_classes, feature_dim)
 
 
+def _residuals(weights, features, labels, offsets, n_classes):
+    """Softmax class probabilities minus the one-hot labels of every row,
+    and each row's probability of its own label.
+
+    The logits of shard ``features[a:b]`` (consecutive ``offsets``) come
+    from their own GEMM, so its rows are those of a one-shard call.
+    """
+    w = _unflatten(weights, n_classes, features.shape[1])
+    probs = np.empty((len(labels), n_classes))
+    for a, b in zip(offsets[:-1], offsets[1:]):
+        np.matmul(features[a:b], w.T, out=probs[a:b])
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    rows = np.arange(len(labels))
+    p_label = probs[rows, labels]
+    probs[rows, labels] = p_label - 1.0
+    return probs, p_label
+
+
+def _shard_gradient(resid, features, a, b):
+    return (resid[a:b].T @ features[a:b] / (b - a)).ravel()
+
+
 def loss_and_gradient(weights: np.ndarray, features: np.ndarray,
                       labels: np.ndarray, n_classes: int):
     """Mean cross-entropy and its exact full-batch gradient (flat)."""
-    if len(labels) == 0:
-        raise RaceError("empty shard")
-    w = _unflatten(weights, n_classes, features.shape[1])
-    logits = features @ w.T
-    logits -= logits.max(axis=1, keepdims=True)
-    expl = np.exp(logits)
-    probs = expl / expl.sum(axis=1, keepdims=True)
     n = len(labels)
-    nll = -np.log(probs[np.arange(n), labels]).mean()
-    probs[np.arange(n), labels] -= 1.0
-    grad = probs.T @ features / n
-    return float(nll), grad.ravel()
+    if n == 0:
+        raise RaceError("empty shard")
+    resid, p_label = _residuals(weights, features, labels, (0, n), n_classes)
+    grad = _shard_gradient(resid, features, 0, n)
+    return float(-np.log(p_label).mean()), grad
 
 
 def local_gradient(weights: np.ndarray, features: np.ndarray,
                    labels: np.ndarray, n_classes: int) -> np.ndarray:
-    return loss_and_gradient(weights, features, labels, n_classes)[1]
+    n = len(labels)
+    if n == 0:
+        raise RaceError("empty shard")
+    resid, _ = _residuals(weights, features, labels, (0, n), n_classes)
+    return _shard_gradient(resid, features, 0, n)
+
+
+def local_steps(weights: np.ndarray, features: np.ndarray,
+                labels: np.ndarray, offsets, n_classes: int, lr: float,
+                adversaries=(), factor: float = 1.0):
+    """One full-batch local step from ``weights`` on every shard of
+    ``SyntheticTask.contiguous()``'s layout.
+
+    Device n's step is ``local_update`` on its shard, scaled by
+    ``apply_adversary`` if n is in ``adversaries``, and its drift is
+    ``flmd`` of the result; each equals that per-device call bit for bit.
+    Returns (locals (N, d), drift (N,), the sample-weighted mean of the
+    shards' gradients).
+    """
+    gnorm = np.linalg.norm(weights)
+    if gnorm == 0.0:
+        raise RaceError("drift undefined for a zero global model")
+    offsets = [int(o) for o in offsets]
+    resid, _ = _residuals(weights, features, labels, offsets, n_classes)
+    n_dev = len(offsets) - 1
+    locals_ = np.empty((n_dev, len(weights)))
+    drift = np.empty(n_dev)
+    pooled_grad = np.zeros(len(weights))
+    for dev in range(n_dev):
+        a, b = offsets[dev], offsets[dev + 1]
+        grad = _shard_gradient(resid, features, a, b)
+        local = weights - lr * grad
+        if dev in adversaries:
+            local = apply_adversary(local, weights, factor)
+        locals_[dev] = local
+        drift[dev] = np.linalg.norm(local - weights) / gnorm
+        pooled_grad += (b - a) * grad
+    return locals_, drift, pooled_grad / offsets[-1]
 
 
 def local_update(weights: np.ndarray, features: np.ndarray,

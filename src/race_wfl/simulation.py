@@ -66,6 +66,7 @@ class World:
             feature_scale=cfg.task.feature_scale,
         )
         self.eval_x, self.eval_y = self._draw_eval_set(task_rng)
+        self.shard_data = self.task.contiguous()
         winit = named_rng(self.seed, "weights-init")
         w0 = winit.standard_normal(cfg.task.model_dim)
         self.model0 = w0 * (cfg.task.init_norm / np.linalg.norm(w0))
@@ -121,7 +122,6 @@ class World:
     def _advance(self, select_fn):
         cfg = self.cfg
         n = self.n_devices
-        lr = cfg.task.learning_rate
         subperiods = cfg.selection.subperiods
 
         prev_pos = self.platoon.positions.copy()
@@ -130,24 +130,11 @@ class World:
         new_pos = self.platoon.positions
 
         # local full-batch step and drift for every device
-        locals_ = np.empty((n, cfg.task.model_dim))
-        drift = np.empty(n)
-        pooled_grad = np.zeros(cfg.task.model_dim)
-        total_samples = 0
-        for dev in range(n):
-            x, y = self.task.device_data(dev)
-            grad = fl_engine.local_gradient(self.model, x, y,
-                                            cfg.task.n_classes)
-            local = self.model - lr * grad
-            if dev in self.adversaries:
-                local = fl_engine.apply_adversary(
-                    local, self.model, cfg.task.adversary_factor)
-            locals_[dev] = local
-            drift[dev] = fl_engine.flmd(local, self.model)
-            pooled_grad += len(y) * grad
-            total_samples += len(y)
-        self.grad_norm_now = float(np.linalg.norm(pooled_grad
-                                                  / total_samples))
+        locals_, drift, global_grad = fl_engine.local_steps(
+            self.model, *self.shard_data, cfg.task.n_classes,
+            cfg.task.learning_rate, self.adversaries,
+            cfg.task.adversary_factor)
+        self.grad_norm_now = float(np.linalg.norm(global_grad))
         if self.grad_norm_init is None:
             self.grad_norm_init = max(self.grad_norm_now, 1e-300)
         threshold = self.current_threshold()

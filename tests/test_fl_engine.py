@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from conftest import per_device_round
 from race_wfl.errors import AggregationError, RaceError
 from race_wfl.fl_engine import (
     accuracy, adaptive_threshold, apply_adversary, fedavg, flmd,
-    generate_task, local_gradient, local_update, loss_and_gradient,
-    smoothness_bound,
+    generate_task, local_gradient, local_steps, local_update,
+    loss_and_gradient, smoothness_bound,
 )
 from race_wfl.selection import binary_mask
 
@@ -114,6 +117,57 @@ class TestGradients:
         with pytest.raises(RaceError):
             local_gradient(np.zeros(8), np.zeros((0, 2)),
                            np.zeros(0, dtype=int), 4)
+
+
+class TestLocalSteps:
+    """All shards in one pass against the per-device loop, bit for bit."""
+
+    @staticmethod
+    def tasks(seed):
+        four = small_task(seed=seed)
+        # a shard of one sample: device 0's first sample on its own
+        first = four.shards[0]
+        single = dataclasses.replace(
+            four, shards=[first[:1], first[1:]] + four.shards[1:])
+        three = small_task(seed=seed, n_classes=3, model_dim=90,
+                           n_devices=8, n_samples=600)
+        return four, single, three
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_per_device_loop_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        for task in self.tasks(seed):
+            features, labels, offsets = task.contiguous()
+            adversaries = {1, task.n_devices - 1}
+            lr, factor = 10 ** rng.uniform(-3, 0), rng.uniform(2, 400)
+            w = rng.standard_normal(task.model_dim) * rng.uniform(0.01, 3)
+            # the initial model, then models that rounds have moved
+            for _ in range(3):
+                got = local_steps(w, features, labels, offsets,
+                                  task.n_classes, lr, adversaries, factor)
+                ref = per_device_round(task, w, lr, adversaries, factor)
+                for a, b in zip(got, ref):
+                    assert np.array_equal(a, b)
+                assert (float(np.linalg.norm(got[2]))
+                        == float(np.linalg.norm(ref[2])))
+                w = fedavg((local, len(shard))
+                           for local, shard in zip(got[0], task.shards))
+
+    def test_contiguous_layout_holds_each_shard_in_order(self):
+        t = small_task()
+        features, labels, offsets = t.contiguous()
+        assert offsets[0] == 0 and offsets[-1] == len(t.labels)
+        for n in range(t.n_devices):
+            x, y = t.device_data(n)
+            a, b = offsets[n], offsets[n + 1]
+            assert np.array_equal(features[a:b], x)
+            assert np.array_equal(labels[a:b], y)
+
+    def test_zero_global_model_errors(self):
+        t = small_task()
+        with pytest.raises(RaceError, match="zero global model"):
+            local_steps(np.zeros(t.model_dim), *t.contiguous(),
+                        t.n_classes, 0.1)
 
 
 class TestLocalUpdate:

@@ -5,11 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import per_device_round
 from race_wfl import selection
 from race_wfl.config import config_from_dict
 from race_wfl.errors import (
-    AssignmentError, CollisionError, ConfigError, InfeasibleError,
+    AssignmentError, CollisionError, ConfigError, InfeasibleError, RaceError,
 )
+from race_wfl.fl_engine import fedavg
 from race_wfl.simulation import (
     BaselinePolicy, MappoPolicy, World, make_policy, run_experiment,
 )
@@ -128,6 +130,40 @@ class TestRoundInvariants:
         world.reset(0)
         with pytest.raises(AssignmentError, match=r"round 0 \(episode 0\)"):
             world.advance_round(select)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_federated_step_matches_per_device_loop(self, seed):
+        # odd seeds: 3 classes; every seed: an adversary that the drift
+        # threshold may or may not screen out
+        task = {"adversary_devices": [1 + seed % 7],
+                "adversary_factor": 1.0 + seed}
+        if seed % 2:
+            task.update(n_classes=3, model_dim=90)
+        cfg = tiny_cfg(task=task, run={"seed": seed})
+        world = World(cfg)
+        policy = make_policy(cfg, "greedy_aoi", seed)
+        world.reset(0)
+        for _ in range(6):
+            w = world.model.copy()
+            locals_, drift, global_grad = per_device_round(
+                world.task, w, cfg.task.learning_rate, world.adversaries,
+                cfg.task.adversary_factor)
+            led = world.advance_round(policy.select)
+            assert np.array_equal(led.drift, drift)
+            assert world.grad_norm_now == float(np.linalg.norm(global_grad))
+            expected = fedavg(
+                (locals_[dev], world.profiles[dev].sample_count)
+                for dev in led.aggregated) if len(led.aggregated) else w
+            assert np.array_equal(world.model, expected)
+
+    def test_zero_global_model_names_round_and_episode(self):
+        cfg = tiny_cfg()
+        world = World(cfg)
+        world.reset(3)
+        world.model = np.zeros(cfg.task.model_dim)
+        with pytest.raises(RaceError,
+                           match=r"round 0 \(episode 3\): drift undefined"):
+            world.advance_round(lambda state, mask: [-1, -1])
 
     def test_adaptive_threshold_mode_relaxes_over_time(self):
         cfg = tiny_cfg(thresholds={"mode": "adaptive", "lam_min": 0.01,
