@@ -20,11 +20,14 @@ intermediates come from a ``Workspace`` that the caller may keep across
 steps of one update, so that consecutive minibatches reuse its memory
 instead of faulting fresh pages in.  Work is shaped into few, large BLAS
 calls and long contiguous passes: the attention scores are stored
-key-major, and the LSTM leaves only its recurrent GEMM in the time loop
-(see ``LstmLayer``).  The masked softmax maps a zero mask entry to exactly
-zero probability (additive log-mask), and probabilities of maskable
-entries are floored at ``prob_floor`` and renormalized for numerical
-stability.
+key-major, and the LSTM keeps its gates and states in time-major
+whole-sequence arrays.  Its time loop holds only the recurrent GEMM and
+the cell update; its sigmoid gates are ``tanh(z / 2) / 2 + 1/2``, one
+``tanh`` with the cell candidate's, and its backward forms every step's
+local derivative factors before the loop (see ``LstmLayer``).  The
+masked softmax maps a zero mask entry to exactly zero probability
+(additive log-mask), and probabilities of maskable entries are floored
+at ``prob_floor`` and renormalized for numerical stability.
 """
 
 import json
@@ -293,11 +296,14 @@ class MhsaLayer:
         grads["embed.b"] = de[-1]
 
 
-def _sigmoid(z):
-    # exp(-|z|) never overflows; both branches share it
-    ez = np.exp(-np.abs(z))
-    denom = 1.0 + ez
-    return np.where(z >= 0, 1.0 / denom, ez / denom)
+def _tanh_gates(z, scale, shift):
+    """Overwrite LSTM pre-activations with their gates, in place: with
+    ``scale`` 1 and ``shift`` 0 a column gets ``tanh``, with 1/2 and 1/2
+    ``sigmoid(z) = tanh(z / 2) / 2 + 1/2``."""
+    z *= scale
+    np.tanh(z, out=z)
+    z *= scale
+    z += shift
 
 
 class LstmLayer:
@@ -306,10 +312,17 @@ class LstmLayer:
 
     ``W`` stacks the input rows ``W[:n_in]`` over the recurrent rows
     ``W[n_in:]``, so a step's pre-activation is ``[x_t, h] @ W + b``.
-    The input part of every step is one GEMM before the time loop
-    (Appleyard et al. 2016), and the loop adds only ``h @ W[n_in:]``.
-    ``backward`` keeps only ``dh`` in its loop and forms ``dW``, ``db``
-    and ``dx`` from all steps' ``dz`` at once after it.
+    The layer works time-major.  The input part of every step is one GEMM
+    before the time loop (Appleyard et al. 2016), into an (M, B, 4nh)
+    array that each step completes in place with ``h @ W[n_in:]`` and
+    then overwrites with its gates.  The hidden and cell states live in
+    (M+1, B, nh) arrays whose row 0 is the zero initial state.  The
+    sigmoid gates use ``sigmoid(z) = tanh(z / 2) / 2 + 1/2``, so a step
+    takes one ``tanh`` over all four gate blocks, and no gate can
+    overflow.  ``backward`` forms every step's local derivative factors
+    in one pass before its loop, which then carries only ``dc``, ``dh``
+    and the recurrent GEMM; ``dW``, ``db`` and ``dx`` come from all
+    steps' ``dz`` at once after it.
     """
 
     def __init__(self, n_in, n_hidden, rng, prefix):
@@ -321,68 +334,74 @@ class LstmLayer:
             f"{prefix}.b": _uniform_init(rng, n_in + n_hidden,
                                          (4 * n_hidden,)),
         }
+        # per-column scale and shift of the tanh-form gates i, f, g, o
+        ones = np.ones((4, n_hidden))
+        self._scale = (ones * [[0.5], [0.5], [1.0], [0.5]]).ravel()
+        self._shift = (ones * [[0.5], [0.5], [0.0], [0.5]]).ravel()
 
     def forward(self, x):
         # x: (B, M, n_in)
         w = self.params[f"{self.prefix}.W"]
         b, m, n_in = x.shape
         nh = self.nh
-        x2 = x.reshape(-1, n_in)
-        zx = (x2 @ w[:n_in] + self.params[f"{self.prefix}.b"]) \
-            .reshape(b, m, -1)
+        xt = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(-1, n_in)
+        z = xt @ w[:n_in]
+        z += self.params[f"{self.prefix}.b"]
+        z = z.reshape(m, b, 4 * nh)
         w_h = w[n_in:]
-        # hprev[:, t] is the hidden state entering step t
-        hprev = np.zeros((b, m, nh))
-        c = np.zeros((b, nh))
-        steps = []
+        h = np.zeros((m + 1, b, nh))
+        c = np.zeros((m + 1, b, nh))
+        tc = np.empty((m, b, nh))
         for t in range(m):
-            z = zx[:, t] + hprev[:, t] @ w_h if t else zx[:, 0]
-            sig = _sigmoid(z)
-            i, f, o = sig[:, :nh], sig[:, nh:2 * nh], sig[:, 3 * nh:]
-            g = np.tanh(z[:, 2 * nh:3 * nh])
-            c_prev = c
-            c = f * c_prev + i * g
-            tc = np.tanh(c)
-            h = o * tc
-            if t + 1 < m:
-                hprev[:, t + 1] = h
-            steps.append((i, f, g, o, c_prev, tc))
-        return h, (x2, hprev, steps)
+            gates = z[t]
+            if t:
+                gates += h[t] @ w_h
+            _tanh_gates(gates, self._scale, self._shift)
+            np.multiply(gates[:, nh:2 * nh], c[t], out=c[t + 1])
+            c[t + 1] += gates[:, :nh] * gates[:, 2 * nh:3 * nh]
+            np.tanh(c[t + 1], out=tc[t])
+            np.multiply(gates[:, 3 * nh:], tc[t], out=h[t + 1])
+        return h[m], (xt, z, h, c, tc)
 
     def backward(self, cache, dh_final, grads):
         p = self.prefix
         w = self.params[f"{p}.W"]
-        x2, hprev, steps = cache
-        b, m, nh = hprev.shape
-        n_in = x2.shape[1]
+        xt, gates, h, c, tc = cache
+        m, b, _ = gates.shape
+        nh = self.nh
+        n_in = xt.shape[1]
         w_h = w[n_in:]
+        i, f, g, o = (gates[..., k * nh:(k + 1) * nh] for k in range(4))
+        # step t's dz is [dc, dc, dc, dh] times the factors
+        # [g i(1-i), c_prev f(1-f), i(1-g^2), tanh(c) o(1-o)]
+        dz = np.subtract(1.0, gates)
+        dz *= gates
+        fac = dz.reshape(m, b, 4, nh)
+        fac[:, :, 0] *= g
+        fac[:, :, 1] *= c[:-1]
+        fg = np.multiply(g, g, out=fac[:, :, 2])
+        np.subtract(1.0, fg, out=fg)
+        fg *= i
+        fac[:, :, 3] *= tc
+        dc_dh = np.multiply(tc, tc)
+        np.subtract(1.0, dc_dh, out=dc_dh)
+        dc_dh *= o
         dh = dh_final
         dc = np.zeros_like(dh)
-        dzs = np.empty((b, m, 4 * nh))
-        # (B, M, nh) views of the four gate blocks of every step's dz
-        gates = np.moveaxis(dzs.reshape(b, m, 4, nh), 2, 0)
         for t in range(m - 1, -1, -1):
-            i, f, g, o, c_prev, tc = steps[t]
-            dz_i, dz_f, dz_g, dz_o = gates[:, :, t]
-            do = dh * tc
-            dc = dc + dh * o * (1.0 - tc * tc)
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-            np.multiply(di * i, 1.0 - i, out=dz_i)
-            np.multiply(df * f, 1.0 - f, out=dz_f)
-            np.multiply(dg, 1.0 - g * g, out=dz_g)
-            np.multiply(do * o, 1.0 - o, out=dz_o)
+            dc += dh * dc_dh[t]
+            fac[t, :, :3] *= dc[:, None, :]
+            fac[t, :, 3] *= dh
             if t:
-                dh = dzs[:, t] @ w_h.T
-                dc = dc * f
-        dz2 = dzs.reshape(-1, 4 * nh)
+                dh = dz[t] @ w_h.T
+                dc *= f[t]
+        dz2 = dz.reshape(-1, 4 * nh)
         dw = np.empty_like(w)
-        np.matmul(x2.T, dz2, out=dw[:n_in])
-        np.matmul(hprev.reshape(-1, nh).T, dz2, out=dw[n_in:])
+        np.matmul(xt.T, dz2, out=dw[:n_in])
+        np.matmul(h[:-1].reshape(-1, nh).T, dz2, out=dw[n_in:])
         grads[f"{p}.W"] = dw
         grads[f"{p}.b"] = dz2.sum(axis=0)
-        return (dz2 @ w[:n_in].T).reshape(b, m, n_in)
+        return (dz2 @ w[:n_in].T).reshape(m, b, n_in).transpose(1, 0, 2)
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray,

@@ -66,73 +66,73 @@ PINNED_BLAS_THREADS = 2
 NETWORK_HASHES = {
     1: {
         "embed.W":
-            "e80f74ef961a34f1f60d2b85a4fe9a6d5aab732861bbd3fc8e95889dbf454a06",
+            "5d8a25c18e482dac64406209cf4b5ab44e3350c5e62e4617ef49b3da1e2c044f",
         "embed.b":
-            "bff4757814ba5180104af9af3fd6c03da01d8eaf31272201c7bbeeb00a73dd67",
+            "b2bc552cf749feea442d5758db2292c9729fb93f3fe71508d59c236be31cc550",
         "fc1.W":
-            "0a82ab978266a64fe78107c46b8e71739f7ae2b712ac8d5b23f887751b7cc33e",
+            "94ce57af6023fee979a8e27b77cf7616b4c3f4bf3348fa82ec7ebe112498f754",
         "fc1.b":
             "1f362d3ec5f49f17cb70513a051341663461e40ca26e801a66bff82ef7c96eb5",
         "fc2.W":
-            "3e1fba2da1d992aba751475d36139c0dd8b075299a1a9ede7c6c1bd3758f6646",
+            "f75f41f98dc9f2346cc4c2f9fdf28d050b781c1edaeb2389a227e0b5dfa1ae25",
         "fc2.b":
             "1df53324ebd669bdd80b13a9b6f2e2fafb2d27dc140bee4ea6e66c9daa550065",
         "logits":
-            "f59bbdfb9f505b98088ea8a10779ebdd9db973a50793a3cf3d9c7e3efeae8150",
+            "6f4fe02f62b677963a46a3bb118acbf26df535a1746cf59bdd0e77da614517de",
         "lstm_bwd.W":
-            "bfc424eab75c3d8f8d3bdc73e4779479cb4a034069f4951312a2137a8423c245",
+            "cd88d60f2d13444c48f9fdeeb828c762137333f3a49b72ec909c042b0a4479ab",
         "lstm_bwd.b":
-            "11a7573cc285646da201cf395d77e26032b171aea152e18fbe57b5a9c5c61c75",
+            "99837876050e5761cff889ff31ba9e8b75d444f7c43ed62957ea15b8fa1935e3",
         "lstm_fwd.W":
-            "057cd41da91be698996fa10f667847cbcc1dbb0413ffad32c55164b4dbf4e14e",
+            "3a371ff5f8fcda85b284cf0978901473a3eef44b2a53611d8ce770a29123102a",
         "lstm_fwd.b":
-            "e86339e2d9484c34d52647f197d6fbfcf66d1c399973c3c09e053b0b3ef4d33b",
+            "698905ac80e99cf2079660cb0baee94d7c6c18a406c4a08219dacba1115733f8",
         "mhsa.Wo":
-            "fb01c49057aa8e4cd32b974888404200882275dc3bc71ae3e915f38ba6204b45",
+            "538f740ed70982f9b1d162b9bb437db919ed3c6c61aea02c78ae1fdd76cf86f3",
         "mhsa.Wqkv":
-            "39e34f13949c17012252d4c0ccc5fc4ba31d38940c5f485b0c002da46df2fab7",
+            "e66742ebdf26dc937a2b4fc83a3c7d44f9e6983718b77827add66b025e8702da",
         "squeeze.W":
-            "e7830e5dc1d9389113dff2976c72922e0a772fa03ecb56de89dc3129d54a42cb",
+            "797eef237e57fa551094e8c6ece81d1dc2068ab05c676c78c5c91e944d29bff9",
         "squeeze.b":
-            "c2f92a99b7c32e0ffc7c3ddcefd7c70fa0a540cdf2fdca9a75ffcd3a7a8792c9",
+            "948413ceaf9ab7d7ee7b1effa48d0effa342bfa988930d12465a7098d13020d5",
     },
     32: {
         "embed.W":
-            "8d079b759bf08c2cc4d903b4d90a1e762f62f7ffaa71149efdac56a3b8f6523e",
+            "f6aee69dfc5ff398604ece53635aaee6509a7cca888900ec040f126bc5ca87a5",
         "embed.b":
-            "078aa0640ec812afb2acd4bd3a45d8e37e4a249e8ce472c0a9622cb4a0e254b6",
+            "7196810ae7f88ce82eaec310f03fb68d3db87ec017facf12b1eccb380b731920",
         "fc1.W":
-            "59b8e8b284aa0149046cc0f89f47ed71f988457dea42834c0b27d64227fa7897",
+            "1093fb8406949372e83411b4b795589dc55d34bd507d3f618908942de3310f4c",
         "fc1.b":
             "c09d3bf1de758d271a1224bc0c1b2871bd3a9c3638a007c8b466d2befd6bb431",
         "fc2.W":
-            "6fd834bbee64f2395b3209e04575694e0b129f8139f8e4500bf3739fdcd98fd6",
+            "e2e7065e5acfed02fefe1490a1d7379036140fddc47cce8382aa2b81cd6b5bbe",
         "fc2.b":
             "b369a24f3a8d1d7d7a22a46f3be7b9c493e6be4a23f00e489d3387aa94ea088e",
         "logits":
-            "28cdc7af049a0a6d663aaf8a5b79f35c1cf528d08048275a00ed311b21a4ebfc",
+            "adb13cec4bf00cdee1ba28729e1d832c61603ae9b74b4d310a78226aee80e478",
         "lstm_bwd.W":
-            "70c26486864c8fa694bd25fdcf0eb74a74cde87c8896663336fd4a82bbeab0f5",
+            "ef9d46a7bcd4eaf32f9a829054cbc243282cd14a40f66620c0d2efcf8ffa1bc7",
         "lstm_bwd.b":
-            "ee80e4781e8ce90d0ed2de5d2a59eefcfe846032cd054c0b411f93fddf334a43",
+            "69f75d981e6a0a473c750c2d88c20dffeb3c0151cae4ef95b4c404d23345aa3f",
         "lstm_fwd.W":
-            "450e7e20052559beaa2cf2c3249fe91904978f646030ca1f708de971fab6d3fb",
+            "ca196159177cb6cd2f1a064f487b196ec591459787a341f584eaad5561995891",
         "lstm_fwd.b":
-            "7da5aad711f06276936b87e06e3df0508156fb9e1eba7f2cd838a4928bb90a9c",
+            "57a97533f060aea12e77205dcf44d7e1467a0c441a58e372c34c0b4dc298128c",
         "mhsa.Wo":
-            "c89afc16d09d30e84bd5c7b144d664d6ccf16648c4172ade95ba48d882f4ca79",
+            "892d33c95750002e0b0fb72e6ba56aadf5628fca49f84b19e9eb2963f7dd147c",
         "mhsa.Wqkv":
-            "07b9d3a025592a0b7bdbc450d5df5d4d6df5ec093b9d1daaaaab983ae776eb4f",
+            "5fa5b940df97447f531a7b7328922fdc027ad617aeb14586e647db94edc8bf5b",
         "squeeze.W":
-            "1ba74c9d3743be3c4ee6f402b45ba7a5b40c596fb4d3f457f4808f60d783d261",
+            "12ddaf883766f5ef93b37c41a6c747ceda9ea5f476f61a3e883868426fd864b4",
         "squeeze.b":
-            "6caaa6ec2975497a90b9a48073e914c64ee411a2160a339246643292dae10d8a",
+            "2e8d60a85967a18185e5a8c389e3c6f95d5ba2b3537d8bf91bfcd11af1f45714",
     },
 }
 
 TRAIN_HASHES = {
     "checkpoint_final.bin":
-        "18d085ee950f6e9e4c89a13dda245be7d03d5317810e10f3961f55c5fcacaf7f",
+        "7aa78bce54a8aa84ed5996c824c80224a8297b481869635d5418deeb986237b8",
     "rounds.csv":
         "6fdb7eef566dc72a99e9c5933670668dba32ae8a6ef9c45f3d0b868513782bb0",
 }
@@ -144,7 +144,7 @@ TRAIN_CONFIG = {
 
 UPDATED_TRAIN_HASHES = {
     "checkpoint_final.bin":
-        "6d87e08813e41e738e8f74e8c3f3f15cc62aaea40cab020d15a1849f4df0b58e",
+        "1b981e3001580b869e88ee99a4da726f31cc09d480314ad61d82b373e05397c4",
     "rounds.csv":
         "0d052227cd3379a6938b0490c7caf625f7efd4ce02b99e110ae3f4d4ed51a708",
 }

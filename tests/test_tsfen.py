@@ -1,4 +1,5 @@
 import copy
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +10,19 @@ from race_wfl.tsfen import (
     AdamState, DenseLayer, LstmLayer, MhsaLayer, TsfenConfig, TsfenNetwork,
     Workspace, adam_init, adam_step, load_params, masked_softmax,
     masked_softmax_backward, save_params, _attend, _attend_backward,
-    _sigmoid,
+    _tanh_gates,
 )
 
 
 DATA = Path(__file__).parent / "data"
+
+
+def _sigmoid(z):
+    """Exp-form logistic function, the reference of the LSTM's gates."""
+    # exp(-|z|) never overflows; both branches share it
+    ez = np.exp(-np.abs(z))
+    denom = 1.0 + ez
+    return np.where(z >= 0, 1.0 / denom, ez / denom)
 
 
 def plain_config(**kw):
@@ -105,6 +114,39 @@ class TestLstm:
         o = _sigmoid(z[:, 12:])
         expected = o * np.tanh(i * g)  # zero initial cell state
         assert h == pytest.approx(expected, rel=1e-12)
+
+    def test_tanh_form_gates_match_the_exp_form(self):
+        nh = 8
+        layer = LstmLayer(1, nh, np.random.default_rng(0), "l")
+        grid = np.concatenate([np.linspace(-800.0, 800.0, 400_006),
+                               [-1e300, 1e300]])
+        z = grid.reshape(-1, nh)
+        gates = np.tile(z, 4)   # the same values in every gate block
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _tanh_gates(gates, layer._scale, layer._shift)
+            ref = _sigmoid(z)
+        i, f, g, o = (gates[:, k * nh:(k + 1) * nh] for k in range(4))
+        assert np.array_equal(g, np.tanh(z))
+        for sig in (i, f, o):
+            assert ((sig >= 0.0) & (sig <= 1.0)).all()
+            assert np.abs(sig - ref).max() <= 2.0 ** -51
+        assert (i[z == -1e300] == 0.0).all() and (i[z == 1e300] == 1.0).all()
+
+    def test_extreme_pre_activations_give_a_bounded_state(self):
+        # an identity input row makes the pre-activations the inputs
+        rng = np.random.default_rng(3)
+        layer = LstmLayer(1, 4, rng, "l")
+        layer.params["l.W"][0] = 1.0
+        x = np.concatenate([np.linspace(-800.0, 800.0, 398),
+                            [-1e300, 1e300]]).reshape(40, 10, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h, _ = layer.forward(x)
+            h_rev, _ = layer.forward(x[:, ::-1])
+        for out in (h, h_rev):
+            assert np.isfinite(out).all()
+            assert (np.abs(out) <= 1.0).all()
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
