@@ -1,4 +1,4 @@
-"""Imperfect-CSI wireless links: composite channel gains and data rates.
+"""Imperfect-CSI wireless links: composite channel gains.
 
 Small-scale fading is drawn as a complex standard normal coefficient, so
 its squared magnitude is unit-mean exponential.  The estimated component
@@ -83,10 +83,3 @@ def realize_gains(distances: np.ndarray, p: "ChannelSection",
     pe = p.estimation_error_variance
     return np.sqrt(1.0 - pe) * est_sq * scale + np.sqrt(pe) * err_sq * scale
 
-
-def data_rate(bandwidth: float, rho: float, power: float,
-              gain: float) -> float:
-    """Achievable rate in bits/s at power fraction ``rho`` in [0, 1]."""
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho!r}")
-    return bandwidth * np.log2(1.0 + rho * power * gain)

@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
-from mpmath import mp, mpf
 
 from race_wfl.channel import (
-    ChannelRealization, data_rate, dbm_to_watts, realize_channel,
-    realize_gains,
+    ChannelRealization, dbm_to_watts, realize_channel, realize_gains,
 )
 from race_wfl.config import ChannelSection
 from race_wfl.errors import RaceError
@@ -87,36 +84,6 @@ def test_nonpositive_distance_rejected():
         realize_channel(0.0, p, np.random.default_rng(0))
     with pytest.raises(RaceError):
         realize_gains(np.array([10.0, -1.0]), p, np.random.default_rng(0))
-
-
-def test_data_rate_zero_power():
-    assert data_rate(1e6, 0.0, 0.5, 1e9) == 0.0
-
-
-def test_data_rate_unit_snr():
-    assert data_rate(1.0, 1.0, 1.0, 1.0) == pytest.approx(1.0)
-
-
-def test_data_rate_high_precision_oracle():
-    mp.dps = 50
-    expected = mpf(10) ** 6 * mp.log(11, 2)
-    got = data_rate(1e6, 1.0, dbm_to_watts(15.0), 10.0 / dbm_to_watts(15.0))
-    assert got == pytest.approx(float(expected), rel=1e-12)
-
-
-@given(
-    r1=st.one_of(st.just(0.0), st.floats(1e-9, 1.0)),
-    r2=st.one_of(st.just(0.0), st.floats(1e-9, 1.0)),
-    gain=st.floats(1e-3, 1e6),
-)
-def test_data_rate_strictly_increasing_in_rho(r1, r2, gain):
-    lo, hi = sorted((r1, r2))
-    rl = data_rate(1e6, lo, 0.1, gain)
-    rh = data_rate(1e6, hi, 0.1, gain)
-    assert rh >= rl
-    # strict once the SNR increment is visible at float resolution
-    if (hi - lo) * 0.1 * gain > 1e-12 * (1.0 + lo * 0.1 * gain):
-        assert rh > rl
 
 
 def test_realization_is_plain_record():

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
 from conftest import random_instance
-from race_wfl.channel import data_rate
+from race_wfl.channel import dbm_to_watts
 from race_wfl.cost_model import DeviceProfile
 from race_wfl.errors import ConvergenceError, InfeasibleError, RaceError
 from race_wfl import resource_alloc as ra
@@ -16,6 +17,45 @@ from race_wfl.resource_alloc import (
 )
 
 LN2 = math.log(2.0)
+
+
+def data_rate(bandwidth: float, rho: float, power: float,
+              gain: float) -> float:
+    """Achievable rate in bits/s at power fraction ``rho`` in [0, 1]: the
+    Shannon rate that the solver writes inline, as an oracle."""
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"rho must lie in [0, 1], got {rho!r}")
+    return bandwidth * np.log2(1.0 + rho * power * gain)
+
+
+def test_data_rate_zero_power():
+    assert data_rate(1e6, 0.0, 0.5, 1e9) == 0.0
+
+
+def test_data_rate_unit_snr():
+    assert data_rate(1.0, 1.0, 1.0, 1.0) == pytest.approx(1.0)
+
+
+def test_data_rate_high_precision_oracle():
+    mp.dps = 50
+    expected = mpf(10) ** 6 * mp.log(11, 2)
+    got = data_rate(1e6, 1.0, dbm_to_watts(15.0), 10.0 / dbm_to_watts(15.0))
+    assert got == pytest.approx(float(expected), rel=1e-12)
+
+
+@given(
+    r1=st.one_of(st.just(0.0), st.floats(1e-9, 1.0)),
+    r2=st.one_of(st.just(0.0), st.floats(1e-9, 1.0)),
+    gain=st.floats(1e-3, 1e6),
+)
+def test_data_rate_strictly_increasing_in_rho(r1, r2, gain):
+    lo, hi = sorted((r1, r2))
+    rl = data_rate(1e6, lo, 0.1, gain)
+    rh = data_rate(1e6, hi, 0.1, gain)
+    assert rh >= rl
+    # strict once the SNR increment is visible at float resolution
+    if (hi - lo) * 0.1 * gain > 1e-12 * (1.0 + lo * 0.1 * gain):
+        assert rh > rl
 
 
 class RegimeError(RaceError):
