@@ -156,6 +156,11 @@ def _stationary_rate(kappa, mz, cpu_hz, bits, bandwidth, gain, emax):
 
 
 def _result(profile, chi, rho, delta, binding, multipliers):
+    if chi == 0.0:
+        # a positive chi below the float range: the computation delay
+        # overflows, as the other out-of-range rows do
+        raise OverflowError("CPU fraction underflows to 0: computation "
+                            "delay beyond the float range")
     comp_time, ecp = comp_costs(profile, chi)
     res = AllocationResult(
         chi=float(chi), rho=float(rho), tx_time=float(delta),

@@ -80,6 +80,8 @@ profile_field = st.one_of(
 # a negative gain and a negative bandwidth: their product passes the
 # feasibility test, and this row then reached the bisection
 @example(edits=[[(2, "5e9"), (5, "1"), (7, "-10"), (8, "-1e6")]])
+# so many samples that the interior CPU fraction underflows to 0
+@example(edits=[[(0, "6.629076639110102e+217")]])
 def test_fuzzed_profile_csv_exits_with_a_documented_code(tmp_path, caplog,
                                                           edits):
     path = tmp_path / "profiles.csv"
