@@ -140,29 +140,30 @@ def _shard_gradient(resid, features, a, b):
     return (resid[a:b].T @ features[a:b] / (b - a)).ravel()
 
 
-def loss_and_gradient(weights: np.ndarray, features: np.ndarray,
-                      labels: np.ndarray, n_classes: int):
-    """Mean cross-entropy and its exact full-batch gradient (flat)."""
+def _one_shard(weights, features, labels, n_classes):
+    """(each row's probability of its label, the gradient) of one shard."""
     n = len(labels)
     if n == 0:
         raise RaceError("empty shard")
     resid, p_label = _residuals(weights, features, labels, (0, n), n_classes)
-    grad = _shard_gradient(resid, features, 0, n)
+    return p_label, _shard_gradient(resid, features, 0, n)
+
+
+def loss_and_gradient(weights: np.ndarray, features: np.ndarray,
+                      labels: np.ndarray, n_classes: int):
+    """Mean cross-entropy and its exact full-batch gradient (flat)."""
+    p_label, grad = _one_shard(weights, features, labels, n_classes)
     return float(-np.log(p_label).mean()), grad
 
 
 def local_gradient(weights: np.ndarray, features: np.ndarray,
                    labels: np.ndarray, n_classes: int) -> np.ndarray:
-    n = len(labels)
-    if n == 0:
-        raise RaceError("empty shard")
-    resid, _ = _residuals(weights, features, labels, (0, n), n_classes)
-    return _shard_gradient(resid, features, 0, n)
+    return _one_shard(weights, features, labels, n_classes)[1]
 
 
 def local_steps(weights: np.ndarray, features: np.ndarray,
                 labels: np.ndarray, offsets, n_classes: int, lr: float,
-                adversaries=(), factor: float = 1.0):
+                adversaries, factor: float):
     """One full-batch local step from ``weights`` on every shard of
     ``SyntheticTask.contiguous()``'s layout.
 

@@ -371,18 +371,20 @@ class LstmLayer:
         nh = self.nh
         n_in = xt.shape[1]
         w_h = w[n_in:]
-        i, f, g, o = (gates[..., k * nh:(k + 1) * nh] for k in range(4))
+        # (M, B, nh) views of the four gate blocks of every step
+        i, f, g, o = gates.reshape(m, b, 4, nh).transpose(2, 0, 1, 3)
         # step t's dz is [dc, dc, dc, dh] times the factors
         # [g i(1-i), c_prev f(1-f), i(1-g^2), tanh(c) o(1-o)]
         dz = np.subtract(1.0, gates)
         dz *= gates
         fac = dz.reshape(m, b, 4, nh)
-        fac[:, :, 0] *= g
-        fac[:, :, 1] *= c[:-1]
-        fg = np.multiply(g, g, out=fac[:, :, 2])
+        fi, ff, fg, fo = fac.transpose(2, 0, 1, 3)
+        fi *= g
+        ff *= c[:-1]
+        np.multiply(g, g, out=fg)
         np.subtract(1.0, fg, out=fg)
         fg *= i
-        fac[:, :, 3] *= tc
+        fo *= tc
         dc_dh = np.multiply(tc, tc)
         np.subtract(1.0, dc_dh, out=dc_dh)
         dc_dh *= o

@@ -167,7 +167,7 @@ class TestLocalSteps:
         t = small_task()
         with pytest.raises(RaceError, match="zero global model"):
             local_steps(np.zeros(t.model_dim), *t.contiguous(),
-                        t.n_classes, 0.1)
+                        t.n_classes, 0.1, set(), 1.0)
 
 
 class TestLocalUpdate:
