@@ -12,6 +12,7 @@ w_n the per-device sample counts; the default instances use unit
 counts, for which the deviation bound holds with equality.
 """
 
+import functools
 import itertools
 import logging
 import math
@@ -106,13 +107,15 @@ def random_quadratic_problem(rng, n_devices=6, dim=4, counts=None,
                                 counts=np.asarray(counts, dtype=np.float64))
 
 
-def _subset_matrix(n, k, pool=None):
-    """(S, n) averaging matrix, one row per k-subset of ``pool`` or all n."""
-    subsets = list(itertools.combinations(
-        range(n) if pool is None else pool, k))
+@functools.lru_cache(maxsize=256)
+def _subset_matrix(n, k, pool):
+    """(S, n) read-only averaging matrix, one row per k-subset of
+    ``pool`` (a tuple of device indices); built once per arguments."""
+    subsets = list(itertools.combinations(pool, k))
     m = np.zeros((len(subsets), n))
     for row, s in enumerate(subsets):
         m[row, list(s)] = 1.0 / k
+    m.flags.writeable = False
     return m
 
 
@@ -150,7 +153,9 @@ def deviation_exact(problem, w, k: int, grads=None, pool=None) -> float:
         grads = problem.device_gradients(w)      # (N, ..., d)
     y = problem.counts.reshape(-1, *([1] * (grads.ndim - 1))) * grads
     ybar = y.mean(axis=0)
-    m = _subset_matrix(problem.n_devices, k, pool)   # (S, N)
+    n = problem.n_devices
+    m = _subset_matrix(n, k, tuple(map(
+        int, range(n) if pool is None else pool)))   # (S, N)
     est = np.tensordot(m, y, axes=(1, 0))        # (S, ..., d)
     dev = ((est - ybar[None]) ** 2).sum(axis=-1)
     return dev.mean(axis=0)
@@ -259,16 +264,35 @@ class NonconvexProblem(_DeviceProblem):
     """Per-device smooth nonconvex losses: quadratic plus cosine ripple.
 
     f_n(w) = 0.5 w^T A_n w + amp_n * cos(b_n . w + phase_n); globally
-    L-smooth with L <= lam_max(mean A) + mean(amp |b|^2).
+    L-smooth with L <= lam_max(mean A) + mean(amp |b|^2).  The grid
+    search's lower bound needs finite counts >= 0, symmetric positive
+    semidefinite A_n and finite ripple parameters; anything else raises
+    ``RaceError``.
     """
 
-    matrices: np.ndarray        # (N, d, d)
+    matrices: np.ndarray        # (N, d, d), symmetric positive semidefinite
     ripple_dirs: np.ndarray     # (N, d)
     ripple_amps: np.ndarray     # (N,)
     phases: np.ndarray          # (N,)
-    counts: np.ndarray          # (N,)
+    counts: np.ndarray          # (N,) device sample counts, >= 0
 
     def __post_init__(self):
+        if not (np.isfinite(self.counts).all() and (self.counts >= 0).all()):
+            raise RaceError("sample counts must be finite and >= 0")
+        mats = self.matrices
+        if not np.isfinite(mats).all():
+            raise RaceError("each A_n must be finite")
+        # _random_spd's products leave A_n asymmetric by up to an ulp
+        trans = mats.swapaxes(-1, -2)
+        tol = 4.0 * np.finfo(np.float64).eps \
+            * np.abs(mats).max(axis=(-2, -1), keepdims=True)
+        if not ((np.abs(mats - trans) <= tol).all()
+                and (np.linalg.eigvalsh(0.5 * (mats + trans)) >= 0).all()):
+            raise RaceError("each A_n must be symmetric (to rounding) and "
+                            "positive semidefinite")
+        if not all(np.isfinite(x).all() for x in
+                   (self.ripple_dirs, self.ripple_amps, self.phases)):
+            raise RaceError("ripple parameters must be finite")
         ripple = float(np.mean(self.counts * np.abs(self.ripple_amps)
                                * (self.ripple_dirs ** 2).sum(axis=1)))
         self.smoothness = \
@@ -349,25 +373,79 @@ def _polish(problem: NonconvexProblem, w0: float, w1: float) -> np.ndarray:
     return np.array([w0, w1])
 
 
+def _band_bounds(problem: NonconvexProblem, lo, hi):
+    """Lower bounds of the loss over the rectangles [lo_b, hi_b] x
+    [-4, 4] of (w_0, w_1), and the rounding margin they are compared
+    with (see ``_grid_minimizer``)."""
+    edge = np.clip(0.0, lo, hi)                     # (B,) w_0 nearest 0
+    (a00, a01), (a10, a11) = problem.mean_matrix()
+    s = -0.5 * (a01 + a10) * edge
+    inner = np.abs(s) < 4.0 * a11          # stationary point inside
+    w1 = np.where(inner, s / (a11 if a11 > 0 else 1.0), 4.0 * np.sign(s))
+    quad = edge * (a00 * edge + (a01 + a10) * w1) + a11 * w1 * w1
+    amp = np.abs(problem.ripple_amps)
+    n_dev = problem.n_devices
+    bound = 0.5 * quad - problem.counts @ amp / n_dev
+    scale = problem.counts @ (
+        8.0 * np.abs(problem.matrices).sum(axis=(1, 2))
+        + amp * (1.0 + 4.0 * np.abs(problem.ripple_dirs).sum(axis=1)
+                 + np.abs(problem.phases))) / n_dev
+    return bound, 4.0 * (n_dev + 16) * np.finfo(np.float64).eps * scale
+
+
 def _grid_minimizer(problem: NonconvexProblem):
-    """Dense 2-D grid over [-4, 4]^2 plus descent polish from its best
-    point: (polished point, grid minimum value).  The grid is evaluated
-    in blocks of about 16k points, so each device's temporaries stay
-    cache-sized."""
+    """Dense 801 x 801 grid over [-4, 4]^2 plus descent polish from its
+    best point: (polished point, grid minimum value).
+
+    The grid is split into bands of 20 rows (w_0 values) by all 801
+    columns (w_1 values), each evaluated by one ``_loss_at`` call, so
+    each device's temporaries stay cache-sized.  A band's values are
+    bounded below by 0.5 q - (1/N) sum_n c_n |amp_n|, where q is the
+    minimum of w^T A w over the band's rectangle and A = (1/N) sum_n
+    c_n A_n (at least the sum of the per-device minima).  A is positive
+    semidefinite, so q lies at the band's w_0 nearest 0 (0 when the band
+    holds w_0 = 0), with w_1 at the stationary point -s w_0 / a_11
+    (s = (a_01 + a_10) / 2) clipped to [-4, 4].
+
+    Bands are evaluated in increasing bound order (a stable sort), and
+    the search stops at the first band whose bound exceeds the best
+    value so far by ``margin = 4 (N + 16) eps M``.  Here eps is float64's
+    machine epsilon and M = (1/N) sum_n c_n (8 sum_ij |a_n,ij| + |amp_n|
+    (1 + 4 sum_i |b_n,i| + |phase_n|)) bounds the size of the loss's
+    terms on the grid.  The rounding error of a bound and that of a
+    ``_loss_at`` value (its cosine within 4 ulps) are each under
+    (N + 16) eps M, so every skipped point's value lies strictly above
+    the kept one.  Among equal values the lowest row-major grid index
+    wins, as ``np.argmin`` over the whole grid picks, so the point and
+    the value are the exhaustive search's bit for bit.
+    """
     if problem.matrices.shape[-1] != 2:
         raise RaceError("grid search implemented for 2-D problems")
     xs = np.linspace(-4.0, 4.0, 801)
     rows = 20
-    vals = np.empty((xs.size, xs.size))
-    for r in range(0, xs.size, rows):
-        vals[r:r + rows] = problem._loss_at([xs[r:r + rows, None], xs])
-    k = int(np.argmin(vals))
+    starts = np.arange(0, xs.size, rows)
+    bound, margin = _band_bounds(
+        problem, xs[starts], xs[np.minimum(starts + rows, xs.size) - 1])
+    best = (np.inf, xs.size ** 2)            # (value, row-major index)
+    for b in np.argsort(bound, kind="stable"):
+        if bound[b] > best[0] + margin:
+            break
+        r = int(starts[b])
+        band = problem._loss_at([xs[r:r + rows, None], xs])
+        j = int(np.argmin(band))
+        best = min(best, (band.flat[j], r * xs.size + j))
+    k = best[1]
     w = _polish(problem, float(xs[k // xs.size]), float(xs[k % xs.size]))
-    return w, vals.min()
+    return w, best[0]
 
 
 def certified_minimum(problem: NonconvexProblem) -> float:
-    """Global minimum value via dense 2-D grid plus descent polish."""
+    """Global minimum value via dense 2-D grid plus descent polish: the
+    smaller of the grid minimum and the loss at the polished point.  The
+    grid search skips bands whose quadratic lower bound exceeds its best
+    value by a rounding margin, and breaks ties to the lowest grid
+    index, so both match the exhaustive grid's (see
+    ``_grid_minimizer``)."""
     w, grid_min = _grid_minimizer(problem)
     return float(min(grid_min, problem.global_loss(w)))
 

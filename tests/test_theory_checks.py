@@ -1,8 +1,13 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
+from race_wfl.errors import RaceError
 from race_wfl.theory_checks import (
-    QuadraticTestProblem, _grid_minimizer, deviation_bound, deviation_exact,
+    NonconvexProblem, QuadraticTestProblem, _grid_minimizer, _polish,
+    _band_bounds, _subset_matrix, deviation_bound, deviation_exact,
     deviation_monte_carlo, random_nonconvex_problem,
     random_quadratic_problem, verify_lemma3, verify_theorem4,
     verify_theorem5, verify_theorem7, verify_theorem9,
@@ -259,3 +264,183 @@ class TestGridSearchMatchesEinsum:
                                   reference_loss(prob, pts))
             for w in pts[:20]:
                 assert prob.global_loss(w) == reference_loss(prob, w)
+
+
+def exhaustive_grid_minimizer(problem):
+    """The grid search before band pruning: every 20-row band evaluated
+    into the full (801, 801) value array, then ``np.argmin``."""
+    xs = np.linspace(-4.0, 4.0, 801)
+    rows = 20
+    vals = np.empty((xs.size, xs.size))
+    for r in range(0, xs.size, rows):
+        vals[r:r + rows] = problem._loss_at([xs[r:r + rows, None], xs])
+    k = int(np.argmin(vals))
+    w = _polish(problem, float(xs[k // xs.size]), float(xs[k % xs.size]))
+    return w, vals.min()
+
+
+def count_bands(monkeypatch, problem):
+    """Number of ``_loss_at`` calls (one per band) that
+    ``_grid_minimizer(problem)`` makes."""
+    calls = []
+    loss_at = NonconvexProblem._loss_at
+
+    def counted(self, x):
+        calls.append(x)
+        return loss_at(self, x)
+
+    monkeypatch.setattr(NonconvexProblem, "_loss_at", counted)
+    _grid_minimizer(problem)
+    monkeypatch.setattr(NonconvexProblem, "_loss_at", loss_at)
+    return len(calls)
+
+
+def assert_same_search(problem):
+    ref_w, ref_min = exhaustive_grid_minimizer(problem)
+    w, grid_min = _grid_minimizer(problem)
+    assert w.tobytes() == ref_w.tobytes()
+    assert type(grid_min) is type(ref_min)
+    assert grid_min.tobytes() == ref_min.tobytes()
+
+
+def reshaped(seed, **fields):
+    """The ``random_nonconvex_problem(seed)`` instance with ``fields``
+    replaced."""
+    prob = random_nonconvex_problem(np.random.default_rng(seed))
+    return dataclasses.replace(prob, **fields)
+
+
+class TestPrunedGridSearch:
+    """Skipping bands by their quadratic lower bound keeps the
+    exhaustive grid's polished point and minimum bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_problems_match_exhaustive_search(self, seed):
+        assert_same_search(
+            random_nonconvex_problem(np.random.default_rng(seed)))
+
+    def test_zero_and_non_unit_counts_match(self):
+        assert_same_search(reshaped(3, counts=np.array([0.0, 2.5, 1.0, 7.0])))
+        assert_same_search(reshaped(4, counts=np.array([0.0, 0.0, 0.3, 0.0])))
+
+    def test_unprunable_ripple_evaluates_every_band(self, monkeypatch):
+        # a ripple of amplitude 10 with cos near +1 on the whole grid:
+        # every band's bound (0.5 q - 10) lies below every value (> 9)
+        prob = reshaped(5, ripple_amps=np.full(4, 10.0),
+                        ripple_dirs=np.full((4, 2), 0.01),
+                        phases=np.zeros(4))
+        bands = count_bands(monkeypatch, prob)
+        assert bands == 41
+        assert_same_search(prob)
+
+    def test_ties_go_to_the_lowest_grid_index(self, monkeypatch):
+        # the loss ignores w_0, so every row holds the minimum once and
+        # np.argmin picks row 0's; every band has the same bound
+        prob = reshaped(6, matrices=np.tile(np.diag([0.0, 1.5]), (4, 1, 1)),
+                        ripple_dirs=np.tile([0.0, 1.2], (4, 1)))
+        bands = count_bands(monkeypatch, prob)
+        assert bands == 41
+        assert_same_search(prob)
+
+    @staticmethod
+    def bounds_and_lows(prob):
+        """Each band's (bound, margin) and its smallest grid value."""
+        xs = np.linspace(-4.0, 4.0, 801)
+        starts = np.arange(0, 801, 20)
+        bound, margin = _band_bounds(prob, xs[starts],
+                                     xs[np.minimum(starts + 20, 801) - 1])
+        lows = np.array([prob._loss_at([xs[r:r + 20, None], xs]).min()
+                         for r in starts])
+        return bound, margin, lows
+
+    def test_bounds_hold_on_every_band(self):
+        problems = [random_nonconvex_problem(np.random.default_rng(seed))
+                    for seed in range(10)]
+        problems.append(reshaped(3, counts=np.array([0.0, 2.5, 1.0, 7.0])))
+        for prob in problems:
+            bound, margin, lows = self.bounds_and_lows(prob)
+            assert (bound <= lows + margin).all()
+
+    def test_bound_without_ripple_is_the_quadratic_minimum(self):
+        # w_1's stationary point -1.5 w_0 leaves [-4, 4] for |w_0| > 8/3;
+        # the bound is reached to within the column spacing
+        prob = reshaped(7, ripple_amps=np.zeros(4), matrices=np.tile(
+            [[4.0, 1.5], [1.5, 1.0]], (4, 1, 1)))
+        bound, margin, lows = self.bounds_and_lows(prob)
+        assert (bound <= lows + margin).all()
+        assert (lows - bound <= 1e-4).all()
+
+    def test_most_bands_are_skipped(self, monkeypatch):
+        for seed in range(5):
+            prob = random_nonconvex_problem(np.random.default_rng(seed))
+            bands = count_bands(monkeypatch, prob)
+            assert bands < 41 / 2
+
+
+class TestNonconvexPreconditions:
+    """The bound's preconditions are checked when a problem is built."""
+
+    def test_negative_count_is_rejected(self):
+        with pytest.raises(RaceError, match="counts"):
+            reshaped(0, counts=np.array([1.0, -1.0, 1.0, 1.0]))
+
+    def test_non_finite_count_is_rejected(self):
+        with pytest.raises(RaceError, match="counts"):
+            reshaped(0, counts=np.array([1.0, np.nan, 1.0, 1.0]))
+        with pytest.raises(RaceError, match="counts"):
+            reshaped(0, counts=np.array([1.0, np.inf, 1.0, 1.0]))
+
+    def test_non_finite_matrix_is_rejected(self):
+        mats = random_nonconvex_problem(np.random.default_rng(0)).matrices
+        mats[2, 1, 1] = np.inf
+        with pytest.raises(RaceError, match="finite"):
+            reshaped(0, matrices=mats)
+
+    def test_asymmetric_matrix_is_rejected(self):
+        mats = random_nonconvex_problem(np.random.default_rng(0)).matrices
+        mats[1, 0, 1] += 1e-6
+        with pytest.raises(RaceError, match="symmetric"):
+            reshaped(0, matrices=mats)
+
+    def test_indefinite_matrix_is_rejected(self):
+        mats = np.tile(np.diag([1.0, 1.0]), (4, 1, 1))
+        mats[3] = [[1.0, 2.0], [2.0, 1.0]]      # eigenvalues 3 and -1
+        with pytest.raises(RaceError, match="semidefinite"):
+            reshaped(0, matrices=mats)
+
+    def test_non_finite_ripple_is_rejected(self):
+        for name in ("ripple_dirs", "ripple_amps", "phases"):
+            prob = random_nonconvex_problem(np.random.default_rng(0))
+            bad = getattr(prob, name).copy()
+            bad.flat[0] = np.nan
+            with pytest.raises(RaceError, match="ripple"):
+                reshaped(0, **{name: bad})
+
+    def test_random_problems_meet_them(self):
+        for seed in range(200):
+            random_nonconvex_problem(np.random.default_rng(seed))
+
+    def test_singular_matrix_is_accepted(self):
+        reshaped(0, matrices=np.tile(np.diag([0.0, 1.0]), (4, 1, 1)))
+
+
+class TestSubsetMatrix:
+    def test_built_once_and_read_only(self):
+        m = _subset_matrix(5, 2, (0, 1, 3, 4))
+        assert _subset_matrix(5, 2, (0, 1, 3, 4)) is m
+        assert not m.flags.writeable
+        assert m.shape == (6, 5)
+        assert (m[:, 2] == 0).all() and (m.sum(axis=1) == 1.0).all()
+
+    def test_numpy_pool_and_default_pool_match_reference(self):
+        prob = random_quadratic_problem(np.random.default_rng(1))
+        w = np.random.default_rng(2).standard_normal((7, prob.dim))
+        grads = prob.device_gradients(w)
+        y = prob.counts[:, None, None] * grads
+        for pool in (None, np.array([0, 2, 3, 5]), np.arange(6)):
+            members = range(6) if pool is None else pool
+            est = np.array([y[list(s)].mean(axis=0) for s in
+                            itertools.combinations(members, 2)])
+            ref = ((est - y.mean(axis=0)) ** 2).sum(axis=-1).mean(axis=0)
+            got = deviation_exact(prob, w, 2, grads, pool)
+            assert got == pytest.approx(ref, rel=1e-12)
