@@ -81,7 +81,12 @@ def _row_number(idx, column, text) -> float:
 
 def cmd_allocate(args) -> int:
     cfg = _load_config(args)
-    bandwidth = args.bandwidth or cfg.channel.bandwidth
+    bandwidth = args.bandwidth
+    if bandwidth is None:
+        bandwidth = cfg.channel.bandwidth
+    elif not 0.0 < bandwidth < math.inf:
+        raise ConfigError(f"--bandwidth must be finite and > 0, got "
+                          f"{bandwidth!r}")
     try:
         with open(args.profiles, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)

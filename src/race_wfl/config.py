@@ -397,7 +397,3 @@ def config_hash(cfg: ScenarioConfig) -> str:
                        separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
-
-def dump_config(cfg: ScenarioConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(config_to_dict(cfg), fh, sort_keys=True)

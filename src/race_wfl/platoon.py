@@ -36,22 +36,6 @@ class PlatoonState:
         return (self.positions[:-1] - self.positions[1:] - self.lengths[:-1])
 
 
-def safe_distance(v: float, dv: float, p: PlatoonSection) -> float:
-    """Dynamic safe distance for a vehicle at speed ``v`` closing at ``dv``."""
-    return p.d_min + p.t_min * v + v * dv / (2.0 * np.sqrt(p.a_max * p.b_max))
-
-
-def idm_acceleration(v: float, dv: float, dx: float,
-                     p: PlatoonSection) -> float:
-    """Follower acceleration given speed, closing speed, and gap ``dx`` > 0."""
-    if dx <= 0.0:
-        raise CollisionError(f"non-positive gap {dx!r}")
-    h = safe_distance(v, dv, p)
-    return p.a_max * (
-        1.0 - (v / p.v_des) ** p.sensitivity_exponent - (h / dx) ** 2
-    )
-
-
 def _step_kernel(x, v, acc, lengths, p, leader_target):
     """One update interval on lists of Python floats, in place, integrated
     in ``p.substeps`` Euler sub-steps.  Returns the index of the first

@@ -116,6 +116,27 @@ class ActorBatch(NamedTuple):
     old_probs: np.ndarray
 
 
+def _claim(n_agents: int, mask: np.ndarray, pick):
+    """Agents in index order each claim one device that ``mask`` admits
+    and no earlier agent claimed.
+
+    Agent k's effective mask is ``mask`` with the claimed devices zeroed;
+    ``pick(k, eff)`` returns the device it claims, and an agent whose
+    effective mask admits nothing idles (-1) without a call.  Returns
+    (actions, eff_masks).
+    """
+    actions = np.full(n_agents, -1, dtype=np.int64)
+    eff_masks = np.zeros((n_agents, mask.shape[0]))
+    unclaimed = np.ones(mask.shape[0], dtype=bool)
+    for k in range(n_agents):
+        eff = mask * unclaimed
+        eff_masks[k] = eff
+        if (eff > 0.0).any():
+            actions[k] = pick(k, eff)
+            unclaimed[actions[k]] = False
+    return actions, eff_masks
+
+
 def select_actions(actors, state: np.ndarray, mask: np.ndarray,
                    rng: np.random.Generator):
     """Sample one device per agent without collisions.
@@ -125,23 +146,16 @@ def select_actions(actors, state: np.ndarray, mask: np.ndarray,
     ``probs[k]`` the probability of its action under that mask (1.0 for
     an idle agent, which had no other choice).
     """
-    n = mask.shape[0]
-    k_agents = len(actors)
-    actions = np.full(k_agents, -1, dtype=np.int64)
-    eff_masks = np.zeros((k_agents, n))
-    probs_out = np.ones(k_agents)
-    unclaimed = np.ones(n, dtype=bool)
-    for k, actor in enumerate(actors):
-        eff = mask * unclaimed
-        eff_masks[k] = eff
-        if eff.max() <= 0.0:
-            continue  # idle: nothing selectable remains
-        probs, _ = actor.policy(state[None], eff[None])
+    probs_out = np.ones(len(actors))
+
+    def sample(k, eff):
+        probs, _ = actors[k].policy(state[None], eff[None])
         p = probs[0]
-        a = int(rng.choice(n, p=p))
-        actions[k] = a
+        a = int(rng.choice(len(p), p=p))
         probs_out[k] = p[a]
-        unclaimed[a] = False
+        return a
+
+    actions, eff_masks = _claim(len(actors), mask, sample)
     return actions, eff_masks, probs_out
 
 
@@ -284,53 +298,35 @@ def ppo_update(batch: ActorBatch, rng: np.random.Generator) -> dict:
 
 # --- baseline selection policies -------------------------------------------
 
-def greedy_aoi_actions(aoi: np.ndarray, mask: np.ndarray,
-                       n_agents: int) -> np.ndarray:
-    """Top-k ages among eligible devices, ties to the lowest index."""
-    eligible = np.flatnonzero(np.asarray(mask) > 0.0)
-    order = eligible[np.argsort(-np.asarray(aoi)[eligible], kind="stable")]
-    actions = np.full(n_agents, -1, dtype=np.int64)
-    take = min(n_agents, len(order))
-    actions[:take] = order[:take]
-    return actions
-
-
 def baseline_policy(kind: str, state: np.ndarray, mask: np.ndarray,
                     n_agents: int, rng: np.random.Generator,
                     cursor: int = 0):
     """One round of baseline selection.
 
     ``state`` is the (M, N, 3) MDP state; ages are read from the newest
-    sub-period.  Returns (actions, new_cursor); the cursor only matters
-    for the round-robin policy.
+    sub-period.  Each agent in turn takes, among the devices still
+    admitted: ``greedy_aoi`` the oldest (ties to the lowest index),
+    ``random`` a uniform draw, ``round_robin`` the first in cyclic order
+    from ``cursor``.  Returns (actions, new_cursor); the cursor moves past
+    the last agent's device only when every agent acted.
     """
     aoi = np.asarray(state)[-1, :, 2]
     n = mask.shape[0]
     if kind == "greedy_aoi":
-        return greedy_aoi_actions(aoi, mask, n_agents), cursor
-    if kind == "random":
-        actions = np.full(n_agents, -1, dtype=np.int64)
-        unclaimed = np.asarray(mask) > 0.0
-        for k in range(n_agents):
-            avail = np.flatnonzero(unclaimed)
-            if len(avail) == 0:
-                break
-            a = int(rng.choice(avail))
-            actions[k] = a
-            unclaimed[a] = False
-        return actions, cursor
-    if kind == "round_robin":
-        actions = np.full(n_agents, -1, dtype=np.int64)
-        unclaimed = np.asarray(mask) > 0.0
-        k = 0
-        for step in range(n):
-            idx = (cursor + step) % n
-            if unclaimed[idx]:
-                actions[k] = idx
-                unclaimed[idx] = False
-                k += 1
-                if k == n_agents:
-                    cursor = (idx + 1) % n
-                    return actions, cursor
-        return actions, (cursor + n) % n
-    raise RaceError(f"unknown baseline policy {kind!r}")
+        def pick(k, eff):
+            admitted = np.flatnonzero(eff > 0.0)
+            return int(admitted[np.argmax(aoi[admitted])])
+    elif kind == "random":
+        def pick(k, eff):
+            return int(rng.choice(np.flatnonzero(eff > 0.0)))
+    elif kind == "round_robin":
+        order = (cursor + np.arange(n)) % n
+
+        def pick(k, eff):
+            return int(order[np.argmax(eff[order] > 0.0)])
+    else:
+        raise RaceError(f"unknown baseline policy {kind!r}")
+    actions, _ = _claim(n_agents, mask, pick)
+    if kind == "round_robin" and n_agents and actions[-1] >= 0:
+        cursor = (int(actions[-1]) + 1) % n
+    return actions, cursor

@@ -140,12 +140,10 @@ class World:
         threshold = self.current_threshold()
 
         # channel per sub-period along the interpolated trajectory
-        gains = np.empty((subperiods, n))
-        for m in range(subperiods):
-            frac = (m + 1) / subperiods
-            pos = prev_pos + frac * (new_pos - prev_pos)
-            dists = pos[0] - pos[1:]
-            gains[m] = realize_gains(dists, cfg.channel, self.channel_rng)
+        frac = np.arange(1, subperiods + 1)[:, None] / subperiods
+        pos = prev_pos + frac * (new_pos - prev_pos)
+        gains = realize_gains(pos[:, :1] - pos[:, 1:], cfg.channel,
+                              self.channel_rng)
         state = sel.build_state(drift, gains, self.aoi)
 
         # per-device resource allocation at the latest gains

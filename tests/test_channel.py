@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from race_wfl.channel import (
-    ChannelRealization, dbm_to_watts, realize_channel, realize_gains,
-)
+from race_wfl.channel import dbm_to_watts, realize_gains
 from race_wfl.config import ChannelSection
 from race_wfl.errors import RaceError
 
@@ -17,31 +15,55 @@ def test_dbm_conversion():
     assert dbm_to_watts(0.0) == pytest.approx(1e-3)
 
 
+def replay(distances, p, seed):
+    """(estimated, error) gains at ``distances`` from the four standard
+    normals per device that ``realize_gains`` draws with ``seed``."""
+    d = np.asarray(distances)
+    draws = np.random.default_rng(seed).standard_normal(d.shape + (4,))
+    scale = (p.frequency_factor * d ** (-p.path_loss_exponent)
+             / dbm_to_watts(p.noise_variance_dbm))
+    est = 0.5 * (draws[..., 0] ** 2 + draws[..., 1] ** 2) * scale
+    err = 0.5 * (draws[..., 2] ** 2 + draws[..., 3] ** 2) * scale
+    return est, err
+
+
+D = np.array([30.0, 50.0, 50.0, 80.0])
+
+
 def test_perfect_csi_limit():
     p = params(estimation_error_variance=0.0)
-    r = realize_channel(50.0, p, np.random.default_rng(0))
-    assert r.composite_gain == r.estimated_gain
+    est, _ = replay(D, p, 0)
+    assert (realize_gains(D, p, np.random.default_rng(0)) == est).all()
 
 
 def test_pure_error_limit():
     p = params(estimation_error_variance=1.0)
-    r = realize_channel(50.0, p, np.random.default_rng(0))
-    assert r.composite_gain == r.error_gain
+    _, err = replay(D, p, 0)
+    assert (realize_gains(D, p, np.random.default_rng(0)) == err).all()
 
 
 def test_blend_invariant_matches_definition():
     p = params(estimation_error_variance=0.3)
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        r = realize_channel(80.0, p, rng)
-        expected = (np.sqrt(0.7) * r.estimated_gain
-                    + np.sqrt(0.3) * r.error_gain)
-        assert r.composite_gain == pytest.approx(expected, rel=1e-15)
-        lo = min(r.estimated_gain, r.error_gain)
-        hi = max(r.estimated_gain, r.error_gain)
-        s = np.sqrt(0.7) + np.sqrt(0.3)
-        assert lo * s <= r.composite_gain * (1 + 1e-12)
-        assert r.composite_gain <= hi * s * (1 + 1e-12)
+    d = np.full(200, 80.0)
+    est, err = replay(d, p, 5)
+    got = realize_gains(d, p, np.random.default_rng(5))
+    assert got == pytest.approx(np.sqrt(0.7) * est + np.sqrt(0.3) * err,
+                                rel=1e-15)
+    s = np.sqrt(0.7) + np.sqrt(0.3)
+    assert (np.minimum(est, err) * s <= got * (1 + 1e-12)).all()
+    assert (got <= np.maximum(est, err) * s * (1 + 1e-12)).all()
+
+
+def test_one_call_over_rows_equals_a_call_per_row():
+    # the round loop draws all its sub-periods at once: row m takes the
+    # draws that the m-th of M row calls would have taken
+    p = params()
+    d = np.random.default_rng(3).uniform(10.0, 90.0, size=(5, 7))
+    whole = realize_gains(d, p, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    rows = np.array([realize_gains(row, p, rng) for row in d])
+    assert whole.shape == d.shape
+    assert whole.tobytes() == rows.tobytes()
 
 
 def test_fading_power_is_unit_mean():
@@ -69,23 +91,10 @@ def test_distance_monotonicity_follows_path_loss():
     assert abs(ratio - 2.0 ** (-p.path_loss_exponent)) <= 3 * se
 
 
-def test_vectorized_matches_scalar_draws():
-    p = params()
-    d = np.array([30.0, 50.0, 70.0])
-    vec = realize_gains(d, p, np.random.default_rng(7))
-    rng = np.random.default_rng(7)
-    scal = [realize_channel(di, p, rng).composite_gain for di in d]
-    assert vec == pytest.approx(scal, rel=1e-15)
-
-
 def test_nonpositive_distance_rejected():
     p = params()
     with pytest.raises(RaceError):
-        realize_channel(0.0, p, np.random.default_rng(0))
-    with pytest.raises(RaceError):
         realize_gains(np.array([10.0, -1.0]), p, np.random.default_rng(0))
+    with pytest.raises(RaceError):
+        realize_gains(np.array([[10.0], [0.0]]), p, np.random.default_rng(0))
 
-
-def test_realization_is_plain_record():
-    r = ChannelRealization(1.0, 2.0, 1.5, 50.0)
-    assert r.distance == 50.0

@@ -9,7 +9,7 @@ import yaml
 from race_wfl.cli import main
 from race_wfl.config import (
     ScenarioConfig, config_from_dict, config_hash, config_to_dict,
-    dump_config, load_config, named_rng,
+    load_config, named_rng,
 )
 from race_wfl.errors import ConfigError
 from race_wfl.tsfen import load_params, save_params
@@ -82,7 +82,7 @@ class TestValidation:
         cfg = config_from_dict({"platoon": {"n_followers": 6},
                                 "selection": {"n_subchannels": 2}})
         path = tmp_path / "cfg.yaml"
-        dump_config(cfg, path)
+        path.write_text(yaml.safe_dump(config_to_dict(cfg)))
         again = load_config(path)
         assert config_hash(again) == config_hash(cfg)
 
@@ -262,6 +262,23 @@ class TestCli:
         fields = out.read_text().splitlines()[1].split(",")
         assert fields[1:3] == ["1", "binding"]
         assert float(fields[-1]) <= 1e-9 * float(row.split(",")[5])
+
+    @pytest.mark.parametrize("bandwidth", ["0", "-1", "nan", "inf"])
+    def test_allocate_rejects_bad_bandwidth_flag(self, tmp_path, caplog,
+                                                 bandwidth):
+        # rejected once, before any row: 0 must not fall back to the
+        # config's bandwidth, nor inf solve with a transmission time of 0
+        profiles = tmp_path / "p.csv"
+        profiles.write_text(
+            "sample_count,cycles_per_sample,cpu_hz,power_coeff,"
+            "max_power_w,max_energy_j,model_bits,gain\n"
+            "100,1e7,0.5e9,1e-28,0.0316,0.1,1e6,1e6\n")
+        out = tmp_path / "a.csv"
+        assert main(["allocate", "--profiles", str(profiles), "--bandwidth",
+                     bandwidth, "--out", str(out)]) == 2
+        message = caplog.records[-1].getMessage()
+        assert message.startswith("configuration error: --bandwidth")
+        assert not out.exists()
 
     def test_allocate_rejects_missing_columns(self, tmp_path):
         broken = tmp_path / "broken.csv"

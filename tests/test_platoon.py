@@ -5,12 +5,10 @@ from mpmath import mp, mpf
 
 from race_wfl.config import PlatoonSection
 from race_wfl.errors import CollisionError
-from race_wfl.platoon import (
-    PlatoonState, idm_acceleration, init_platoon, safe_distance,
-    step_platoon,
-)
+from race_wfl.platoon import PlatoonState, init_platoon, step_platoon
 
 P = PlatoonSection()  # Table-II style defaults
+P1 = PlatoonSection(substeps=1)  # one Euler sub-step per update
 
 
 def trajectory(state, n_steps, targets):
@@ -25,57 +23,61 @@ def trajectory(state, n_steps, targets):
     return np.array(xs), np.array(vs)
 
 
-def test_safe_distance_stationary():
-    assert safe_distance(0.0, 0.0, P) == 2.0
+def follower_acceleration(lead, v, dx):
+    """The car-following law for a follower at speed ``v``, ``dx`` > 0
+    behind a leader at speed ``lead``: the acceleration ``step_platoon``
+    applies over one sub-step (0 if the follower stops within it)."""
+    state = PlatoonState(
+        positions=np.array([0.0, -dx]),  # zero lengths: the gap is dx
+        speeds=np.array([lead, v]),
+        accelerations=np.zeros(2),
+        lengths=np.zeros(2),
+    )
+    return step_platoon(state, P1).accelerations[1]
 
 
-def test_safe_distance_no_closing_speed():
-    assert safe_distance(10.0, 0.0, P) == pytest.approx(17.0, abs=0)
+def test_standstill_balances_at_minimum_gap():
+    # the safe distance at rest is d_min, so the law is exactly 0 there
+    assert follower_acceleration(0.0, 0.0, P.d_min) == 0.0
 
 
-def test_safe_distance_high_precision_oracle():
-    # oracle: same formula in 50-digit arithmetic
+def test_safe_distance_without_closing_speed():
+    # h = d_min + t_min * v = 17 at v = 10: the braking term is exactly 1
+    got = follower_acceleration(10.0, 10.0, 17.0)
+    assert got == P.a_max * (1.0 - (10.0 / P.v_des) ** 4 - 1.0)
+
+
+@pytest.mark.parametrize("v, dv, dx", [(15, -1, 12), (20, 2, 40)])
+def test_law_high_precision_oracle(v, dv, dx):
+    # oracle: the same formula in 50-digit arithmetic
     mp.dps = 50
-    expected = (mpf(2) + mpf("1.5") * 20
-                + mpf(20) * 2 / (2 * (mpf("0.73") * mpf("1.67")) ** mpf("0.5")))
-    got = safe_distance(20.0, 2.0, P)
-    assert got == pytest.approx(float(expected), rel=1e-14)
-
-
-@given(
-    v1=st.floats(0, 40), v2=st.floats(0, 40),
-    dv=st.floats(0, 10),
-)
-def test_safe_distance_monotone_in_speed(v1, v2, dv):
-    lo, hi = sorted((v1, v2))
-    assert safe_distance(lo, dv, P) <= safe_distance(hi, dv, P)
-
-
-def test_idm_acceleration_free_road_at_desired_speed():
-    a = idm_acceleration(P.v_des, 0.0, 1e9, P)
-    assert abs(a) <= 1e-6 * P.a_max
-
-
-def test_idm_acceleration_free_road_from_standstill():
-    a = idm_acceleration(0.0, 0.0, 1e9, P)
-    assert a == pytest.approx(P.a_max, rel=1e-9)
-
-
-def test_idm_acceleration_high_precision_oracle():
-    mp.dps = 50
-    v, dv, dx = mpf(15), mpf(-1), mpf(12)
+    v, dv, dx = mpf(v), mpf(dv), mpf(dx)
     a_max, b_max = mpf("0.73"), mpf("1.67")
     h = mpf(2) + mpf("1.5") * v + v * dv / (2 * (a_max * b_max) ** mpf("0.5"))
     expected = a_max * (1 - (v / 30) ** 4 - (h / dx) ** 2)
-    got = idm_acceleration(15.0, -1.0, 12.0, P)
+    got = follower_acceleration(float(v - dv), float(v), float(dx))
     assert got == pytest.approx(float(expected), rel=1e-13)
 
 
-def test_idm_acceleration_rejects_nonpositive_gap():
-    with pytest.raises(CollisionError):
-        idm_acceleration(10.0, 0.0, 0.0, P)
-    with pytest.raises(CollisionError):
-        idm_acceleration(10.0, 0.0, -1.0, P)
+@given(
+    lead=st.floats(0, 30), c1=st.floats(0, 10), c2=st.floats(0, 10),
+)
+def test_faster_follower_never_accelerates_harder(lead, c1, c2):
+    # behind a leader at speed ``lead``, a faster follower closes faster
+    # and has a larger safe distance; at a 1 km gap no follower stops
+    lo, hi = sorted((lead + c1, lead + c2))
+    assert follower_acceleration(lead, lo, 1000.0) \
+        >= follower_acceleration(lead, hi, 1000.0)
+
+
+def test_free_road_at_desired_speed():
+    a = follower_acceleration(P.v_des, P.v_des, 1e9)
+    assert abs(a) <= 1e-6 * P.a_max
+
+
+def test_free_road_from_standstill():
+    a = follower_acceleration(0.0, 0.0, 1e9)
+    assert a == pytest.approx(P.a_max, rel=1e-9)
 
 
 def _single_follower_state(speed, gap):
@@ -93,7 +95,7 @@ def _equilibrium_gap(speed):
     lo, hi = 1e-3, 1e6
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if idm_acceleration(speed, 0.0, mid, P) > 0:
+        if follower_acceleration(speed, speed, mid) > 0:
             hi = mid
         else:
             lo = mid

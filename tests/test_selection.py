@@ -11,8 +11,8 @@ from race_wfl.config import MappoSection, config_from_dict
 from race_wfl.errors import CheckpointError, RaceError
 from race_wfl.selection import (
     ActorBatch, adaptive_mask, baseline_policy, binary_mask, build_state,
-    check_actions, critic_update, gae, greedy_aoi_actions, ppo_update,
-    select_actions, _actor_step, _critic_values,
+    check_actions, critic_update, gae, ppo_update, select_actions,
+    _actor_step, _critic_values,
 )
 from race_wfl.simulation import MappoPolicy
 from race_wfl.tsfen import (
@@ -467,7 +467,9 @@ def test_agent_that_never_acted_reports_zero_steps_and_no_ratio(
 
 class TestBaselines:
     def test_greedy_tie_break_takes_lowest_indices(self):
-        actions = greedy_aoi_actions(np.full(5, 2.0), np.ones(5), 3)
+        state = np.full((1, 5, 3), 2.0)
+        actions, _ = baseline_policy("greedy_aoi", state, np.ones(5), 3,
+                                     np.random.default_rng(0))
         assert (actions == [0, 1, 2]).all()
 
     def test_greedy_picks_largest_age(self):
@@ -485,7 +487,9 @@ class TestBaselines:
             mask = (rng.random(n) > 0.3).astype(float)
             if mask.sum() == 0:
                 continue
-            actions = greedy_aoi_actions(aoi, mask, k)
+            state = np.zeros((1, n, 3))
+            state[0, :, 2] = aoi
+            actions, _ = baseline_policy("greedy_aoi", state, mask, k, rng)
             eligible = [i for i in range(n) if mask[i] > 0]
             expected = sorted(eligible, key=lambda i: (-aoi[i], i))[:k]
             got = [a for a in actions if a >= 0]
@@ -513,10 +517,45 @@ class TestBaselines:
             assert len(set(chosen)) == len(chosen)
             assert not {1, 4} & set(chosen)
 
+    def test_round_robin_cursor_waits_for_an_idle_agent(self):
+        # two agents, one admitted device: the second agent idles and the
+        # cursor stays where it was
+        mask = np.array([0.0, 0.0, 1.0, 0.0])
+        actions, cursor = baseline_policy("round_robin", np.zeros((1, 4, 3)),
+                                          mask, 2, np.random.default_rng(0),
+                                          3)
+        assert actions.tolist() == [2, -1] and cursor == 3
+
     def test_unknown_kind_errors(self):
         with pytest.raises(RaceError):
             baseline_policy("smartest", np.zeros((1, 2, 3)), np.ones(2), 1,
                             np.random.default_rng(0))
+
+
+CLAIM_N = 5
+CLAIM_ACTORS, _ = small_nets(CLAIM_N, 2, CLAIM_N, seed=12)
+
+
+@given(kind=st.sampled_from(["mappo", "greedy_aoi", "random",
+                             "round_robin"]),
+       mask=st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=CLAIM_N,
+                     max_size=CLAIM_N),
+       k=st.integers(0, CLAIM_N), cursor=st.integers(0, CLAIM_N - 1),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_every_policy_claims_for_the_first_agents(kind, mask, k, cursor,
+                                                  seed):
+    # one claim loop serves every policy: the first min(K, admitted)
+    # agents each take a distinct admitted device, the rest idle
+    rng = np.random.default_rng(seed)
+    state = rng.uniform(0.0, 5.0, size=(2, CLAIM_N, 3))
+    mask = np.array(mask)
+    if kind == "mappo":
+        actions, _, _ = select_actions(CLAIM_ACTORS[:k], state, mask, rng)
+    else:
+        actions, _ = baseline_policy(kind, state, mask, k, rng, cursor)
+    actions = check_actions(actions, mask, k)
+    acting = min(k, int((mask > 0.0).sum()))
+    assert (actions[:acting] >= 0).all() and (actions[acting:] == -1).all()
 
 
 def test_agent_checkpoint_round_trip(tmp_path):
