@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ScenarioConfig, config_hash, load_config
+from .config import ScenarioConfig, load_config
 from .errors import ConfigError, InfeasibleError, RaceError
 from .resource_alloc import Binding, optimal_allocation
 from .cost_model import DeviceProfile

@@ -26,7 +26,6 @@ from . import aoi_metrics, fl_engine, selection
 from .channel import dbm_to_watts
 from .cost_model import DeviceProfile
 from .errors import ConfigError, RaceError
-from .tsfen import TsfenConfig
 
 SCHEMA_VERSION = 1
 
@@ -238,10 +237,14 @@ class MappoSection:
 
     def __post_init__(self):
         _require_positive(self, ("clip", "learning_rate", "batch_size",
-                                 "ppo_epochs", "episodes_per_update"))
+                                 "ppo_epochs", "episodes_per_update",
+                                 "d_model", "n_heads", "squeeze_dim",
+                                 "lstm_hidden", "fc_hidden"))
         for name in ("gamma", "gae_lambda"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+        if self.d_model % self.n_heads != 0:
+            raise ValueError("d_model must be divisible by n_heads")
 
 
 @dataclass(frozen=True)
@@ -332,17 +335,6 @@ def device_profile(cost: CostSection, sample_count: int) -> DeviceProfile:
     )
 
 
-def network_config(cfg: ScenarioConfig) -> TsfenConfig:
-    """Shape of every actor and critic network in the scenario."""
-    m = cfg.mappo
-    return TsfenConfig(
-        n_devices=cfg.platoon.n_followers,
-        history=cfg.selection.subperiods, d_model=m.d_model,
-        n_heads=m.n_heads, squeeze_dim=m.squeeze_dim,
-        lstm_hidden=m.lstm_hidden, fc_hidden=m.fc_hidden,
-    )
-
-
 def _validate(cfg: ScenarioConfig) -> None:
     if cfg.selection.n_subchannels > cfg.platoon.n_followers:
         raise ConfigError("more sub-channels than follower devices")
@@ -362,10 +354,6 @@ def _validate(cfg: ScenarioConfig) -> None:
     for dev in cfg.task.adversary_devices:
         if not (_fits(dev, int) and 0 <= dev < cfg.platoon.n_followers):
             raise ConfigError(f"adversary device index {dev!r} out of range")
-    try:
-        network_config(cfg)
-    except ValueError as exc:
-        raise ConfigError(f"bad value in section mappo: {exc}") from exc
 
 
 def load_config(path) -> ScenarioConfig:

@@ -10,9 +10,9 @@ solves it; its feasible end gives chi and the energy-binding transmission
 time together, so an interior solve spends its budget to within about
 1e-12 relative.  Failures raise where they happen: ``ValueError`` on a
 gain or bandwidth <= 0, ``InfeasibleError`` when the budget is below the
-transmission-energy infimum, ``ConvergenceError`` when the bisection finds
-no bracket or a binding solve comes out more than ``ENERGY_GUARD_REL`` over
-budget.
+transmission-energy infimum, ``OverflowError`` when ``max_power_w * gain``
+overflows, ``ConvergenceError`` when the bisection finds no bracket or a
+binding solve comes out more than ``ENERGY_GUARD_REL`` over budget.
 
 Outcomes:
   * energy slack: full allocation (chi = rho = 1) fits the budget;
@@ -194,6 +194,9 @@ def optimal_allocation(profile: DeviceProfile, gain: float,
             "infeasible device instance: budget below transmission infimum"
         )
     u_full = math.log1p(power * gain) / LN2
+    if math.isinf(u_full):
+        raise OverflowError("max_power_w * gain overflows: full-power "
+                            "rate beyond the float range")
     delta_full = bits / (bandwidth * u_full)
     if kappa * mz * cpu_hz ** 2 + power * delta_full <= emax:
         u = bits / (delta_full * bandwidth)

@@ -25,8 +25,7 @@ from . import aoi_metrics, fl_engine, selection as sel
 from .aoi_metrics import RoundLedger
 from .channel import realize_gains
 from .config import (
-    ScenarioConfig, config_hash, config_to_dict, device_profile,
-    named_rng, network_config,
+    ScenarioConfig, config_hash, config_to_dict, device_profile, named_rng,
 )
 from .cost_model import round_delay
 from .errors import (
@@ -229,12 +228,11 @@ class MappoPolicy:
     ``ppo_update`` returned."""
 
     def __init__(self, cfg: ScenarioConfig, seed: int, train: bool = True):
-        net_cfg = network_config(cfg)
         winit = named_rng(seed, "weights-init", 1)
+        n = cfg.platoon.n_followers
         # the critic draws its weights first, then actors 0..K-1
-        self.critic = TsfenNetwork(
-            dataclasses.replace(net_cfg, output_dim=1), winit)
-        self.actors = [TsfenNetwork(net_cfg, winit)
+        self.critic = TsfenNetwork(cfg.mappo, n, 1, winit)
+        self.actors = [TsfenNetwork(cfg.mappo, n, n, winit)
                        for _ in range(cfg.selection.n_subchannels)]
         self.critic_opt = adam_init(self.critic.params)
         self.actor_opts = [adam_init(a.params) for a in self.actors]

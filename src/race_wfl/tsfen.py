@@ -27,7 +27,7 @@ the cell update; its sigmoid gates are ``tanh(z / 2) / 2 + 1/2``, one
 local derivative factors before the loop (see ``LstmLayer``).  The
 masked softmax maps a zero mask entry to exactly zero probability
 (additive log-mask), and probabilities of maskable entries are floored
-at ``prob_floor`` and renormalized for numerical stability.
+at ``PROB_FLOOR`` and renormalized for numerical stability.
 """
 
 import json
@@ -35,12 +35,26 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CheckpointError, RaceError
 
+if TYPE_CHECKING:
+    from .config import MappoSection
+
 _MAGIC = b"TSFCKPT1"
+
+# fixed conditioning of ``selection.build_state``'s (drift, gain, age)
+# features: optional log10, then affine; their count is the MHSA's input
+# width
+FEATURE_LOG = (False, True, False)
+FEATURE_CENTER = (0.1, 13.0, 0.5)
+FEATURE_SCALE = (0.2, 3.0, 1.0)
+
+# least probability of a device the mask admits
+PROB_FLOOR = 1e-7
 
 
 def _attend(scores, xb, u, inv_z):
@@ -103,36 +117,6 @@ class Workspace:
             flat = self._flat[name] = np.empty(size)
             self.allocations += 1
         return flat[:size].reshape(shape)
-
-
-@dataclass(frozen=True)
-class TsfenConfig:
-    n_devices: int
-    history: int = 5
-    feature_dim: int = 3
-    d_model: int = 64
-    n_heads: int = 8
-    squeeze_dim: int = 8
-    lstm_hidden: int = 128
-    fc_hidden: int = 128
-    output_dim: int | None = None     # defaults to n_devices
-    prob_floor: float = 1e-7
-    # fixed per-feature preprocessing: optional log10 then affine
-    feature_log: tuple = (False, True, False)
-    feature_center: tuple = (0.1, 13.0, 0.5)
-    feature_scale: tuple = (0.2, 3.0, 1.0)
-
-    def __post_init__(self):
-        sizes = (self.n_devices, self.history, self.d_model, self.n_heads,
-                 self.squeeze_dim, self.lstm_hidden, self.fc_hidden)
-        if min(sizes) < 1:
-            raise ValueError("network sizes must be >= 1")
-        if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must be divisible by n_heads")
-
-    @property
-    def out_dim(self) -> int:
-        return self.n_devices if self.output_dim is None else self.output_dim
 
 
 def _uniform_init(rng, fan_in, shape):
@@ -406,13 +390,12 @@ class LstmLayer:
         return (dz2 @ w[:n_in].T).reshape(m, b, n_in).transpose(1, 0, 2)
 
 
-def masked_softmax(logits: np.ndarray, mask: np.ndarray,
-                   floor: float = 1e-7):
+def masked_softmax(logits: np.ndarray, mask: np.ndarray):
     """Selection probabilities with hard-zero support outside the mask.
 
     Fractional mask entries scale the exponentiated scores (additive log
     mask); zero entries get exactly zero probability.  Probabilities of
-    in-support entries are clipped to at least ``floor`` and renormalized.
+    in-support entries are floored at ``PROB_FLOOR`` and renormalized.
     Returns (probs, cache).
     """
     mask = np.asarray(mask, dtype=np.float64)
@@ -433,7 +416,7 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray,
     raw = np.where(support, np.exp(z, where=np.isfinite(z),
                                    out=np.zeros_like(z)), 0.0)
     raw = raw / raw.sum(axis=-1, keepdims=True)
-    floored = np.where(support, np.maximum(raw, floor), 0.0)
+    floored = np.where(support, np.maximum(raw, PROB_FLOOR), 0.0)
     denom = floored.sum(axis=-1, keepdims=True)
     probs = floored / denom
     cache = (raw, floored, denom, support)
@@ -451,32 +434,34 @@ def masked_softmax_backward(cache, dprobs):
 
 
 class TsfenNetwork:
-    """Trunk plus head; see the module docstring for the layout."""
+    """Trunk plus head over ``n_devices`` devices, with the layer sizes of
+    the ``mappo`` section and ``out_dim`` outputs; see the module docstring
+    for the layout."""
 
-    def __init__(self, config: TsfenConfig, rng: np.random.Generator):
-        self.config = config
-        c = config
-        self.mhsa = MhsaLayer(c.feature_dim, c.d_model, c.n_heads,
-                              c.squeeze_dim, rng)
-        lstm_in = c.n_devices * c.squeeze_dim
-        self.lstm_fwd = LstmLayer(lstm_in, c.lstm_hidden, rng, "lstm_fwd")
-        self.lstm_bwd = LstmLayer(lstm_in, c.lstm_hidden, rng, "lstm_bwd")
-        self.fc1 = DenseLayer(2 * c.lstm_hidden, c.fc_hidden, rng, "fc1")
-        self.fc2 = DenseLayer(c.fc_hidden, c.out_dim, rng, "fc2")
+    def __init__(self, p: "MappoSection", n_devices: int, out_dim: int,
+                 rng: np.random.Generator):
+        self.mhsa = MhsaLayer(len(FEATURE_LOG), p.d_model, p.n_heads,
+                              p.squeeze_dim, rng)
+        lstm_in = n_devices * p.squeeze_dim
+        self.lstm_fwd = LstmLayer(lstm_in, p.lstm_hidden, rng, "lstm_fwd")
+        self.lstm_bwd = LstmLayer(lstm_in, p.lstm_hidden, rng, "lstm_bwd")
+        self.fc1 = DenseLayer(2 * p.lstm_hidden, p.fc_hidden, rng, "fc1")
+        self.fc2 = DenseLayer(p.fc_hidden, out_dim, rng, "fc2")
         self.params = {}
         for layer in (self.mhsa, self.lstm_fwd, self.lstm_bwd, self.fc1,
                       self.fc2):
             self.params.update(layer.params)
 
-    def preprocess(self, states: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def preprocess(states: np.ndarray) -> np.ndarray:
         """Fixed feature conditioning: optional log10 then affine."""
-        c = self.config
         out = np.array(states, dtype=np.float64)
-        for j in range(c.feature_dim):
+        for j, (log, center, scale) in enumerate(
+                zip(FEATURE_LOG, FEATURE_CENTER, FEATURE_SCALE)):
             col = out[..., j]
-            if c.feature_log[j]:
+            if log:
                 col = np.log10(np.maximum(col, 1e-300))
-            out[..., j] = (col - c.feature_center[j]) / c.feature_scale[j]
+            out[..., j] = (col - center) / scale
         return out
 
     def forward(self, states: np.ndarray, workspace: Workspace = None):
@@ -512,7 +497,7 @@ class TsfenNetwork:
         drelu = self.fc2.backward(c_fc2, dlogits, grads)
         df1 = drelu * (f1 > 0.0)
         dh = self.fc1.backward(c_fc1, df1, grads)
-        nh = self.config.lstm_hidden
+        nh = self.lstm_fwd.nh
         dseq = self.lstm_fwd.backward(c_fwd, dh[:, :nh], grads)
         dseq_b = self.lstm_bwd.backward(c_bwd, dh[:, nh:], grads)
         dseq = dseq + dseq_b[:, ::-1, :]
@@ -523,8 +508,7 @@ class TsfenNetwork:
                workspace: Workspace = None):
         """Masked selection probabilities (B, N) plus caches."""
         logits, cache = self.forward(states, workspace)
-        probs, sm_cache = masked_softmax(logits, mask,
-                                         self.config.prob_floor)
+        probs, sm_cache = masked_softmax(logits, mask)
         return probs, (cache, sm_cache)
 
     def policy_backward(self, caches, dprobs):
@@ -556,7 +540,7 @@ def adam_init(params: dict) -> AdamState:
     )
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float = 1e-4,
+def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> None:
     """One bias-corrected adaptive-moment descent step, in place."""

@@ -263,6 +263,21 @@ class TestCli:
         assert fields[1:3] == ["1", "binding"]
         assert float(fields[-1]) <= 1e-9 * float(row.split(",")[5])
 
+    def test_allocate_power_gain_overflow_exits_2(self, tmp_path, caplog):
+        # max_power_w * gain is inf: the full-power transmission time would
+        # be 0
+        profiles = tmp_path / "p.csv"
+        profiles.write_text(
+            "sample_count,cycles_per_sample,cpu_hz,power_coeff,"
+            "max_power_w,max_energy_j,model_bits,gain\n"
+            "100,1e7,0.5e9,1e-28,10,0.1,1e6,1e308\n")
+        out = tmp_path / "a.csv"
+        assert main(["allocate", "--profiles", str(profiles), "--out",
+                     str(out)]) == 2
+        message = caplog.records[-1].getMessage()
+        assert message.startswith("configuration error: profile row 0: ")
+        assert "max_power_w * gain overflows" in message
+
     @pytest.mark.parametrize("bandwidth", ["0", "-1", "nan", "inf"])
     def test_allocate_rejects_bad_bandwidth_flag(self, tmp_path, caplog,
                                                  bandwidth):
@@ -376,6 +391,29 @@ class TestCli:
         assert len(errors) == 1
         assert errors[0].startswith(
             f"configuration error: bad value in section {section}: ")
+        assert name in errors[0]
+
+    @pytest.mark.parametrize("edit, name", [
+        ({"d_model": 0}, "d_model"),
+        ({"n_heads": 0}, "n_heads"),
+        ({"squeeze_dim": 0}, "squeeze_dim"),
+        ({"lstm_hidden": 0}, "lstm_hidden"),
+        ({"fc_hidden": 0}, "fc_hidden"),
+        ({"d_model": 10, "n_heads": 3}, "d_model"),
+    ])
+    def test_network_size_exits_2_naming_the_field(self, tmp_path, caplog,
+                                                   edit, name):
+        data = json.loads(json.dumps(TINY))
+        data["mappo"].update(edit)
+        path = tmp_path / "net.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert main(["train", "--config", str(path), "--out-dir",
+                     str(tmp_path / "r")]) == 2
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert errors[0].startswith(
+            "configuration error: bad value in section mappo: ")
         assert name in errors[0]
 
     # values no section can bound, because the Stage-1 terms they break

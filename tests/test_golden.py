@@ -54,10 +54,10 @@ import numpy as np
 import pytest
 
 from race_wfl.cli import main
-from race_wfl.config import PlatoonSection, config_from_dict
+from race_wfl.config import MappoSection, PlatoonSection, config_from_dict
 from race_wfl.platoon import init_platoon, step_platoon
 from race_wfl.simulation import run_experiment
-from race_wfl.tsfen import TsfenConfig, TsfenNetwork
+from race_wfl.tsfen import TsfenNetwork
 
 PINNED_NUMPY = "2.4.6"
 PINNED_BLAS = "0.3.31.188.0"
@@ -265,9 +265,8 @@ def _sha(data) -> str:
 def network_hashes(batch: int) -> dict:
     """{"logits" or parameter name: SHA-256 of its raw float64 bytes}."""
     rng = np.random.default_rng(2024)
-    cfg = TsfenConfig(n_devices=20)
-    net = TsfenNetwork(cfg, rng)
-    shape = (batch, cfg.history, cfg.n_devices)
+    net = TsfenNetwork(MappoSection(), 20, 20, rng)
+    shape = (batch, 5, 20)   # the default sub-periods and followers
     states = np.stack([rng.uniform(0.0, 0.5, shape),
                        10.0 ** rng.uniform(8.0, 16.0, shape),
                        rng.uniform(0.0, 5.0, shape)], axis=-1)

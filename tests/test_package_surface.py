@@ -1,9 +1,11 @@
-"""Every module-level function and class of ``race_wfl`` has a caller.
+"""Every module-level function and class of ``race_wfl`` has a caller,
+and every name a module imports is used in it.
 
 A name counts as used when code in ``src/`` other than its own
 definition refers to it, or when ``perfbench/*.py`` does, by name or as
 the string its tracer resolves.  Test-only support code is listed in
-``TEST_SUPPORT`` with the reason it stays.
+``TEST_SUPPORT`` with the reason it stays.  ``__init__.py`` imports to
+re-export, so its imports are not checked.
 """
 
 import ast
@@ -74,3 +76,37 @@ def test_test_support_names_exist():
     definitions, _ = _surface()
     defined = {f"{module}.{name}" for module, name in definitions}
     assert set(TEST_SUPPORT) <= defined
+
+
+def _annotation_names(tree) -> set:
+    """Names in the string annotations under ``tree``, which name what
+    a module imports under ``TYPE_CHECKING``."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.returns:
+            annotations.append(node.returns)
+    return {sub.id for ann in annotations for const in ast.walk(ann)
+            if isinstance(const, ast.Constant)
+            and isinstance(const.value, str)
+            for sub in ast.walk(ast.parse(const.value, mode="eval"))
+            if isinstance(sub, ast.Name)}
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)} | _annotation_names(tree)
+        unused += [
+            f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert unused == []

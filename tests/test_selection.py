@@ -1,4 +1,3 @@
-import dataclasses
 import logging
 import math
 
@@ -15,25 +14,19 @@ from race_wfl.selection import (
     _actor_step, _critic_values,
 )
 from race_wfl.simulation import MappoPolicy
-from race_wfl.tsfen import (
-    TsfenConfig, TsfenNetwork, adam_init, load_params, save_params,
-)
+from race_wfl.tsfen import TsfenNetwork, adam_init, load_params, save_params
 
-SMALL_NET = dict(d_model=8, n_heads=2, squeeze_dim=3, lstm_hidden=5,
-                 fc_hidden=6, feature_log=(False, False, False),
-                 feature_center=(0.0, 0.0, 0.0),
-                 feature_scale=(1.0, 1.0, 1.0))
-SMALL_MAPPO = {k: SMALL_NET[k] for k in
-               ("d_model", "n_heads", "squeeze_dim", "lstm_hidden",
-                "fc_hidden")}
+SMALL_MAPPO = dict(d_model=8, n_heads=2, squeeze_dim=3, lstm_hidden=5,
+                   fc_hidden=6)
 
 
-def small_nets(n_devices, history, k_agents, seed=0, uniform=False):
+def small_nets(n_devices, k_agents, seed=0, uniform=False):
     """``k_agents`` actors, then one critic, drawn from ``seed``."""
     rng = np.random.default_rng(seed)
-    cfg = TsfenConfig(n_devices=n_devices, history=history, **SMALL_NET)
-    actors = [TsfenNetwork(cfg, rng) for _ in range(k_agents)]
-    critic = TsfenNetwork(dataclasses.replace(cfg, output_dim=1), rng)
+    p = MappoSection(**SMALL_MAPPO)
+    actors = [TsfenNetwork(p, n_devices, n_devices, rng)
+              for _ in range(k_agents)]
+    critic = TsfenNetwork(p, n_devices, 1, rng)
     if uniform:
         for actor in actors:
             for p in actor.params.values():
@@ -129,7 +122,7 @@ class TestMasks:
 
 class TestSelectActions:
     def test_single_eligible_device_is_forced(self):
-        actors, _ = small_nets(4, 2, 1, uniform=True)
+        actors, _ = small_nets(4, 1, uniform=True)
         state = np.zeros((2, 4, 3))
         mask = np.array([0.0, 0.0, 1.0, 0.0])
         rng = np.random.default_rng(0)
@@ -139,7 +132,7 @@ class TestSelectActions:
             assert probs[0] == 1.0
 
     def test_masked_devices_never_selected(self):
-        actors, _ = small_nets(5, 2, 2, seed=3)
+        actors, _ = small_nets(5, 2, seed=3)
         state = np.random.default_rng(1).uniform(size=(2, 5, 3))
         mask = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
         rng = np.random.default_rng(2)
@@ -148,7 +141,7 @@ class TestSelectActions:
             assert 1 not in actions and 4 not in actions
 
     def test_no_collisions_and_legal_assignment(self):
-        actors, _ = small_nets(6, 2, 3, seed=5)
+        actors, _ = small_nets(6, 3, seed=5)
         state = np.random.default_rng(3).uniform(size=(2, 6, 3))
         mask = np.ones(6)
         rng = np.random.default_rng(4)
@@ -159,7 +152,7 @@ class TestSelectActions:
             check_actions(actions, mask, 3)
 
     def test_surplus_agents_idle(self):
-        actors, _ = small_nets(4, 2, 3, uniform=True)
+        actors, _ = small_nets(4, 3, uniform=True)
         state = np.zeros((2, 4, 3))
         mask = np.array([1.0, 0.0, 1.0, 0.0])  # two eligible, three agents
         actions, eff, probs = select_actions(actors, state, mask,
@@ -172,7 +165,7 @@ class TestSelectActions:
     def test_matches_enumerated_conflict_distribution(self):
         # two uniform agents over three devices: agent 0 uniform, agent 1
         # uniform over the remaining two; per-device marginal is 2/3
-        actors, _ = small_nets(3, 1, 2, uniform=True)
+        actors, _ = small_nets(3, 2, uniform=True)
         state = np.zeros((1, 3, 3))
         mask = np.ones(3)
         rng = np.random.default_rng(11)
@@ -259,7 +252,7 @@ def _record_calls(monkeypatch, name):
 class TestPpoUpdate:
     def test_ratio_is_one_before_any_update(self):
         rng = np.random.default_rng(0)
-        actors, _ = small_nets(4, 2, 1, seed=9)
+        actors, _ = small_nets(4, 1, seed=9)
         states, _, masks, actions, probs = _random_rounds(actors, rng, 4, 2)
         recomputed, _ = actors[0].policy(states, masks[:, 0])
         ratio = (recomputed[np.arange(len(states)), actions[:, 0]]
@@ -268,7 +261,7 @@ class TestPpoUpdate:
 
     def test_every_agent_records_its_batch_one_probability(self):
         rng = np.random.default_rng(0)
-        actors, _ = small_nets(4, 2, 2, seed=9)
+        actors, _ = small_nets(4, 2, seed=9)
         states, _, masks, actions, probs = _random_rounds(actors, rng, 4, 2)
         rows = np.arange(len(states))
         for k, actor in enumerate(actors):
@@ -283,7 +276,7 @@ class TestPpoUpdate:
             assert np.abs(ratio - 1.0).max() <= 2 * np.finfo(float).eps
 
     def test_zero_advantage_leaves_actor_unchanged(self):
-        (actor,), _ = small_nets(4, 2, 1, seed=1)
+        (actor,), _ = small_nets(4, 1, seed=1)
         before = {k: v.copy() for k, v in actor.params.items()}
         rng = np.random.default_rng(2)
         batch = ActorBatch(
@@ -298,7 +291,7 @@ class TestPpoUpdate:
     def test_bandit_probability_rises_under_positive_advantage(self):
         # fixed positive advantage on device 0: its probability must rise
         # monotonically (the surrogate gradient has a fixed sign)
-        (actor,), _ = small_nets(2, 1, 1, seed=3)
+        (actor,), _ = small_nets(2, 1, seed=3)
         opt = adam_init(actor.params)
         state = np.full((1, 1, 2, 3), 0.5)
         mask = np.ones((1, 2))
@@ -335,7 +328,7 @@ class TestPpoUpdate:
                 assert all(np.isfinite(v) for v in entry.values())
 
     def test_empty_input_errors(self):
-        (actor,), critic = small_nets(3, 2, 1)
+        (actor,), critic = small_nets(3, 1)
         hyper, rng = MappoSection(), np.random.default_rng(0)
         no_states = np.zeros((0, 2, 3, 3))
         for episodes in ([], [(no_states, np.zeros(0))]):
@@ -366,7 +359,7 @@ class TestPpoUpdate:
 
     def test_critic_loss_decreases_on_a_fixed_problem(self):
         rng = np.random.default_rng(7)
-        actors, critic = small_nets(3, 2, 1, seed=7)
+        actors, critic = small_nets(3, 1, seed=7)
         opt = adam_init(critic.params)
         losses = []
         for _ in range(6):
@@ -533,7 +526,7 @@ class TestBaselines:
 
 
 CLAIM_N = 5
-CLAIM_ACTORS, _ = small_nets(CLAIM_N, 2, CLAIM_N, seed=12)
+CLAIM_ACTORS, _ = small_nets(CLAIM_N, CLAIM_N, seed=12)
 
 
 @given(kind=st.sampled_from(["mappo", "greedy_aoi", "random",
@@ -609,7 +602,7 @@ def test_per_agent_critic_checkpoint_is_rejected(tmp_path):
 
 def test_critic_values_in_chunks_equal_one_whole_batch_forward():
     rng = np.random.default_rng(3)
-    critic = TsfenNetwork(TsfenConfig(n_devices=20, output_dim=1), rng)
+    critic = TsfenNetwork(MappoSection(), 20, 1, rng)
     shape = (40, 5, 20)  # one full minibatch-sized chunk and a partial one
     states = np.stack([rng.uniform(0.0, 0.5, shape),
                        10.0 ** rng.uniform(8.0, 16.0, shape),

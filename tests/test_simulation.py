@@ -342,7 +342,7 @@ class TestSharedCritic:
         cfg = tiny_cfg(selection={"n_subchannels": 3})
         policy = MappoPolicy(cfg, cfg.run.seed)
         assert len(policy.actors) == len(policy.actor_opts) == 3
-        assert policy.critic.config.out_dim == 1
+        assert policy.critic.params["fc2.b"].shape == (1,)
         policy.save(tmp_path / "policy.bin")
         names, meta = load_params(tmp_path / "policy.bin")
         assert meta == {"n_agents": 3}

@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from race_wfl.config import MappoSection
 from race_wfl.errors import CheckpointError, RaceError
 from race_wfl.tsfen import (
-    AdamState, DenseLayer, LstmLayer, MhsaLayer, TsfenConfig, TsfenNetwork,
+    AdamState, DenseLayer, LstmLayer, MhsaLayer, TsfenNetwork,
     Workspace, adam_init, adam_step, load_params, masked_softmax,
     masked_softmax_backward, save_params, _attend, _attend_backward,
     _tanh_gates,
@@ -25,14 +26,8 @@ def _sigmoid(z):
     return np.where(z >= 0, 1.0 / denom, ez / denom)
 
 
-def plain_config(**kw):
-    base = dict(n_devices=4, history=2, d_model=8, n_heads=2, squeeze_dim=3,
-                lstm_hidden=5, fc_hidden=6,
-                feature_log=(False, False, False),
-                feature_center=(0.0, 0.0, 0.0),
-                feature_scale=(1.0, 1.0, 1.0))
-    base.update(kw)
-    return TsfenConfig(**base)
+SMALL = MappoSection(d_model=8, n_heads=2, squeeze_dim=3, lstm_hidden=5,
+                     fc_hidden=6)
 
 
 class TestMhsa:
@@ -313,12 +308,12 @@ class TestFoldedAttentionMatchesUnfolded:
     serves."""
 
     @staticmethod
-    def _check(cfg, batch, rng):
-        net = TsfenNetwork(cfg, rng)
+    def _check(p, n_devices, out_dim, batch, rng):
+        net = TsfenNetwork(p, n_devices, out_dim, rng)
         ref = copy.copy(net)   # shares every parameter array
-        ref.mhsa = UnfoldedMhsa(cfg.n_heads, net.params)
-        states = _states(rng, cfg, batch)
-        dlogits = rng.standard_normal((batch, cfg.out_dim))
+        ref.mhsa = UnfoldedMhsa(p.n_heads, net.params)
+        states = _states(rng, batch, n_devices, 5)
+        dlogits = rng.standard_normal((batch, out_dim))
         logits, cache = net.forward(states)
         grads = net.backward(cache, dlogits)
         ref_logits, ref_cache = ref.forward(states)
@@ -329,18 +324,19 @@ class TestFoldedAttentionMatchesUnfolded:
             assert_close(grads[name], g)
 
     @pytest.mark.parametrize("batch", [1, 8, 32])
-    @pytest.mark.parametrize("out_dim", [None, 1])
+    @pytest.mark.parametrize("out_dim", [20, 1])
     def test_whole_tensors_match(self, batch, out_dim):
-        cfg = TsfenConfig(n_devices=20, output_dim=out_dim)
-        self._check(cfg, batch, np.random.default_rng(batch))
+        self._check(MappoSection(), 20, out_dim, batch,
+                    np.random.default_rng(batch))
 
     @pytest.mark.parametrize("d_model,n_heads", [(8, 8), (16, 4), (16, 2)])
     @pytest.mark.parametrize("n_devices", [1, 7, 20])
     def test_narrow_heads_and_other_device_counts(self, d_model, n_heads,
                                                   n_devices):
-        cfg = TsfenConfig(n_devices=n_devices, d_model=d_model,
-                          n_heads=n_heads, lstm_hidden=16, fc_hidden=16)
-        self._check(cfg, 4, np.random.default_rng(d_model + n_devices))
+        p = MappoSection(d_model=d_model, n_heads=n_heads, lstm_hidden=16,
+                         fc_hidden=16)
+        self._check(p, n_devices, n_devices, 4,
+                    np.random.default_rng(d_model + n_devices))
 
 
 class TestKeyMajorAttentionMatchesReductions:
@@ -421,7 +417,7 @@ class TestMaskedSoftmax:
 
     def test_probability_floor_applies(self):
         z = np.array([[0.0, -200.0, 0.0]])
-        probs, _ = masked_softmax(z, np.ones((1, 3)), floor=1e-7)
+        probs, _ = masked_softmax(z, np.ones((1, 3)))
         assert probs[0, 1] > 0.0
         assert probs[0, 1] == pytest.approx(1e-7, rel=1e-3)
 
@@ -465,12 +461,11 @@ class TestMaskedSoftmax:
 class TestNetworkGradients:
     def test_full_policy_gradient_check(self):
         rng = np.random.default_rng(0)
-        cfg = plain_config()
-        net = TsfenNetwork(cfg, rng)
-        states = rng.standard_normal((3, cfg.history, cfg.n_devices, 3))
-        mask = np.ones((3, cfg.n_devices))
+        net = TsfenNetwork(SMALL, 4, 4, rng)
+        states = rng.standard_normal((3, 2, 4, 3))
+        mask = np.ones((3, 4))
         mask[0, 1] = 0.0
-        r = rng.standard_normal((3, cfg.n_devices))
+        r = rng.standard_normal((3, 4))
         probs, caches = net.policy(states, mask)
         grads = net.policy_backward(caches, r.copy())
         h = 1e-5
@@ -491,19 +486,17 @@ class TestNetworkGradients:
         assert worst <= 1e-4
 
     def test_preprocess_is_fixed_and_finite(self):
-        cfg = TsfenConfig(n_devices=3, history=2)
-        net = TsfenNetwork(cfg, np.random.default_rng(0))
         states = np.zeros((1, 2, 3, 3))
         states[..., 0] = 0.2            # drift
         states[..., 1] = 1e13           # raw gain spans huge magnitudes
         states[..., 2] = 0.5            # age
-        out = net.preprocess(states)
+        out = TsfenNetwork.preprocess(states)
         assert np.isfinite(out).all()
         assert np.abs(out).max() < 10.0
 
 
-def _states(rng, cfg, batch):
-    shape = (batch, cfg.history, cfg.n_devices)
+def _states(rng, batch, n_devices, history):
+    shape = (batch, history, n_devices)
     return np.stack([rng.uniform(0.0, 0.5, shape),
                      10.0 ** rng.uniform(8.0, 16.0, shape),
                      rng.uniform(0.0, 5.0, shape)], axis=-1)
@@ -512,12 +505,11 @@ def _states(rng, cfg, batch):
 class TestWorkspace:
     def test_shared_workspace_gives_the_same_bits_at_every_batch(self):
         rng = np.random.default_rng(7)
-        cfg = TsfenConfig(n_devices=20)
-        net = TsfenNetwork(cfg, rng)
+        net = TsfenNetwork(MappoSection(), 20, 20, rng)
         ws = Workspace()
         for batch in (32, 4, 1):   # smaller batches reuse the grown buffers
-            states = _states(rng, cfg, batch)
-            dlogits = rng.standard_normal((batch, cfg.out_dim))
+            states = _states(rng, batch, 20, 5)
+            dlogits = rng.standard_normal((batch, 20))
             logits, cache = net.forward(states)
             grads = net.backward(cache, dlogits)
             logits_ws, cache_ws = net.forward(states, ws)
@@ -529,23 +521,21 @@ class TestWorkspace:
 
     def test_backward_after_a_later_forward_raises(self):
         rng = np.random.default_rng(8)
-        cfg = plain_config()
-        net = TsfenNetwork(cfg, rng)
+        net = TsfenNetwork(SMALL, 4, 4, rng)
         ws = Workspace()
-        logits_a, cache_a = net.forward(_states(rng, cfg, 3), ws)
-        logits_b, cache_b = net.forward(_states(rng, cfg, 3), ws)
+        logits_a, cache_a = net.forward(_states(rng, 3, 4, 2), ws)
+        logits_b, cache_b = net.forward(_states(rng, 3, 4, 2), ws)
         with pytest.raises(RaceError, match="stale"):
             net.backward(cache_a, np.ones_like(logits_a))
         net.backward(cache_b, np.ones_like(logits_b))
 
     def test_repeated_steps_allocate_no_new_buffer(self):
         rng = np.random.default_rng(9)
-        cfg = plain_config()
-        net = TsfenNetwork(cfg, rng)
+        net = TsfenNetwork(SMALL, 4, 4, rng)
         ws = Workspace()
 
         def step(batch):
-            logits, cache = net.forward(_states(rng, cfg, batch), ws)
+            logits, cache = net.forward(_states(rng, batch, 4, 2), ws)
             net.backward(cache, np.ones_like(logits))
 
         step(8)
@@ -605,7 +595,7 @@ class TestAdam:
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
-        net = TsfenNetwork(plain_config(), rng)
+        net = TsfenNetwork(SMALL, 4, 4, rng)
         path = tmp_path / "ckpt.bin"
         save_params(path, net.params, meta={"note": "round-trip"})
         loaded, meta = load_params(path)
@@ -620,15 +610,14 @@ class TestCheckpoints:
         # logits that network gave on four states drawn from
         # ``states_seed``; the folded layer reads the same parameters
         params, meta = load_params(DATA / "tsfen_layered.bin")
-        srng = np.random.default_rng(meta["states_seed"])
-        shape = (4, meta["network"]["history"],
-                 meta["network"]["n_devices"])
-        states = np.stack([srng.uniform(0.0, 0.5, shape),
-                           10.0 ** srng.uniform(8.0, 16.0, shape),
-                           srng.uniform(0.0, 5.0, shape)], axis=-1)
-        for head, out_dim in (("actor", None), ("critic", 1)):
-            cfg = TsfenConfig(output_dim=out_dim, **meta["network"])
-            net = TsfenNetwork(cfg, np.random.default_rng(0))
+        shape = meta["network"]
+        sizes = MappoSection(**{k: shape[k] for k in (
+            "d_model", "n_heads", "squeeze_dim", "lstm_hidden", "fc_hidden")})
+        n = shape["n_devices"]
+        states = _states(np.random.default_rng(meta["states_seed"]), 4, n,
+                         shape["history"])
+        for head, out_dim in (("actor", n), ("critic", 1)):
+            net = TsfenNetwork(sizes, n, out_dim, np.random.default_rng(0))
             for name, p in net.params.items():
                 assert params[f"{head}.{name}"].shape == p.shape
                 p[...] = params[f"{head}.{name}"]
@@ -643,7 +632,7 @@ class TestCheckpoints:
 
     def test_truncated_payload_rejected(self, tmp_path):
         rng = np.random.default_rng(1)
-        net = TsfenNetwork(plain_config(), rng)
+        net = TsfenNetwork(SMALL, 4, 4, rng)
         path = tmp_path / "ckpt.bin"
         save_params(path, net.params)
         data = path.read_bytes()
@@ -652,8 +641,14 @@ class TestCheckpoints:
             load_params(path)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        TsfenConfig(n_devices=4, d_model=10, n_heads=3)
-    cfg = TsfenConfig(n_devices=7)
-    assert cfg.out_dim == 7
+def test_network_takes_its_sizes_from_the_mappo_section():
+    p = MappoSection(d_model=12, n_heads=3, squeeze_dim=2, lstm_hidden=5,
+                     fc_hidden=6)
+    net = TsfenNetwork(p, 7, 9, np.random.default_rng(0))
+    shapes = {name: w.shape for name, w in net.params.items()}
+    assert shapes["embed.W"] == (3, 12)
+    assert shapes["mhsa.Wqkv"] == (12, 36)
+    assert shapes["squeeze.W"] == (12, 2)
+    assert shapes["lstm_fwd.W"] == shapes["lstm_bwd.W"] == (7 * 2 + 5, 20)
+    assert shapes["fc1.W"] == (10, 6)
+    assert shapes["fc2.W"] == (6, 9)
