@@ -263,14 +263,19 @@ class TestCli:
         assert fields[1:3] == ["1", "binding"]
         assert float(fields[-1]) <= 1e-9 * float(row.split(",")[5])
 
-    def test_allocate_power_gain_overflow_exits_2(self, tmp_path, caplog):
-        # max_power_w * gain is inf: the full-power transmission time would
-        # be 0
+    @pytest.mark.parametrize("energy", [
+        "0.1",    # energy slack: the full-power transmission time would be 0
+        "0.01",   # energy binds: full-CPU computation alone needs 0.025 J;
+                  # rho would be expm1(...) / inf = 0
+    ])
+    def test_allocate_power_gain_overflow_exits_2(self, tmp_path, caplog,
+                                                  energy):
+        # max_power_w * gain is inf
         profiles = tmp_path / "p.csv"
         profiles.write_text(
             "sample_count,cycles_per_sample,cpu_hz,power_coeff,"
             "max_power_w,max_energy_j,model_bits,gain\n"
-            "100,1e7,0.5e9,1e-28,10,0.1,1e6,1e308\n")
+            f"100,1e7,0.5e9,1e-28,10,{energy},1e6,1e308\n")
         out = tmp_path / "a.csv"
         assert main(["allocate", "--profiles", str(profiles), "--out",
                      str(out)]) == 2

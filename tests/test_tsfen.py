@@ -462,18 +462,30 @@ class TestNetworkGradients:
     def test_full_policy_gradient_check(self):
         rng = np.random.default_rng(0)
         net = TsfenNetwork(SMALL, 4, 4, rng)
-        states = rng.standard_normal((3, 2, 4, 3))
+        # realistic (drift, gain, age) states: the fixed conditioning maps
+        # them to inputs of about 1, so attention and LSTM gates stay
+        # unsaturated and their gradients are worth checking
+        states = _states(rng, 3, 4, 2)
         mask = np.ones((3, 4))
         mask[0, 1] = 0.0
         r = rng.standard_normal((3, 4))
         probs, caches = net.policy(states, mask)
         grads = net.policy_backward(caches, r.copy())
+        # the largest query/key entry of the fused attention map is always
+        # checked, and must be well above the 1e-6 floor below
+        d = SMALL.d_model
+        qk = np.abs(grads["mhsa.Wqkv"][:, :2 * d])
+        qk_row, qk_col = np.unravel_index(qk.argmax(), qk.shape)
+        assert qk[qk_row, qk_col] > 1e-4
         h = 1e-5
         worst = 0.0
         for name, p in net.params.items():
             flat = p.ravel()
-            for i in rng.choice(flat.size, size=min(6, flat.size),
-                                replace=False):
+            picks = rng.choice(flat.size, size=min(6, flat.size),
+                               replace=False)
+            if name == "mhsa.Wqkv":
+                picks = np.append(picks, qk_row * p.shape[1] + qk_col)
+            for i in picks:
                 orig = flat[i]
                 flat[i] = orig + h
                 lp = float((net.policy(states, mask)[0] * r).sum())
