@@ -125,6 +125,19 @@ BINDING_GAIN = 932.58
 BINDING_B = 3.87e5
 
 
+def benchmark_instance(rng):
+    """(profile, gain, bandwidth) from the log-uniform ranges of the
+    benchmark's allocate profiles; every regime occurs."""
+    prof = DeviceProfile(
+        sample_count=int(rng.integers(20, 101)),
+        cycles_per_sample=1e7, cpu_hz=10 ** rng.uniform(8.5, 9.5),
+        power_coeff=1e-28, max_power_w=10 ** rng.uniform(-2.5, -0.5),
+        max_energy_j=10 ** rng.uniform(-2.5, -0.5),
+        model_bits=10 ** rng.uniform(5, 7),
+    )
+    return prof, 10 ** rng.uniform(4, 9), 1e6
+
+
 def near_boundary_instances():
     """Feasible instances whose budgets sit just above the transmission-
     energy infimum; they push the rate exponent toward 0, where
@@ -239,6 +252,68 @@ class TestBindingDelta:
         assert abs(res.tx_time - grid[cross]) <= 2 * step
 
 
+def _mp_overshoot(u, kappa, mz, cpu_hz, bits, bandwidth, gain, emax):
+    """The solver's stationarity overshoot, in mpmath arithmetic."""
+    x = u * mp.log(2)
+    h = x * mp.exp(x) - mp.expm1(x)
+    y = h / (2 * kappa * cpu_hz ** 3 * gain)
+    chi_sq = 1 if y >= 1 else y ** (mpf(2) / 3)
+    return (kappa * mz * cpu_hz ** 2 * chi_sq
+            + bits * mp.expm1(x) / (u * bandwidth * gain) - emax)
+
+
+def _mp_rate(args, start):
+    """60-digit root of the overshoot: a bracket grown from ``start`` by
+    factors of 2, then 120 bisections."""
+    with mp.workdps(60):
+        args = [mpf(v) for v in args]
+        lo = hi = mpf(start)
+        while _mp_overshoot(lo, *args) >= 0:
+            lo /= 2
+        while _mp_overshoot(hi, *args) <= 0:
+            hi *= 2
+        for _ in range(120):
+            mid = (lo + hi) / 2
+            if _mp_overshoot(mid, *args) > 0:
+                hi = mid
+            else:
+                lo = mid
+        return lo
+
+
+class TestRateMatchesExtendedPrecision:
+    """The Stage-1 rate exponent against a 60-digit root of the same
+    overshoot.  Near the feasibility boundary the overshoot's rounding
+    error (a few eps of the budget) against its slope (about ln2 / 2 of
+    the budget per unit of x = u ln2) bounds any float root to about
+    eps / gap relative, where gap is the budget's relative excess over
+    the transmission infimum."""
+
+    def test_benchmark_ranges(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            args = _solver_args(*benchmark_instance(rng))
+            u = ra._stationary_rate(*args)
+            assert abs(u - _mp_rate(args, u)) <= 2e-14 * u
+
+    def test_near_boundary_budgets(self):
+        eps = 2.0 ** -52
+        checked = 0
+        for prof, gain, bw in near_boundary_instances():
+            args = _solver_args(prof, gain, bw)
+            with mp.workdps(60):
+                gap = (mpf(prof.max_energy_j) * mpf(bw) * mpf(gain)
+                       / (mp.log(2) * mpf(prof.model_bits)) - 1)
+            if gap <= 0:
+                # feasible only by the rounding of the float test: the
+                # exact overshoot has no root
+                continue
+            u = ra._stationary_rate(*args)
+            assert float(abs(u - _mp_rate(args, u)) / u * gap) <= 2 * eps
+            checked += 1
+        assert checked > 250
+
+
 class TestOptimalAllocation:
     def test_large_budget_gives_full_allocation(self):
         prof = binding_profile(max_energy_j=100.0)
@@ -303,14 +378,8 @@ class TestOptimalAllocation:
         rng = np.random.default_rng(5)
         binding = 0
         for _ in range(2000):
-            prof = DeviceProfile(
-                sample_count=int(rng.integers(20, 101)),
-                cycles_per_sample=1e7, cpu_hz=10 ** rng.uniform(8.5, 9.5),
-                power_coeff=1e-28, max_power_w=10 ** rng.uniform(-2.5, -0.5),
-                max_energy_j=10 ** rng.uniform(-2.5, -0.5),
-                model_bits=10 ** rng.uniform(5, 7),
-            )
-            res = optimal_allocation(prof, 10 ** rng.uniform(4, 9), 1e6)
+            prof, gain, bw = benchmark_instance(rng)
+            res = optimal_allocation(prof, gain, bw)
             if res.binding is Binding.ENERGY_BINDING:
                 binding += 1
                 assert res.energy <= prof.max_energy_j * (1 + 1e-9)
@@ -528,14 +597,7 @@ class TestBisectionMatchesReference:
         rng = np.random.default_rng(11)
         regimes = set()
         for _ in range(2000):
-            prof = DeviceProfile(
-                sample_count=int(rng.integers(20, 101)),
-                cycles_per_sample=1e7, cpu_hz=10 ** rng.uniform(8.5, 9.5),
-                power_coeff=1e-28, max_power_w=10 ** rng.uniform(-2.5, -0.5),
-                max_energy_j=10 ** rng.uniform(-2.5, -0.5),
-                model_bits=10 ** rng.uniform(5, 7),
-            )
-            res = assert_matches_reference(prof, 10 ** rng.uniform(4, 9), 1e6)
+            res = assert_matches_reference(*benchmark_instance(rng))
             regimes.add((res.binding, res.rho == 1.0))
         assert len(regimes) == 3  # slack, capped and interior
 
