@@ -25,6 +25,7 @@ A brute-force grid oracle over (chi, rho) is provided for verification.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,6 +35,8 @@ from .cost_model import DeviceProfile, comp_costs
 from .errors import ConvergenceError, InfeasibleError, RaceError
 
 LN2 = 0.6931471805599453
+# the largest x with a finite exp(x) or expm1(x)
+LOG_MAX = math.log(sys.float_info.max)
 
 # A binding solve whose energy exceeds its budget by more than this share
 # is a solver failure, not an allocation.
@@ -51,7 +54,6 @@ class AllocationResult:
     rho: float
     tx_time: float
     binding: Binding
-    multipliers: tuple[float, float, float, float]
     comp_time: float
     energy: float
 
@@ -155,7 +157,19 @@ def _stationary_rate(kappa, mz, cpu_hz, bits, bandwidth, gain, emax):
             return u_lo
 
 
-def _result(profile, chi, rho, delta, binding, multipliers):
+def _check_full_rate(bits, delta_full, bandwidth):
+    """Raise when the full-power rate exponent, recomputed from the
+    transmission time, leaves the float range: the time underflows to 0,
+    or 2**u overflows."""
+    if delta_full * bandwidth == 0.0:
+        raise ZeroDivisionError("full-power transmission time underflows "
+                                "to 0: beyond the float range")
+    if LN2 * (bits / (delta_full * bandwidth)) > LOG_MAX:
+        raise OverflowError("full-power rate exponent beyond the float "
+                            "range")
+
+
+def _result(profile, chi, rho, delta, binding):
     if chi == 0.0:
         # a positive chi below the float range: the computation delay
         # overflows, as the other out-of-range rows do
@@ -164,8 +178,7 @@ def _result(profile, chi, rho, delta, binding, multipliers):
     comp_time, ecp = comp_costs(profile, chi)
     res = AllocationResult(
         chi=float(chi), rho=float(rho), tx_time=float(delta),
-        binding=binding, multipliers=multipliers,
-        comp_time=float(comp_time),
+        binding=binding, comp_time=float(comp_time),
         energy=float(ecp + rho * profile.max_power_w * delta),
     )
     if (binding is Binding.ENERGY_BINDING and not res.energy
@@ -199,11 +212,8 @@ def optimal_allocation(profile: DeviceProfile, gain: float,
                             "rate beyond the float range")
     delta_full = bits / (bandwidth * u_full)
     if kappa * mz * cpu_hz ** 2 + power * delta_full <= emax:
-        u = bits / (delta_full * bandwidth)
-        lam2 = (bandwidth * power * gain * delta_full
-                / (bits * LN2 * math.exp(LN2 * u)))
-        return _result(profile, 1.0, 1.0, delta_full, Binding.ENERGY_SLACK,
-                       (0.0, lam2, 0.0, mz / cpu_hz))
+        _check_full_rate(bits, delta_full, bandwidth)
+        return _result(profile, 1.0, 1.0, delta_full, Binding.ENERGY_SLACK)
 
     # Energy binds. The stationarity conditions tie chi and delta to one
     # multiplier; sweep the rate exponent u (monotone in the multiplier)
@@ -215,23 +225,26 @@ def optimal_allocation(profile: DeviceProfile, gain: float,
         # left of the budget on computation.
         etx = power * delta_full
         chi = min(math.sqrt((emax - etx) / (kappa * mz * cpu_hz ** 2)), 1.0)
-        lam1 = 1.0 / (2.0 * kappa * cpu_hz ** 3 * chi ** 3)
-        u = bits / (delta_full * bandwidth)
-        lam2 = max(0.0, (1.0 - lam1 * _h(u)[0] / gain) * delta_full * power
-                   * gain / (u * LN2 * math.exp(LN2 * u)))
-        return _result(profile, chi, 1.0, delta_full, Binding.ENERGY_BINDING,
-                       (lam1, lam2, 0.0, 0.0))
+        if 2.0 * kappa * cpu_hz ** 3 * chi ** 3 == 0.0:
+            # the stationarity condition in chi is beyond the float range
+            raise ZeroDivisionError("CPU fraction cubed underflows to 0: "
+                                    "energy multiplier beyond the float "
+                                    "range")
+        _check_full_rate(bits, delta_full, bandwidth)
+        if bits / (delta_full * bandwidth) == 0.0:
+            raise ZeroDivisionError("full-power rate exponent underflows "
+                                    "to 0: beyond the float range")
+        return _result(profile, chi, 1.0, delta_full, Binding.ENERGY_BINDING)
 
     h_star = _h(u_star)[0]
     chi = min((h_star / (2.0 * kappa * cpu_hz ** 3 * gain)) ** (1.0 / 3.0),
               1.0)
     delta = bits / (u_star * bandwidth)
     rho = rho_from_delta(delta, bits, bandwidth, power, gain)
-    lam1 = gain / h_star
-    lam4 = max(0.0, mz / cpu_hz * (1.0 - 2.0 * lam1 * kappa * cpu_hz ** 3)
-               ) if chi >= 1.0 else 0.0
-    return _result(profile, chi, rho, delta, Binding.ENERGY_BINDING,
-                   (lam1, 0.0, 0.0, lam4))
+    if h_star == 0.0:
+        raise ZeroDivisionError("stationarity term h(u) underflows to 0: "
+                                "energy multiplier beyond the float range")
+    return _result(profile, chi, rho, delta, Binding.ENERGY_BINDING)
 
 
 def grid_search_allocation(profile: DeviceProfile, gain: float,

@@ -320,14 +320,13 @@ class TestOptimalAllocation:
         res = optimal_allocation(prof, BINDING_GAIN, BINDING_B)
         assert res.binding is Binding.ENERGY_SLACK
         assert res.chi == 1.0 and res.rho == 1.0
-        assert res.multipliers[0] == 0.0
+        assert res.energy < prof.max_energy_j
 
     def test_binding_case_spends_exactly_the_budget(self):
         prof = binding_profile()
         res = optimal_allocation(prof, BINDING_GAIN, BINDING_B)
         assert res.binding is Binding.ENERGY_BINDING
         assert res.energy == pytest.approx(prof.max_energy_j, rel=1e-6)
-        assert res.multipliers[0] > 0.0
 
     def test_chi_never_zero(self):
         rng = np.random.default_rng(17)
@@ -394,7 +393,6 @@ class TestOptimalAllocation:
             emax = prof.max_energy_j
             assert res.binding is Binding.ENERGY_BINDING
             assert res.chi > 0.0 and 0.0 < res.rho < 1.0
-            assert res.multipliers[0] > 0.0
             assert res.energy <= emax * (1 + 1e-9)
 
     def test_over_budget_solve_raises(self):
@@ -414,7 +412,7 @@ class TestOptimalAllocation:
         # the would-be multiplier on chi >= 0 is negative for every chi < 1
         prof = binding_profile(max_energy_j=100.0)
         res = optimal_allocation(prof, BINDING_GAIN, BINDING_B)
-        assert res.multipliers[0] == 0.0
+        assert res.binding is Binding.ENERGY_SLACK
         mz = prof.work_cycles
         for chi in np.linspace(0.01, 0.99, 50):
             lam3 = -mz / (chi ** 2 * prof.cpu_hz)
@@ -541,30 +539,31 @@ def _ref_allocation(profile, gain, bandwidth):
     u_full = math.log1p(power * gain) / ra.LN2
     delta_full = bits / (bandwidth * u_full)
     if kappa * mz * cpu_hz ** 2 + power * delta_full <= emax:
-        u = bits / (delta_full * bandwidth)
-        lam2 = (bandwidth * power * gain * delta_full
-                / (bits * ra.LN2 * math.exp(ra.LN2 * u)))
+        ra._check_full_rate(bits, delta_full, bandwidth)
         return ra._result(profile, 1.0, 1.0, delta_full,
-                          Binding.ENERGY_SLACK, (0.0, lam2, 0.0, mz / cpu_hz))
+                          Binding.ENERGY_SLACK)
     u_star = _ref_stationary_rate(kappa, mz, cpu_hz, bits, bandwidth, gain,
                                   emax)
     if u_star > u_full:
         etx = power * delta_full
         chi = min(math.sqrt((emax - etx) / (kappa * mz * cpu_hz ** 2)), 1.0)
-        lam1 = 1.0 / (2.0 * kappa * cpu_hz ** 3 * chi ** 3)
-        u = bits / (delta_full * bandwidth)
-        lam2 = max(0.0, (1.0 - lam1 * _ref_h(u) / gain) * delta_full * power
-                   * gain / (u * ra.LN2 * math.exp(ra.LN2 * u)))
+        if 2.0 * kappa * cpu_hz ** 3 * chi ** 3 == 0.0:
+            raise ZeroDivisionError("CPU fraction cubed underflows to 0: "
+                                    "energy multiplier beyond the float "
+                                    "range")
+        ra._check_full_rate(bits, delta_full, bandwidth)
+        if bits / (delta_full * bandwidth) == 0.0:
+            raise ZeroDivisionError("full-power rate exponent underflows "
+                                    "to 0: beyond the float range")
         return ra._result(profile, chi, 1.0, delta_full,
-                          Binding.ENERGY_BINDING, (lam1, lam2, 0.0, 0.0))
+                          Binding.ENERGY_BINDING)
     chi = min(_ref_stationarity_chi(u_star, kappa, cpu_hz, gain), 1.0)
     delta = bits / (u_star * bandwidth)
     rho = rho_from_delta(delta, bits, bandwidth, power, gain)
-    lam1 = gain / _ref_h(u_star)
-    lam4 = max(0.0, mz / cpu_hz * (1.0 - 2.0 * lam1 * kappa * cpu_hz ** 3)
-               ) if chi >= 1.0 else 0.0
-    return ra._result(profile, chi, rho, delta, Binding.ENERGY_BINDING,
-                      (lam1, 0.0, 0.0, lam4))
+    if _ref_h(u_star) == 0.0:
+        raise ZeroDivisionError("stationarity term h(u) underflows to 0: "
+                                "energy multiplier beyond the float range")
+    return ra._result(profile, chi, rho, delta, Binding.ENERGY_BINDING)
 
 
 def _outcome(fn, *args):
