@@ -5,14 +5,17 @@ fraction ``rho`` (both in (0, 1]) minimizing computation-plus-transmission
 delay subject to the per-round energy budget.  After substituting the
 transmission time ``delta`` for ``rho`` the problem is convex, and the
 first-order conditions reduce to a single monotone scalar equation in the
-rate exponent ``u = model_bits / (delta * bandwidth)``.  One bisection
-solves it; its feasible end gives chi and the energy-binding transmission
-time together, so an interior solve spends its budget to within about
-1e-12 relative.  Failures raise where they happen: ``ValueError`` on a
-gain or bandwidth <= 0, ``InfeasibleError`` when the budget is below the
-transmission-energy infimum, ``OverflowError`` when ``max_power_w * gain``
-overflows, ``ConvergenceError`` when the bisection finds no bracket or a
-binding solve comes out more than ``ENERGY_GUARD_REL`` over budget.
+rate exponent ``u = model_bits / (delta * bandwidth)``.  One bracketed,
+safeguarded Newton search solves it (about 13 probes on typical rows);
+the feasible end of its final bracket gives chi and the energy-binding
+transmission time together, so an interior solve spends its budget to
+within about 1e-12 relative.  Failures raise where they happen:
+``ValueError`` on a gain or bandwidth <= 0, ``InfeasibleError`` when the
+budget is below the transmission-energy infimum, ``OverflowError`` or
+``ZeroDivisionError`` when a term leaves the float range (such as
+``max_power_w * gain``, or the cube of a power-capped chi),
+``ConvergenceError`` when the search finds no bracket or a binding solve
+comes out more than ``ENERGY_GUARD_REL`` over budget.
 
 Outcomes:
   * energy slack: full allocation (chi = rho = 1) fits the budget;
@@ -107,13 +110,22 @@ def _stationary_rate(kappa, mz, cpu_hz, bits, bandwidth, gain, emax):
     """Rate exponent u at which the stationarity path spends the budget.
 
     Along the path chi**3 = h(u) / den, clamped to 1, and the energy
-    overshoot ``kappa * mz * (chi * cpu_hz)**2 + etx(u) - emax`` increases
-    in u.  One loop probes it in three stages: the lower end steps down
-    from 1e-6 by 1/16 until the overshoot is negative (at most 200 probes;
-    after that the bisection starts from the last step), the upper end
-    doubles from 1 until it is positive (past 1e9 the solve fails), then
-    the bracket is bisected (at most 300 probes).  Returns the bracket's
-    feasible end, where the overshoot is <= 0.
+    ``E(u) = kappa * mz * (chi * cpu_hz)**2 + etx(u)`` increases in u.  One
+    loop probes its overshoot ``E(u) - emax`` in three stages.  The lower
+    end steps down from 1e-6 by 1/16 until the overshoot is negative (at
+    most 200 probes; after that the search starts from the last step).
+    The upper end doubles from 1 until it is positive (past 1e9 the solve
+    fails); each non-positive probe there becomes the lower end.  Then
+    Newton steps on ``log(E(u) / emax)`` shrink the bracket (at most 300
+    probes), each from the end with the smaller ``|log(E / emax)|``, with
+    the closed-form slope ``E'(u) = bits * h / (bandwidth * gain * u**2)
+    + (2/3) * ecp * ln2 * x e^x / h`` (the second term is 0 while chi is
+    clamped).  A Newton point within a tolerance of a bracket end moves
+    that tolerance inside, so a one-sided approach still closes the
+    bracket; a point outside the bracket, or any step after two that did
+    not halve it, is replaced by the midpoint.  Stops at a bracket of
+    1e-14 relative width and returns its feasible end, where the
+    overshoot is <= 0.
     """
     den = 2.0 * kappa * cpu_hz ** 3 * gain
     kmz = kappa * mz
@@ -126,7 +138,9 @@ def _stationary_rate(kappa, mz, cpu_hz, bits, bandwidth, gain, emax):
         y = h / den
         # libm's cube root of y >= 1 is >= 1, so chi would clamp to 1
         ecp = ecp_full if y >= 1.0 else kmz * (y ** (1.0 / 3.0) * cpu_hz) ** 2
-        over = ecp + bits * em1 / (u * bandwidth * gain) - emax
+        ubg = u * bandwidth * gain
+        energy = ecp + bits * em1 / ubg
+        over = energy - emax
         probes += 1
         if stage == 0:
             if not over < 0.0:
@@ -138,6 +152,7 @@ def _stationary_rate(kappa, mz, cpu_hz, bits, bandwidth, gain, emax):
             continue
         if stage == 1:
             if not over > 0.0:
+                u_lo = u
                 u_hi *= 2.0
                 if u_hi > 1e9:
                     raise ConvergenceError(
@@ -145,14 +160,35 @@ def _stationary_rate(kappa, mz, cpu_hz, bits, bandwidth, gain, emax):
                 u = u_hi
                 continue
             stage, probes = 2, 0
+            # |log(E / emax)| and the Newton point at each end; the lower
+            # end has none yet
+            dist_lo, newton_lo = math.inf, math.nan
+            width_1 = width_2 = math.inf
+        slope = bits * h / ubg / u
+        if y < 1.0 and h > 0.0:
+            slope += (2.0 / 3.0) * ecp * LN2 * (h + em1) / h
+        ratio = energy / emax
+        if ratio > 0.0 and slope > 0.0:
+            log_ratio = math.log(ratio)
+            dist, newton = abs(log_ratio), u - log_ratio * energy / slope
         else:
-            if over > 0.0:
-                u_hi = u
-            else:
-                u_lo = u
-            if (u_hi - u_lo) <= 1e-14 * u_hi or probes == 300:
-                return u_lo
-        u = 0.5 * (u_lo + u_hi)
+            dist, newton = math.inf, math.nan
+        if over > 0.0:
+            u_hi, dist_hi, newton_hi = u, dist, newton
+        else:
+            u_lo, dist_lo, newton_lo = u, dist, newton
+        width = u_hi - u_lo
+        if width <= 1e-14 * u_hi or probes == 300:
+            return u_lo
+        # step from the end nearer the root; the midpoint when that point
+        # leaves the bracket or the bracket has not halved in two steps
+        newton = newton_hi if dist_hi < dist_lo else newton_lo
+        if width <= 0.5 * width_2 and u_lo <= newton <= u_hi:
+            tol = 5e-15 * u_hi
+            u = min(max(newton, u_lo + tol), u_hi - tol)
+        else:
+            u = 0.5 * (u_lo + u_hi)
+        width_1, width_2 = width, width_1
         if u == u_lo or u == u_hi:
             return u_lo
 
@@ -226,7 +262,6 @@ def optimal_allocation(profile: DeviceProfile, gain: float,
         etx = power * delta_full
         chi = min(math.sqrt((emax - etx) / (kappa * mz * cpu_hz ** 2)), 1.0)
         if 2.0 * kappa * cpu_hz ** 3 * chi ** 3 == 0.0:
-            # the stationarity condition in chi is beyond the float range
             raise ZeroDivisionError("CPU fraction cubed underflows to 0: "
                                     "energy multiplier beyond the float "
                                     "range")

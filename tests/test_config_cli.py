@@ -283,6 +283,44 @@ class TestCli:
         assert message.startswith("configuration error: profile row 0: ")
         assert "max_power_w * gain overflows" in message
 
+    # the well-formed rows known to exit 4, one per cause; a sweep of gains
+    # up to 1e308 at budgets 0.02-0.1 and of sample counts up to 6.6e217
+    # on the default row found none besides the first
+    @pytest.mark.parametrize("row, message", [
+        # u * bandwidth * gain overflows, so the stationarity path reads a
+        # transmission energy of 0 and the solve spends ~3.5e74 budgets
+        ("100,1.0011302169771886e-138,5e8,1e-28,0.0316,"
+         "1.9699149614688815e-278,1e6,1.9499599122022312e303,1e6",
+         "allocation solver failed to converge: a binding solve spends "
+         "6.87695605091"),
+        # rho is subnormal beside a 1e300 W power, so the spent energy is
+        # 1.4e-9 relative over budget
+        ("100,1e30,0.5e9,1e-28,1e300,0.1,1e6,1e6,1e6",
+         "allocation solver failed to converge: a binding solve spends "
+         "0.100000000142"),
+        # the computation energy is nan
+        ("100,1e7,1e-100,1e300,0.0316,0.1,1e6,1e6,1e6",
+         "allocation solver failed to converge: a binding solve spends "
+         "nan J of a 0.1 J budget"),
+        # the interior transmission time underflows to 0
+        ("100,1e10,0.5e9,1e-28,0.0316,0.1,1e-320,1e6,1e6",
+         "tx_time must be > 0"),
+        # the interior transmission time rounds below the full-power one
+        ("50,1e7,1e9,1e-28,1e-93,1e-62,6e-30,1e170,1.5e291",
+         "tx_time below the minimum achievable transmission time "
+         "(would need rho > 1)"),
+    ])
+    def test_allocate_solver_failure_exits_4(self, tmp_path, caplog, row,
+                                             message):
+        profiles = tmp_path / "p.csv"
+        profiles.write_text(
+            "sample_count,cycles_per_sample,cpu_hz,power_coeff,"
+            "max_power_w,max_energy_j,model_bits,gain,bandwidth\n"
+            + row + "\n")
+        assert main(["allocate", "--profiles", str(profiles), "--out",
+                     str(tmp_path / "a.csv")]) == 4
+        assert caplog.records[-1].getMessage().startswith(message)
+
     @pytest.mark.parametrize("bandwidth", ["0", "-1", "nan", "inf"])
     def test_allocate_rejects_bad_bandwidth_flag(self, tmp_path, caplog,
                                                  bandwidth):

@@ -468,7 +468,7 @@ class TestClosedForms:
             large_model_delta(1.0, prof, 1.0, 1e6)  # log argument <= 1
 
 
-# Reference copy of the Stage-1 bisection with one helper call per term
+# Reference copy of the Stage-1 root-finder with one helper call per term
 # of each probe.  The solver evaluates the same expressions in the same
 # order with that per-row and per-probe work shared, so every result, and
 # every exception, must match this bit for bit.
@@ -481,49 +481,118 @@ def _ref_h(u):
     return x * math.exp(x) - math.expm1(x)
 
 
+def _ref_em1(u):
+    return math.expm1(u * ra.LN2)
+
+
+def _ref_chi_cubed(u, kappa, cpu_hz, gain):
+    return _ref_h(u) / (2.0 * kappa * cpu_hz ** 3 * gain)
+
+
 def _ref_stationarity_chi(u, kappa, cpu_hz, gain):
-    return (_ref_h(u) / (2.0 * kappa * cpu_hz ** 3 * gain)) ** (1.0 / 3.0)
+    return _ref_chi_cubed(u, kappa, cpu_hz, gain) ** (1.0 / 3.0)
+
+
+def _ref_comp_energy(u, kappa, mz, cpu_hz, gain):
+    chi = _ref_stationarity_chi(u, kappa, cpu_hz, gain)
+    if chi > 1.0:
+        chi = 1.0
+    return kappa * mz * (chi * cpu_hz) ** 2
+
+
+def _ref_energy(u, kappa, mz, cpu_hz, bits, bandwidth, gain):
+    etx = bits * _ref_em1(u) / (u * bandwidth * gain)
+    return _ref_comp_energy(u, kappa, mz, cpu_hz, gain) + etx
+
+
+def _ref_energy_slope(u, kappa, mz, cpu_hz, bits, bandwidth, gain):
+    h = _ref_h(u)
+    slope = bits * h / (u * bandwidth * gain) / u
+    if _ref_chi_cubed(u, kappa, cpu_hz, gain) < 1.0 and h > 0.0:
+        ecp = _ref_comp_energy(u, kappa, mz, cpu_hz, gain)
+        slope += (2.0 / 3.0) * ecp * ra.LN2 * (h + _ref_em1(u)) / h
+    return slope
 
 
 def _ref_binding_overshoot(u, kappa, mz, cpu_hz, bits, bandwidth, gain,
                            emax):
-    chi = _ref_stationarity_chi(u, kappa, cpu_hz, gain)
-    if chi > 1.0:
-        chi = 1.0
-    ecp = kappa * mz * (chi * cpu_hz) ** 2
-    etx = bits * math.expm1(ra.LN2 * u) / (u * bandwidth * gain)
-    return ecp + etx - emax
+    return _ref_energy(u, kappa, mz, cpu_hz, bits, bandwidth, gain) - emax
 
 
-def _ref_stationary_rate(kappa, mz, cpu_hz, bits, bandwidth, gain, emax):
+def _ref_newton(u, kappa, mz, cpu_hz, bits, bandwidth, gain, emax):
+    """(|log(E / emax)|, the Newton point on log(E / emax)) at u, or
+    (inf, nan) where the step is undefined."""
+    energy = _ref_energy(u, kappa, mz, cpu_hz, bits, bandwidth, gain)
+    slope = _ref_energy_slope(u, kappa, mz, cpu_hz, bits, bandwidth, gain)
+    ratio = energy / emax
+    if not (ratio > 0.0 and slope > 0.0):
+        return math.inf, math.nan
+    return abs(math.log(ratio)), u - math.log(ratio) * energy / slope
+
+
+def _ref_bracket(args):
+    """The two bracket stages: (the lower end after stage 0, the lower
+    end after stage 1, the upper end, the probes taken)."""
+    probes = 0
     u_lo = 1e-6
     for _ in range(200):
-        if _ref_binding_overshoot(u_lo, kappa, mz, cpu_hz, bits, bandwidth,
-                                  gain, emax) < 0.0:
+        probes += 1
+        if _ref_binding_overshoot(u_lo, *args) < 0.0:
             break
         u_lo *= 0.0625
-        if u_lo < 1e-280:
-            raise ConvergenceError("allocation solver failed to converge")
+    u_first = u_lo
     u_hi = 1.0
-    for _ in range(200):
-        if _ref_binding_overshoot(u_hi, kappa, mz, cpu_hz, bits, bandwidth,
-                                  gain, emax) > 0.0:
-            break
+    while True:
+        probes += 1
+        if _ref_binding_overshoot(u_hi, *args) > 0.0:
+            return u_first, u_lo, u_hi, probes
+        u_lo = u_hi
         u_hi *= 2.0
         if u_hi > 1e9:
             raise ConvergenceError("allocation solver failed to converge")
+
+
+def _ref_stationary_rate(*args):
+    _, u_lo, u_hi, _ = _ref_bracket(args)
+    lo, hi = (math.inf, math.nan), _ref_newton(u_hi, *args)
+    widths = [math.inf, math.inf]
+    for _ in range(300):
+        width = u_hi - u_lo
+        newton = hi[1] if hi[0] < lo[0] else lo[1]
+        if width <= 0.5 * widths[-2] and u_lo <= newton <= u_hi:
+            tol = 5e-15 * u_hi
+            u = min(max(newton, u_lo + tol), u_hi - tol)
+        else:
+            u = 0.5 * (u_lo + u_hi)
+        widths.append(width)
+        if u == u_lo or u == u_hi:
+            break
+        if _ref_binding_overshoot(u, *args) > 0.0:
+            u_hi, hi = u, _ref_newton(u, *args)
+        else:
+            u_lo, lo = u, _ref_newton(u, *args)
+        if (u_hi - u_lo) <= 1e-14 * u_hi:
+            break
+    return u_lo
+
+
+def _bisection_probes(*args):
+    """Probes the former Stage-1 bisection took: the same bracket stages
+    from the stage-0 lower end, then midpoints to the same stopping
+    rules."""
+    u_lo, _, u_hi, probes = _ref_bracket(args)
     for _ in range(300):
         mid = 0.5 * (u_lo + u_hi)
         if mid == u_lo or mid == u_hi:
             break
-        if _ref_binding_overshoot(mid, kappa, mz, cpu_hz, bits, bandwidth,
-                                  gain, emax) > 0.0:
+        probes += 1
+        if _ref_binding_overshoot(mid, *args) > 0.0:
             u_hi = mid
         else:
             u_lo = mid
         if (u_hi - u_lo) <= 1e-14 * u_hi:
             break
-    return u_lo
+    return probes
 
 
 def _ref_allocation(profile, gain, bandwidth):
@@ -590,9 +659,36 @@ def assert_matches_reference(prof, gain, bw):
     return got
 
 
-class TestBisectionMatchesReference:
+def clamp_threshold_instances():
+    """(side, profile, gain, bandwidth) with gains that put h(u) / den
+    within a few ulps of 1 at the bracket probes u = 1, 2 and 4, where chi
+    switches to its clamp; side is the sign of h(u) / den - 1.  Budgets at
+    and next to the probe's energy make the probe's sign, and so the
+    bracket, hang on the last bit of that energy."""
+    prof = DeviceProfile(sample_count=100, cycles_per_sample=1e8,
+                         cpu_hz=1.1e9, power_coeff=1e-28,
+                         max_power_w=1.0, max_energy_j=1.0,
+                         model_bits=1e6)
+    kappa, mz, cpu_hz = prof.power_coeff, prof.work_cycles, prof.cpu_hz
+    for u in (1.0, 2.0, 4.0):
+        gain = _ref_h(u) / (2.0 * kappa * cpu_hz ** 3)
+        for _ in range(6):
+            gain = math.nextafter(gain, 0.0)
+        for _ in range(12):
+            y = _ref_chi_cubed(u, kappa, cpu_hz, gain)
+            if abs(y - 1.0) <= 4 * math.ulp(1.0):
+                energy = _ref_energy(u, kappa, mz, cpu_hz, prof.model_bits,
+                                     1e6, gain)
+                for emax in (math.nextafter(energy, 0.0), energy,
+                             math.nextafter(energy, math.inf)):
+                    yield ((y > 1.0) - (y < 1.0),
+                           dataclasses.replace(prof, max_energy_j=emax),
+                           gain, 1e6)
+            gain = math.nextafter(gain, math.inf)
+
+
+class TestRootFinderMatchesReference:
     def test_benchmark_ranges(self):
-        # the log-uniform ranges of the benchmark's allocate profiles
         rng = np.random.default_rng(11)
         regimes = set()
         for _ in range(2000):
@@ -605,32 +701,10 @@ class TestBisectionMatchesReference:
             assert_matches_reference(prof, gain, bw)
 
     def test_clamp_threshold(self):
-        # gains that put h(u) / den within a few ulps of 1 at the bracket
-        # probes u = 1, 2 and 4, where chi switches to its clamp; budgets
-        # at and next to the probe's energy make the probe's sign, and so
-        # the bracket, hang on the last bit of that energy
-        prof = DeviceProfile(sample_count=100, cycles_per_sample=1e8,
-                             cpu_hz=1.1e9, power_coeff=1e-28,
-                             max_power_w=1.0, max_energy_j=1.0,
-                             model_bits=1e6)
-        args = _solver_args(prof, 0.0, 1e6)
-        kappa, cpu_hz = prof.power_coeff, prof.cpu_hz
         sides = set()
-        for u in (1.0, 2.0, 4.0):
-            gain = _ref_h(u) / (2.0 * kappa * cpu_hz ** 3)
-            for _ in range(6):
-                gain = math.nextafter(gain, 0.0)
-            for _ in range(12):
-                y = _ref_h(u) / (2.0 * kappa * cpu_hz ** 3 * gain)
-                if abs(y - 1.0) <= 4 * math.ulp(1.0):
-                    sides.add((y > 1.0) - (y < 1.0))
-                    energy = _ref_binding_overshoot(u, *args[:5], gain, 0.0)
-                    for emax in (math.nextafter(energy, 0.0), energy,
-                                 math.nextafter(energy, math.inf)):
-                        assert_matches_reference(
-                            dataclasses.replace(prof, max_energy_j=emax),
-                            gain, 1e6)
-                gain = math.nextafter(gain, math.inf)
+        for side, prof, gain, bw in clamp_threshold_instances():
+            sides.add(side)
+            assert_matches_reference(prof, gain, bw)
         assert sides == {-1, 0, 1}
 
     @pytest.mark.parametrize("args, message", [
@@ -647,3 +721,35 @@ class TestBisectionMatchesReference:
         expected = _outcome(_ref_stationary_rate, *args)
         assert expected[0] is OverflowError and message in expected[1]
         assert _outcome(ra._stationary_rate, *args) == expected
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """Probes of one root-find, counted as calls of the per-probe helper."""
+    calls = []
+    h = ra._h
+    monkeypatch.setattr(ra, "_h", lambda u: calls.append(u) or h(u))
+
+    def count(args):
+        calls.clear()
+        ra._stationary_rate(*args)
+        return len(calls)
+    return count
+
+
+class TestProbeCount:
+    def test_benchmark_ranges_take_few_probes(self, probes):
+        # the bisection took 53.9 on these rows
+        rng = np.random.default_rng(11)
+        counts = [probes(_solver_args(*benchmark_instance(rng)))
+                  for _ in range(2000)]
+        assert sum(counts) / len(counts) <= 14
+
+    def test_no_row_takes_twice_the_bisection_probes(self, probes):
+        rng = np.random.default_rng(11)
+        rows = [benchmark_instance(rng) for _ in range(2000)]
+        rows += list(near_boundary_instances())
+        rows += [row[1:] for row in clamp_threshold_instances()]
+        for row in rows:
+            args = _solver_args(*row)
+            assert probes(args) <= 2 * _bisection_probes(*args)
