@@ -264,7 +264,7 @@ def _mp_overshoot(u, kappa, mz, cpu_hz, bits, bandwidth, gain, emax):
 
 def _mp_rate(args, start):
     """60-digit root of the overshoot: a bracket grown from ``start`` by
-    factors of 2, then 120 bisections."""
+    factors of 2, closed by mpmath's bracketing Anderson-Bjorck solver."""
     with mp.workdps(60):
         args = [mpf(v) for v in args]
         lo = hi = mpf(start)
@@ -272,13 +272,8 @@ def _mp_rate(args, start):
             lo /= 2
         while _mp_overshoot(hi, *args) <= 0:
             hi *= 2
-        for _ in range(120):
-            mid = (lo + hi) / 2
-            if _mp_overshoot(mid, *args) > 0:
-                hi = mid
-            else:
-                lo = mid
-        return lo
+        return mp.findroot(lambda u: _mp_overshoot(u, *args), (lo, hi),
+                           solver="anderson")
 
 
 class TestRateMatchesExtendedPrecision:
