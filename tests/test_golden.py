@@ -21,6 +21,9 @@ tests pin SHA-256 hashes of
 * ``rounds.csv`` and ``checkpoint_final.bin`` of a 1-episode, 40-round
   training run on the default scenario.  40 rounds give each agent's PPO
   update one 32-row and one 8-row minibatch per epoch;
+* ``rounds.csv`` and ``summary.json`` of a 1-episode, 40-round
+  evaluation run of that training run's ``checkpoint_final.bin``, the
+  path that loads a checkpoint into a policy that does not train;
 * the same two files of a 2-episode, 20-round run that updates after
   every episode, so the second episode's rounds are chosen by a policy
   that has taken a PPO update and drawn its minibatch permutations;
@@ -145,6 +148,13 @@ TRAIN_HASHES = {
 TRAIN_CONFIG = {
     "mappo": {"episodes_per_update": 1},
     "run": {"episodes": 1, "rounds_per_episode": 40, "seed": 1},
+}
+
+EVALUATE_HASHES = {
+    "rounds.csv":
+        "3e23db7fce6c5eecef2d71cb7d426983535846d423e24ffffd35e5a946591392",
+    "summary.json":
+        "d4f20abe18e0f54137e13dd48c7e55fff1f022e059ff4fc39b2ce98278dbc0b8",
 }
 
 UPDATED_TRAIN_HASHES = {
@@ -289,6 +299,16 @@ def train_hashes(out_dir, config=TRAIN_CONFIG) -> dict:
             for name in ("rounds.csv", "checkpoint_final.bin")}
 
 
+def evaluate_hashes(out_dir, checkpoint) -> dict:
+    """{name: SHA-256} of an evaluation run of ``TRAIN_CONFIG`` from
+    ``checkpoint``."""
+    cfg = config_from_dict(TRAIN_CONFIG)
+    run_experiment(cfg, "mappo", out_dir, checkpoint_in=checkpoint,
+                   log_every=0)
+    return {name: _sha((out_dir / name).read_bytes())
+            for name in ("rounds.csv", "summary.json")}
+
+
 def baseline_hashes(out_dir) -> dict:
     """{run: SHA-256 of its rounds.csv} over ``BASELINE_RUNS``."""
     out = {}
@@ -363,9 +383,22 @@ def test_network_logits_and_gradients_are_pinned(batch):
     assert network_hashes(batch) == NETWORK_HASHES[batch]
 
 
-def test_training_run_outputs_are_pinned(tmp_path):
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """(output directory, hashes) of the pinned training run."""
     _skip_unless_pinned_build()
-    assert train_hashes(tmp_path) == TRAIN_HASHES
+    out_dir = tmp_path_factory.mktemp("train")
+    return out_dir, train_hashes(out_dir)
+
+
+def test_training_run_outputs_are_pinned(trained):
+    assert trained[1] == TRAIN_HASHES
+
+
+def test_evaluation_from_the_trained_checkpoint_is_pinned(trained,
+                                                          tmp_path):
+    assert evaluate_hashes(tmp_path, trained[0] / "checkpoint_final.bin") \
+        == EVALUATE_HASHES
 
 
 def test_rollout_after_an_update_is_pinned(tmp_path):
@@ -421,6 +454,7 @@ def moved_pins(current: dict) -> list:
 PINS = {
     "NETWORK_HASHES": NETWORK_HASHES,
     "TRAIN_HASHES": TRAIN_HASHES,
+    "EVALUATE_HASHES": EVALUATE_HASHES,
     "UPDATED_TRAIN_HASHES": UPDATED_TRAIN_HASHES,
     "BASELINE_HASHES": BASELINE_HASHES,
     "PLATOON_HASHES": PLATOON_HASHES,
@@ -441,6 +475,8 @@ if __name__ == "__main__":
             "NETWORK_HASHES": {b: network_hashes(b)
                                for b in sorted(NETWORK_HASHES)},
             "TRAIN_HASHES": train_hashes(Path(tmp)),
+            "EVALUATE_HASHES": evaluate_hashes(
+                Path(tmp) / "evaluate", Path(tmp) / "checkpoint_final.bin"),
             "UPDATED_TRAIN_HASHES": train_hashes(Path(tmp),
                                                  UPDATED_TRAIN_CONFIG),
             "BASELINE_HASHES": baseline_hashes(Path(tmp) / "baseline"),
