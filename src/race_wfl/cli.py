@@ -128,6 +128,9 @@ def cmd_allocate(args) -> int:
         except (ValueError, ArithmeticError) as exc:
             # a rejected profile, or values beyond the solver's float range
             raise ConfigError(f"profile row {idx}: {exc}") from exc
+        except RaceError as exc:
+            # keep the subclass: it selects the CLI exit code
+            raise type(exc)(f"profile row {idx}: {exc}") from exc
         residual = res.energy - prof.max_energy_j \
             if res.binding is Binding.ENERGY_BINDING else 0.0
         lines.append("%d,1,%s,%.12g,%.12g,%.12g,%.12g,%.12g,%.6g\n" % (

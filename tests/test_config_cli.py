@@ -319,7 +319,8 @@ class TestCli:
             + row + "\n")
         assert main(["allocate", "--profiles", str(profiles), "--out",
                      str(tmp_path / "a.csv")]) == 4
-        assert caplog.records[-1].getMessage().startswith(message)
+        assert caplog.records[-1].getMessage().startswith(
+            "profile row 0: " + message)
 
     @pytest.mark.parametrize("bandwidth", ["0", "-1", "nan", "inf"])
     def test_allocate_rejects_bad_bandwidth_flag(self, tmp_path, caplog,

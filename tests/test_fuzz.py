@@ -100,11 +100,14 @@ def test_fuzzed_profile_csv_exits_with_a_documented_code(tmp_path, caplog,
     assert code in (0, 2, 3, 4)
     if code == 4:
         # the solver's own failure, not a parse failure: one of the causes
-        # that test_allocate_solver_failure_exits_4 pins
-        assert caplog.records[-1].getMessage().startswith((
-            "allocation solver failed to converge: a binding solve spends ",
-            "tx_time must be > 0",
-            "tx_time below the minimum achievable transmission time"))
+        # that test_allocate_solver_failure_exits_4 pins, on a named row
+        assert caplog.records[-1].getMessage().startswith(tuple(
+            f"profile row {idx}: {cause}" for idx in range(len(edits))
+            for cause in (
+                "allocation solver failed to converge: a binding solve "
+                "spends ",
+                "tx_time must be > 0",
+                "tx_time below the minimum achievable transmission time")))
 
 
 @pytest.fixture(scope="module")
@@ -143,3 +146,39 @@ def test_flipped_header_bytes_raise_only_checkpoint_error(checkpoint,
         return
     assert isinstance(meta, dict)
     assert all(isinstance(v, np.ndarray) for v in params.values())
+
+
+@pytest.fixture(scope="module")
+def policy_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "policy.bin"
+    MappoPolicy(config_from_dict(SMALL), 0, train=False).save(path)
+    return path.read_bytes()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_damaged_checkpoint_leaves_the_policy_untouched(policy_checkpoint,
+                                                        tmp_path, data):
+    # a loaded checkpoint goes straight into the live arrays, so every
+    # rejection must come before the first byte is written
+    blob = bytearray(policy_checkpoint)
+    if data.draw(st.booleans(), label="truncate"):
+        del blob[data.draw(st.integers(0, len(blob) - 1)):]
+    else:
+        header_end = 12 + int.from_bytes(blob[8:12], "little")
+        for _ in range(data.draw(st.integers(1, 3))):
+            pos = data.draw(st.integers(0, header_end - 1))
+            blob[pos] ^= data.draw(st.integers(1, 255))
+    path = tmp_path / "damaged.bin"
+    path.write_bytes(bytes(blob))
+    policy = MappoPolicy(config_from_dict(SMALL), 1, train=False)
+    live = policy._params()
+    before = {name: p.tobytes() for name, p in live.items()}
+    try:
+        policy.load(path)
+    except CheckpointError:
+        assert {name: p.tobytes() for name, p in live.items()} == before
+    # loaded or not (a flip in the JSON whitespace or the unread dtype
+    # field leaves a valid file), the networks hold the same arrays
+    assert all(p is live[name] for name, p in policy._params().items())
