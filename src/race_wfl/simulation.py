@@ -219,13 +219,15 @@ class World:
 
 class MappoPolicy:
     """K decentralized actors, one per sub-channel, and one centralized
-    critic that all of them share, with their Adam states and the policy
-    RNG.  A training policy records one tuple per round (state, team
-    reward, (K, N) effective masks, (K,) actions, (K,) probabilities)
-    and updates every ``episodes_per_update`` episodes.  Each update
-    appends one entry to ``update_stats``: the critic's last minibatch
-    loss, the mean advantage and, under ``agents``, what each agent's
-    ``ppo_update`` returned."""
+    critic that all of them share, with the policy RNG.  A training
+    policy also holds their Adam states; an evaluation policy holds none
+    (``critic_opt`` and ``actor_opts`` are None).  A training policy
+    records one tuple per round (state, team reward, (K, N) effective
+    masks, (K,) actions, (K,) probabilities) and updates every
+    ``episodes_per_update`` episodes.  Each update appends one entry to
+    ``update_stats``: the critic's last minibatch loss, the mean
+    advantage and, under ``agents``, what each agent's ``ppo_update``
+    returned."""
 
     def __init__(self, cfg: ScenarioConfig, seed: int, train: bool = True):
         winit = named_rng(seed, "weights-init", 1)
@@ -234,8 +236,9 @@ class MappoPolicy:
         self.critic = TsfenNetwork(cfg.mappo, n, 1, winit)
         self.actors = [TsfenNetwork(cfg.mappo, n, n, winit)
                        for _ in range(cfg.selection.n_subchannels)]
-        self.critic_opt = adam_init(self.critic.params)
-        self.actor_opts = [adam_init(a.params) for a in self.actors]
+        self.critic_opt = adam_init(self.critic.params) if train else None
+        self.actor_opts = [adam_init(a.params) for a in self.actors] \
+            if train else None
         self.rng = named_rng(seed, "policy" if train else "eval")
         self.train = train
         self.hyper = cfg.mappo
@@ -307,32 +310,35 @@ class MappoPolicy:
                     meta={"n_agents": len(self.actors)})
 
     def load(self, path):
-        """Restore parameters saved by ``save``.
+        """Restore parameters saved by ``save`` into the live arrays.
 
         The checkpoint must hold exactly this policy's parameter names,
         each with the shape its networks expect (so one critic per agent
-        is rejected); otherwise ``CheckpointError`` is raised and nothing
-        is modified.
+        is rejected); otherwise ``CheckpointError`` is raised before any
+        parameter is written.
         """
-        merged, meta = load_params(path)
+        load_params(path, into=self._load_targets)
+
+    def _load_targets(self, shapes: dict, meta: dict) -> dict:
+        """``_params()``, once a checkpoint's header ``shapes`` and
+        ``meta`` are shown to match this policy."""
         if meta.get("n_agents") != len(self.actors):
             raise CheckpointError(
                 f"checkpoint holds {meta.get('n_agents')} agents, the "
                 f"scenario has {len(self.actors)}")
         targets = self._params()
-        if set(merged) != set(targets):
-            missing = sorted(set(targets) - set(merged))
-            extra = sorted(set(merged) - set(targets))
+        if set(shapes) != set(targets):
+            missing = sorted(set(targets) - set(shapes))
+            extra = sorted(set(shapes) - set(targets))
             raise CheckpointError(
                 f"checkpoint parameter names differ: missing {missing[:3]}, "
                 f"unexpected {extra[:3]}")
         for name, p in targets.items():
-            if merged[name].shape != p.shape:
+            if shapes[name] != p.shape:
                 raise CheckpointError(
-                    f"checkpoint {name} has shape {merged[name].shape}, the "
+                    f"checkpoint {name} has shape {shapes[name]}, the "
                     f"network expects {p.shape}")
-        for name, p in targets.items():
-            p[...] = merged[name]
+        return targets
 
 
 class BaselinePolicy:

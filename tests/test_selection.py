@@ -34,13 +34,13 @@ def small_nets(n_devices, k_agents, seed=0, uniform=False):
     return actors, critic
 
 
-def small_policy(n_devices, k_agents, seed=0, **mappo):
-    """A training ``MappoPolicy`` of small networks over two sub-periods."""
+def small_policy(n_devices, k_agents, seed=0, train=True, **mappo):
+    """A ``MappoPolicy`` of small networks over two sub-periods."""
     cfg = config_from_dict({
         "platoon": {"n_followers": n_devices},
         "selection": {"n_subchannels": k_agents, "subperiods": 2},
         "mappo": {**SMALL_MAPPO, **mappo}})
-    return MappoPolicy(cfg, seed, train=True)
+    return MappoPolicy(cfg, seed, train=train)
 
 
 class TestBuildState:
@@ -555,28 +555,20 @@ def test_agent_checkpoint_round_trip(tmp_path):
     policy = small_policy(4, 2, seed=4)
     path = tmp_path / "agents.bin"
     policy.save(path)
-    names, _ = load_params(path)
-    assert {n.split(".")[0] + "." + n.split(".")[1] for n in names
+    saved, _ = load_params(path)
+    assert {n.split(".")[0] + "." + n.split(".")[1] for n in saved
             if n.startswith("agent")} == {"agent0.actor", "agent1.actor"}
-    assert any(n.startswith("critic.") for n in names)
-    fresh = small_policy(4, 2, seed=99)
+    assert any(n.startswith("critic.") for n in saved)
+    fresh = small_policy(4, 2, seed=99, train=False)
+    live = fresh._params()
     fresh.load(path)
-    for a, b in zip(policy.actors, fresh.actors):
-        for k in a.params:
-            assert (a.params[k] == b.params[k]).all()
-    for k, p in policy.critic.params.items():
-        assert (fresh.critic.params[k] == p).all()
-
-
-def test_agent_checkpoint_of_another_shape_is_rejected(tmp_path):
-    path = tmp_path / "agents.bin"
-    small_policy(4, 2, seed=4).save(path)
-    other = small_policy(5, 2, seed=9)
-    before = {k: p.copy() for k, p in other.actors[0].params.items()}
-    with pytest.raises(CheckpointError, match="shape"):
-        other.load(path)
-    for k, p in other.actors[0].params.items():
-        assert (p == before[k]).all()  # nothing half-loaded
+    # loaded into the arrays the networks already hold
+    loaded = fresh._params()
+    assert loaded.keys() == saved.keys() == policy._params().keys()
+    for name, p in loaded.items():
+        assert p is live[name]
+        assert p.tobytes() == saved[name].tobytes() \
+            == policy._params()[name].tobytes()
 
 
 def save_per_agent_critic_checkpoint(path, policy):
@@ -589,15 +581,44 @@ def save_per_agent_critic_checkpoint(path, policy):
     save_params(path, params, meta={"n_agents": len(policy.actors)})
 
 
-def test_per_agent_critic_checkpoint_is_rejected(tmp_path):
-    path = tmp_path / "old.bin"
-    save_per_agent_critic_checkpoint(path, small_policy(4, 2, seed=4))
-    fresh = small_policy(4, 2, seed=9)
-    before = {k: p.copy() for k, p in fresh.critic.params.items()}
-    with pytest.raises(CheckpointError, match="names differ"):
-        fresh.load(path)
-    for k, p in fresh.critic.params.items():
-        assert (p == before[k]).all()
+# rewrites of a 4-device, 2-agent policy's checkpoint that such a policy
+# rejects, each caught by a different check
+REJECTED_CHECKPOINTS = {
+    "n_agents": (
+        lambda path: save_params(path, load_params(path)[0],
+                                 meta={"n_agents": 3}),
+        "checkpoint holds 3 agents, the scenario has 2"),
+    "names": (
+        lambda path: save_per_agent_critic_checkpoint(
+            path, small_policy(4, 2, seed=4)),
+        "checkpoint parameter names differ"),
+    "shape": (
+        lambda path: small_policy(5, 2, seed=4).save(path),
+        r"checkpoint agent0\.actor\.lstm_fwd\.W has shape \(20, 20\), the "
+        r"network expects \(17, 20\)"),
+    "truncated": (
+        lambda path: path.write_bytes(path.read_bytes()[:-8]),
+        "checkpoint payload of .* bytes, its header describes"),
+    "magic": (
+        lambda path: path.write_bytes(b"X" + path.read_bytes()[1:]),
+        "bad checkpoint magic"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_CHECKPOINTS))
+def test_rejected_checkpoint_leaves_every_parameter_unchanged(tmp_path,
+                                                              case):
+    rewrite, message = REJECTED_CHECKPOINTS[case]
+    path = tmp_path / "agents.bin"
+    small_policy(4, 2, seed=4).save(path)
+    rewrite(path)
+    policy = small_policy(4, 2, seed=9, train=False)
+    before = {name: p.tobytes() for name, p in policy._params().items()}
+    with pytest.raises(CheckpointError, match=message):
+        policy.load(path)
+    # nothing half-loaded, in any actor or the critic
+    assert {name: p.tobytes()
+            for name, p in policy._params().items()} == before
 
 
 def test_critic_values_in_chunks_equal_one_whole_batch_forward():

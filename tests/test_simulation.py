@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import per_device_round
 from race_wfl import selection
-from race_wfl.config import config_from_dict
+from race_wfl.config import ScenarioConfig, config_from_dict
 from race_wfl.errors import (
     AssignmentError, CollisionError, ConfigError, InfeasibleError, RaceError,
 )
@@ -335,6 +336,41 @@ class TestRunExperiment:
             run_experiment(cfg, "random", tmp_path / "r", train=True,
                            log_every=0)
         assert not (tmp_path / "r").exists()  # rejected before the run
+
+
+class TestEvaluationFootprint:
+    def test_evaluation_policy_holds_no_optimizer_state(self):
+        policy = MappoPolicy(tiny_cfg(), 0, train=False)
+        assert policy.critic_opt is None and policy.actor_opts is None
+
+    def test_training_policy_holds_moments_of_every_parameter(self):
+        policy = MappoPolicy(tiny_cfg(), 0, train=True)
+        nets = [policy.critic] + policy.actors
+        opts = [policy.critic_opt] + policy.actor_opts
+        for net, opt in zip(nets, opts, strict=True):
+            assert opt.m.keys() == opt.v.keys() == net.params.keys()
+            for name, p in net.params.items():
+                assert opt.m[name].shape == opt.v[name].shape == p.shape
+
+    def test_build_and_load_peak_at_one_copy_of_the_parameters(self,
+                                                               tmp_path):
+        # the default networks: 13.9 MB of parameters, the largest array
+        # 1.2 MB.  Beyond the parameters, building and loading may hold
+        # one array's payload and slack for Python objects (0.14 MB
+        # measured); Adam moments or a staged copy of the checkpoint
+        # would each add another 13.9 MB or more
+        cfg = ScenarioConfig()
+        path = tmp_path / "policy.bin"
+        MappoPolicy(cfg, 1, train=False).save(path)
+        tracemalloc.start()
+        try:
+            policy = MappoPolicy(cfg, 2, train=False)
+            policy.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        sizes = [p.nbytes for p in policy._params().values()]
+        assert peak <= sum(sizes) + max(sizes) + 500_000
 
 
 class TestSharedCritic:
