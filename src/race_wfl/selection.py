@@ -212,6 +212,8 @@ def _actor_step(batch: ActorBatch, rows: np.ndarray,
     dprobs = np.zeros_like(probs)
     dprobs[idx, actions] = -coeff  # minimize the negative surrogate
     grads = batch.actor.policy_backward(caches, dprobs)
+    # the activations go before the Adam step, whose scratch reuses them
+    del caches
     adam_step(batch.actor.params, grads, batch.opt, hyper.learning_rate)
     return ratio
 
@@ -225,6 +227,7 @@ def _critic_step(critic: TsfenNetwork, opt: AdamState, learning_rate: float,
     dlogits = np.zeros((len(targets), 1))
     dlogits[:, 0] = err / len(targets)
     grads = critic.backward(cache, dlogits)
+    del cache   # as in ``_actor_step``
     adam_step(critic.params, grads, opt, learning_rate)
     return float(0.5 * (err ** 2).mean())
 

@@ -33,7 +33,9 @@ from .errors import (
 )
 from .platoon import init_platoon, step_platoon
 from .resource_alloc import optimal_allocation
-from .tsfen import TsfenNetwork, adam_init, load_params, save_params
+from .tsfen import (
+    TsfenNetwork, adam_init, load_params, save_params, two_threads,
+)
 
 log = logging.getLogger(__name__)
 
@@ -227,10 +229,17 @@ class MappoPolicy:
     ``episodes_per_update`` episodes.  Each update appends one entry to
     ``update_stats``: the critic's last minibatch loss, the mean
     advantage and, under ``agents``, what each agent's ``ppo_update``
-    returned."""
+    returned.
 
-    def __init__(self, cfg: ScenarioConfig, seed: int, train: bool = True):
-        winit = named_rng(seed, "weights-init", 1)
+    With a ``checkpoint`` path the networks are loaded from it, and a
+    rejected file raises ``CheckpointError`` from the constructor; an
+    evaluation policy then draws no random init for the weights that the
+    load overwrites."""
+
+    def __init__(self, cfg: ScenarioConfig, seed: int, train: bool = True,
+                 checkpoint=None):
+        winit = None if checkpoint is not None and not train \
+            else named_rng(seed, "weights-init", 1)
         n = cfg.platoon.n_followers
         # the critic draws its weights first, then actors 0..K-1
         self.critic = TsfenNetwork(cfg.mappo, n, 1, winit)
@@ -246,6 +255,8 @@ class MappoPolicy:
         self._episodes = []  # each episode's rounds since the last update
         self._pending = None
         self.update_stats = []
+        if checkpoint is not None:
+            self.load(checkpoint)
 
     def begin_episode(self):
         if self.train:
@@ -275,26 +286,30 @@ class MappoPolicy:
 
     def _update(self):
         """The critic's update, then each actor's in index order, on the
-        rounds recorded since the last update; none if there are none."""
+        rounds recorded since the last update; none if there are none.
+        The update runs in a ``tsfen.two_threads`` scope: OpenBLAS on one
+        thread, each minibatch step's halves on two."""
         episodes = [[np.array(column) for column in zip(*ep)]
                     for ep in self._episodes if ep]
         self._episodes = []
         if not episodes:  # no round of the window had a selectable device
             return
-        advantages, loss = sel.critic_update(
-            self.critic, self.critic_opt, self.hyper,
-            [(states, rewards) for states, rewards, *_ in episodes], self.rng)
-        states, _, masks, actions, probs = (np.concatenate(column)
-                                            for column in zip(*episodes))
-        self.update_stats.append({
-            "critic_loss": loss,
-            "mean_advantage": float(advantages.mean()),
-            "agents": [
-                sel.ppo_update(sel.ActorBatch(
-                    actor, opt, self.hyper, states, advantages,
-                    masks[:, k], actions[:, k], probs[:, k]), self.rng)
-                for k, (actor, opt) in enumerate(zip(self.actors,
-                                                     self.actor_opts))]})
+        with two_threads():
+            advantages, loss = sel.critic_update(
+                self.critic, self.critic_opt, self.hyper,
+                [(states, rewards) for states, rewards, *_ in episodes],
+                self.rng)
+            states, _, masks, actions, probs = (np.concatenate(column)
+                                                for column in zip(*episodes))
+            self.update_stats.append({
+                "critic_loss": loss,
+                "mean_advantage": float(advantages.mean()),
+                "agents": [
+                    sel.ppo_update(sel.ActorBatch(
+                        actor, opt, self.hyper, states, advantages,
+                        masks[:, k], actions[:, k], probs[:, k]), self.rng)
+                    for k, (actor, opt) in enumerate(zip(self.actors,
+                                                         self.actor_opts))]})
 
     def _params(self) -> dict:
         """{checkpoint name: parameter array} over every actor and the
@@ -366,9 +381,11 @@ class BaselinePolicy:
 
 
 def make_policy(cfg: ScenarioConfig, kind: str, seed: int,
-                train: bool = False):
+                train: bool = False, checkpoint=None):
     if kind == "mappo":
-        return MappoPolicy(cfg, seed, train=train)
+        return MappoPolicy(cfg, seed, train=train, checkpoint=checkpoint)
+    if checkpoint is not None:
+        raise ConfigError(f"policy {kind!r} has no checkpoint to load")
     return BaselinePolicy(kind, cfg, seed)
 
 
@@ -393,9 +410,8 @@ def run_experiment(cfg: ScenarioConfig, policy_kind: str, out_dir,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     world = World(cfg, seed)
-    policy = make_policy(cfg, policy_kind, seed, train=train)
-    if checkpoint_in is not None:
-        policy.load(checkpoint_in)
+    policy = make_policy(cfg, policy_kind, seed, train=train,
+                         checkpoint=checkpoint_in)
 
     t0 = time.perf_counter()
     csv_path = out_dir / "rounds.csv"

@@ -28,8 +28,20 @@ local derivative factors before the loop (see ``LstmLayer``).  The
 masked softmax maps a zero mask entry to exactly zero probability
 (additive log-mask), and probabilities of maskable entries are floored
 at ``PROB_FLOOR`` and renormalized for numerical stability.
+
+Inside a ``two_threads`` scope (a PPO update), OpenBLAS runs on one
+thread and every batch>1 step splits its independent work in two: the
+forward and the backward LSTM direction, the attention's score, softmax
+and score-gradient passes over two halves of the (batch, sub-period)
+pairs, and ``adam_step``'s parameters in two size-balanced groups.  One
+half runs on the caller, the other on a single persistent worker
+thread.  Each element is computed by the same operations in the same
+order either way, so the outputs are the same bytes.  The worker writes
+only into arrays the caller allocated before handing it the task.
 """
 
+import contextlib
+import contextvars
 import json
 import math
 import os
@@ -39,6 +51,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import blas
 from .errors import CheckpointError, RaceError
 
 if TYPE_CHECKING:
@@ -57,6 +70,69 @@ FEATURE_SCALE = (0.2, 3.0, 1.0)
 PROB_FLOOR = 1e-7
 
 
+# pairs of the score gradient that ``_attend_backward`` forms per GEMM
+SCORE_CHUNK = 16
+
+_pool = None     # the worker's one-thread executor, made at the first scope
+_worker = None   # ``_pool`` while a ``two_threads`` scope is open
+
+
+@contextlib.contextmanager
+def two_threads():
+    """Run the independent halves of each batch>1 step on two threads.
+
+    Within the scope OpenBLAS runs on one thread, and ``_pair`` hands its
+    second task to one persistent worker thread; both are restored on
+    exit, exceptions included.  Where OpenBLAS is not found or only one
+    CPU is usable, nothing changes and the halves run inline.
+    """
+    global _pool, _worker
+    old = blas.threads()
+    if old is None or len(os.sched_getaffinity(0)) < 2:
+        yield
+        return
+    if _pool is None:
+        # imported here, at the first update, to keep it out of start-up
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = ThreadPoolExecutor(1, thread_name_prefix="tsfen")
+    outer = _worker
+    blas.set_threads(1)
+    _worker = _pool
+    try:
+        yield
+    finally:
+        _worker = outer
+        blas.set_threads(old)
+
+
+def _pair(first, second, parallel=True):
+    """``(first(), second())``, two tasks that share no output.
+
+    With ``parallel`` inside a ``two_threads`` scope, ``second`` runs on
+    the worker in a copy of the caller's context (numpy's ``errstate``
+    included) while ``first`` runs here; otherwise both run here in
+    turn.  An exception from either is raised once both have finished.
+    """
+    if not parallel or _worker is None:
+        return first(), second()
+    future = _worker.submit(contextvars.copy_context().run, second)
+    try:
+        result = first()
+    except BaseException:
+        future.exception()   # waits for ``second`` to finish
+        raise
+    return result, future.result()
+
+
+def _halves(n, parallel, task):
+    """``task(pairs)`` over ``range(n)`` as slices: two halves through
+    ``_pair`` when they can run on two threads, else one slice."""
+    if not parallel or _worker is None:
+        task(slice(0, n))
+    else:
+        _pair(lambda: task(slice(0, n // 2)), lambda: task(slice(n // 2, n)))
+
+
 def _attend(scores, xb, u, inv_z):
     """Softmax over axis 0 of key-major scores (N_key, B*, Q), and each
     query's attention-weighted mean of ``xb``'s (B*, N_key, F+1) rows.
@@ -64,11 +140,13 @@ def _attend(scores, xb, u, inv_z):
     Overwrites ``scores`` with the unnormalized weights ``exp(s - max)``,
     whose largest entry per column is 1, writes the means into ``u``
     (B*, Q, F+1) and the reciprocal softmax sums into ``inv_z``
-    (B* * Q, 1).  ``xb``'s last column is 1, so the last column of the
-    unnormalized means is the softmax sum and no pass of its own sums the
-    weights.
+    (B* * Q, 1), which holds the column maxima until then.  ``xb``'s
+    last column is 1, so the last column of the unnormalized means is the
+    softmax sum and no pass of its own sums the weights.
     """
-    scores -= scores.max(axis=0)
+    peak = inv_z.reshape(scores.shape[1:])
+    scores.max(axis=0, out=peak)
+    scores -= peak
     np.exp(scores, out=scores)
     np.matmul(scores.transpose(1, 2, 0), xb, out=u)
     rows = u.reshape(-1, u.shape[-1])
@@ -76,22 +154,28 @@ def _attend(scores, xb, u, inv_z):
     rows *= inv_z
 
 
-def _attend_backward(weights, xb, u, inv_z, du, dscores):
+def _attend_backward(weights, xb, u, inv_z, du, dots, chunk):
     """Key-major score gradient of ``_attend`` from the means' gradient
-    ``du``, written into ``dscores``; overwrites ``du``.
+    ``du``, multiplied into ``weights`` in place; overwrites ``du``.
 
     The softmax backward's row sum ``sum_j attn * dattn`` equals the row
     dot product ``u . du``, because ``dattn`` is ``xb @ du.T``.  It is
-    subtracted from ``du``'s ones column before that GEMM, and ``du`` is
-    scaled by ``inv_z`` so that the unnormalized weights stand for the
-    attention.
+    written into ``dots`` (B* * Q,) and subtracted from ``du``'s ones
+    column before that GEMM, and ``du`` is scaled by ``inv_z`` so that
+    the unnormalized weights stand for the attention.  The GEMM runs over
+    ``len(chunk)`` pairs at a time into ``chunk`` (C, N_key, Q), each
+    part multiplied into ``weights`` before the next.
     """
     rows = du.reshape(-1, du.shape[-1])
-    rows[:, -1] -= np.einsum("ij,ij->i", u.reshape(rows.shape), rows)
+    np.einsum("ij,ij->i", u.reshape(rows.shape), rows, out=dots)
+    rows[:, -1] -= dots
     rows *= inv_z
-    np.matmul(xb, du.transpose(0, 2, 1), out=dscores.transpose(1, 0, 2))
-    dscores *= weights
-    return dscores
+    for i in range(0, len(xb), len(chunk)):
+        pairs = slice(i, i + len(chunk))
+        part = chunk[:len(xb[pairs])]
+        np.matmul(xb[pairs], du[pairs].transpose(0, 2, 1), out=part)
+        weights[:, pairs] *= part.transpose(1, 0, 2)
+    return weights
 
 
 class Workspace:
@@ -120,6 +204,8 @@ class Workspace:
 
 
 def _uniform_init(rng, fan_in, shape):
+    if rng is None:   # left for a checkpoint to fill
+        return np.empty(shape)
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
@@ -182,9 +268,13 @@ class MhsaLayer:
     so the last column of the unnormalized ``U`` is each softmax's sum.
     In ``backward`` the softmax row sum ``sum_j attn * dattn`` equals
     ``U . dU`` row by row, and is subtracted from ``dU``'s last column
-    before the GEMM that forms the score gradient.  Every weight gradient
-    comes from the small matrices ``x1.T @ dP`` (the ``A_h``) and
-    ``U.T @ dout`` (the ``M_h``).
+    before the GEMM that forms the score gradient.  That GEMM runs a chunk
+    of pairs at a time, each chunk multiplied into the attention weights
+    in place, so no array of the weights' size holds the gradient.  Every
+    weight gradient comes from the small matrices ``x1.T @ dP`` (the
+    ``A_h``) and ``U.T @ dout`` (the ``M_h``).  The score, softmax and
+    score-gradient passes are independent per (batch, sub-period) pair;
+    at batch > 1 they run as two halves of the pairs (see ``_halves``).
 
     The augmented input, the projection, the attention weights and their
     gradients live in a ``Workspace``; the layer output and every
@@ -230,24 +320,30 @@ class MhsaLayer:
         # (N*H, F+1) view has one row per (query, head)
         proj = ws.take("mhsa.proj", (bm * n, h * f1))
         np.matmul(x1, a_cat, out=proj)
-        per_query = proj.reshape(bm, n * h, f1)
-        weights = ws.take("mhsa.attn", (n, bm, n * h))
-        np.matmul(xb, per_query.transpose(0, 2, 1),
-                  out=weights.transpose(1, 0, 2))
-        # U overwrites the projection, which the scores no longer need
-        inv_z = ws.take("mhsa.inv_z", (bm * n * h, 1))
-        _attend(weights, xb, per_query, inv_z)
+        nh = n * h
+        per_query = proj.reshape(bm, nh, f1)
+        weights = ws.take("mhsa.attn", (n, bm, nh))
+        inv_z = ws.take("mhsa.inv_z", (bm * nh, 1))
+
+        def attend(pairs):
+            # U overwrites the projection, which the scores no longer need
+            np.matmul(xb[pairs], per_query[pairs].transpose(0, 2, 1),
+                      out=weights[:, pairs].transpose(1, 0, 2))
+            _attend(weights[:, pairs], xb[pairs], per_query[pairs],
+                    inv_z[pairs.start * nh:pairs.stop * nh])
+
+        _halves(bm, b > 1, attend)
         w_out = params["mhsa.Wo"] @ params["squeeze.W"]
         m_cat = (wv @ w_out.reshape(h, self.dh, -1)).reshape(h * f1, -1)
         out = proj @ m_cat + params["squeeze.b"]
         return (out.reshape(b, m, n, -1),
                 (x1, e, w_in, w_out, m_cat, weights, proj, inv_z, ws,
-                 ws.generation))
+                 ws.generation, b > 1))
 
     def backward(self, cache, dout, grads):
         params = self.params
-        x1, e, w_in, w_out, m_cat, weights, proj, inv_z, ws, generation \
-            = cache
+        x1, e, w_in, w_out, m_cat, weights, proj, inv_z, ws, generation, \
+            parallel = cache
         if ws.generation != generation:
             raise RaceError("stale MHSA cache: a later forward has reused "
                             "its workspace buffers")
@@ -265,11 +361,22 @@ class MhsaLayer:
         dproj = ws.take("mhsa.dproj", proj.shape)
         np.matmul(dflat, m_cat.T, out=dproj)
         per_query = dproj.reshape(bm, nh, f1)
-        dscores = _attend_backward(
-            weights, xb, proj.reshape(bm, nh, f1), inv_z, per_query,
-            ws.take("mhsa.dattn", weights.shape))
-        # dP overwrites dU
-        np.matmul(dscores.transpose(1, 2, 0), xb, out=per_query)
+        u = proj.reshape(bm, nh, f1)
+        dots = ws.take("mhsa.dots", (bm * nh,))
+        chunks = [ws.take(f"mhsa.dscores{i}", (min(SCORE_CHUNK, bm), n, nh))
+                  for i in range(2)]
+
+        def score_gradient(pairs):
+            # each half multiplies through a chunk buffer of its own
+            rows = slice(pairs.start * nh, pairs.stop * nh)
+            dscores = _attend_backward(
+                weights[:, pairs], xb[pairs], u[pairs], inv_z[rows],
+                per_query[pairs], dots[rows], chunks[pairs.start > 0])
+            # dP overwrites dU
+            np.matmul(dscores.transpose(1, 2, 0), xb[pairs],
+                      out=per_query[pairs])
+
+        _halves(bm, parallel, score_gradient)
         da = (x1.T @ dproj).reshape(f1, h, f1).transpose(1, 0, 2)
         gmat = np.stack((da @ wk, da.transpose(0, 2, 1) @ wq, dwv)) \
             .transpose(2, 0, 1, 3).reshape(f1, 3 * self.d)
@@ -306,7 +413,9 @@ class LstmLayer:
     overflow.  ``backward`` forms every step's local derivative factors
     in one pass before its loop, which then carries only ``dc``, ``dh``
     and the recurrent GEMM; ``dW``, ``db`` and ``dx`` come from all
-    steps' ``dz`` at once after it.
+    steps' ``dz`` at once after it.  Both write only into arrays that
+    ``forward_arrays`` and ``backward_arrays`` make, so that a caller can
+    make them before it runs the pass on another thread.
     """
 
     def __init__(self, n_in, n_hidden, rng, prefix):
@@ -323,31 +432,70 @@ class LstmLayer:
         self._scale = (ones * [[0.5], [0.5], [1.0], [0.5]]).ravel()
         self._shift = (ones * [[0.5], [0.5], [0.0], [0.5]]).ravel()
 
-    def forward(self, x):
-        # x: (B, M, n_in)
+    def forward_arrays(self, b, m, n_in):
+        """The arrays ``forward`` writes at batch ``b``, ``m`` steps and
+        ``n_in`` inputs: the time-major input, the gates, the hidden and
+        cell states, ``tanh`` of the cells and the recurrent GEMM's
+        output."""
+        nh = self.nh
+        return (np.empty((m, b, n_in)), np.empty((m, b, 4 * nh)),
+                np.empty((2, m + 1, b, nh)), np.empty((m, b, nh)),
+                np.empty((b, 4 * nh)))
+
+    def forward(self, x, arrays=None):
+        """x (B, M, n_in) -> final hidden state (B, nh) plus cache.
+
+        ``arrays`` from ``forward_arrays`` are the only arrays it writes
+        into; without them it makes its own.
+        """
         w = self.params[f"{self.prefix}.W"]
         b, m, n_in = x.shape
         nh = self.nh
-        xt = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(-1, n_in)
-        z = xt @ w[:n_in]
+        xt, z, hc, tc, rec = self.forward_arrays(b, m, n_in) \
+            if arrays is None else arrays
+        xt[...] = x.transpose(1, 0, 2)
+        xt = xt.reshape(-1, n_in)
+        np.matmul(xt, w[:n_in], z.reshape(-1, 4 * nh))
         z += self.params[f"{self.prefix}.b"]
-        z = z.reshape(m, b, 4 * nh)
         w_h = w[n_in:]
-        h = np.zeros((m + 1, b, nh))
-        c = np.zeros((m + 1, b, nh))
-        tc = np.empty((m, b, nh))
+        hc[:, 0] = 0.0
+        h, c = hc
+        # (M, B, nh) views of the four gate blocks of every step
+        i, f, g, o = z.reshape(m, b, 4, nh).transpose(2, 0, 1, 3)
         for t in range(m):
-            gates = z[t]
+            gates, c_next, tc_t = z[t], c[t + 1], tc[t]
             if t:
-                gates += h[t] @ w_h
+                np.matmul(h[t], w_h, rec)
+                gates += rec
             _tanh_gates(gates, self._scale, self._shift)
-            np.multiply(gates[:, nh:2 * nh], c[t], out=c[t + 1])
-            c[t + 1] += gates[:, :nh] * gates[:, 2 * nh:3 * nh]
-            np.tanh(c[t + 1], out=tc[t])
-            np.multiply(gates[:, 3 * nh:], tc[t], out=h[t + 1])
+            np.multiply(f[t], c[t], c_next)
+            # tanh(c) holds i * g until it is formed
+            np.multiply(i[t], g[t], tc_t)
+            c_next += tc_t
+            np.tanh(c_next, tc_t)
+            np.multiply(o[t], tc_t, h[t + 1])
         return h[m], (xt, z, h, c, tc)
 
-    def backward(self, cache, dh_final, grads):
+    def backward_arrays(self, cache):
+        """The arrays ``backward`` writes for a ``forward`` cache: the
+        gates' gradient, the cell-to-hidden factors, the recurrent
+        ``dc``, ``dh`` and a scratch, and ``dW``, ``db`` and ``dx``."""
+        xt, gates, *_ = cache
+        m, b, _ = gates.shape
+        nh = self.nh
+        return (np.empty_like(gates), np.empty((m, b, nh)),
+                np.empty((3, b, nh)),
+                np.empty_like(self.params[f"{self.prefix}.W"]),
+                np.empty(4 * nh), np.empty_like(xt))
+
+    def backward(self, cache, dh_final, grads, arrays=None):
+        """Gradients of the final hidden state's ``dh_final``: ``dW`` and
+        ``db`` go into ``grads``, ``dx`` (B, M, n_in) is returned.
+
+        ``arrays`` from ``backward_arrays`` are the only arrays it writes
+        into; without them it makes its own.  ``dW``, ``db`` and ``dx``
+        are those arrays.
+        """
         p = self.prefix
         w = self.params[f"{p}.W"]
         xt, gates, h, c, tc = cache
@@ -355,11 +503,13 @@ class LstmLayer:
         nh = self.nh
         n_in = xt.shape[1]
         w_h = w[n_in:]
+        dz, dc_dh, (dc, dh_next, tmp), dw, db, dx = \
+            self.backward_arrays(cache) if arrays is None else arrays
         # (M, B, nh) views of the four gate blocks of every step
         i, f, g, o = gates.reshape(m, b, 4, nh).transpose(2, 0, 1, 3)
         # step t's dz is [dc, dc, dc, dh] times the factors
         # [g i(1-i), c_prev f(1-f), i(1-g^2), tanh(c) o(1-o)]
-        dz = np.subtract(1.0, gates)
+        np.subtract(1.0, gates, out=dz)
         dz *= gates
         fac = dz.reshape(m, b, 4, nh)
         fi, ff, fg, fo = fac.transpose(2, 0, 1, 3)
@@ -369,25 +519,27 @@ class LstmLayer:
         np.subtract(1.0, fg, out=fg)
         fg *= i
         fo *= tc
-        dc_dh = np.multiply(tc, tc)
+        np.multiply(tc, tc, out=dc_dh)
         np.subtract(1.0, dc_dh, out=dc_dh)
         dc_dh *= o
         dh = dh_final
-        dc = np.zeros_like(dh)
+        dc[...] = 0.0
         for t in range(m - 1, -1, -1):
-            dc += dh * dc_dh[t]
-            fac[t, :, :3] *= dc[:, None, :]
-            fac[t, :, 3] *= dh
+            np.multiply(dh, dc_dh[t], tmp)
+            dc += tmp
+            dz_c, dz_h = fac[t, :, :3], fac[t, :, 3]
+            dz_c *= dc[:, None, :]
+            dz_h *= dh
             if t:
-                dh = dz[t] @ w_h.T
+                dh = np.matmul(dz[t], w_h.T, dh_next)
                 dc *= f[t]
         dz2 = dz.reshape(-1, 4 * nh)
-        dw = np.empty_like(w)
-        np.matmul(xt.T, dz2, out=dw[:n_in])
-        np.matmul(h[:-1].reshape(-1, nh).T, dz2, out=dw[n_in:])
+        np.matmul(xt.T, dz2, dw[:n_in])
+        np.matmul(h[:-1].reshape(-1, nh).T, dz2, dw[n_in:])
         grads[f"{p}.W"] = dw
-        grads[f"{p}.b"] = dz2.sum(axis=0)
-        return (dz2 @ w[:n_in].T).reshape(m, b, n_in).transpose(1, 0, 2)
+        grads[f"{p}.b"] = dz2.sum(axis=0, out=db)
+        np.matmul(dz2, w[:n_in].T, dx)
+        return dx.reshape(m, b, n_in).transpose(1, 0, 2)
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray):
@@ -436,10 +588,11 @@ def masked_softmax_backward(cache, dprobs):
 class TsfenNetwork:
     """Trunk plus head over ``n_devices`` devices, with the layer sizes of
     the ``mappo`` section and ``out_dim`` outputs; see the module docstring
-    for the layout."""
+    for the layout.  The parameters are drawn from ``rng``; with ``rng``
+    None they are left unset, for a checkpoint to fill."""
 
     def __init__(self, p: "MappoSection", n_devices: int, out_dim: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None):
         self.mhsa = MhsaLayer(len(FEATURE_LOG), p.d_model, p.n_heads,
                               p.squeeze_dim, rng)
         lstm_in = n_devices * p.squeeze_dim
@@ -480,8 +633,12 @@ class TsfenNetwork:
             s, c_mhsa = self.mhsa.forward(x, workspace)
             b, m, n, dsq = s.shape
             seq = s.reshape(b, m, n * dsq)
-            h_fwd, c_fwd = self.lstm_fwd.forward(seq)
-            h_bwd, c_bwd = self.lstm_bwd.forward(seq[:, ::-1, :])
+            fwd, bwd = self.lstm_fwd, self.lstm_bwd
+            a_fwd = fwd.forward_arrays(b, m, n * dsq)
+            a_bwd = bwd.forward_arrays(b, m, n * dsq)
+            (h_fwd, c_fwd), (h_bwd, c_bwd) = _pair(
+                lambda: fwd.forward(seq, a_fwd),
+                lambda: bwd.forward(seq[:, ::-1, :], a_bwd), b > 1)
             h = np.concatenate([h_fwd, h_bwd], axis=1)
             f1, c_fc1 = self.fc1.forward(h)
             relu = np.maximum(f1, 0.0)
@@ -497,9 +654,14 @@ class TsfenNetwork:
         drelu = self.fc2.backward(c_fc2, dlogits, grads)
         df1 = drelu * (f1 > 0.0)
         dh = self.fc1.backward(c_fc1, df1, grads)
-        nh = self.lstm_fwd.nh
-        dseq = self.lstm_fwd.backward(c_fwd, dh[:, :nh], grads)
-        dseq_b = self.lstm_bwd.backward(c_bwd, dh[:, nh:], grads)
+        fwd, bwd = self.lstm_fwd, self.lstm_bwd
+        nh = fwd.nh
+        a_fwd, a_bwd = fwd.backward_arrays(c_fwd), bwd.backward_arrays(c_bwd)
+        grads_b = {}
+        dseq, dseq_b = _pair(
+            lambda: fwd.backward(c_fwd, dh[:, :nh], grads, a_fwd),
+            lambda: bwd.backward(c_bwd, dh[:, nh:], grads_b, a_bwd), b > 1)
+        grads.update(grads_b)
         dseq = dseq + dseq_b[:, ::-1, :]
         self.mhsa.backward(c_mhsa, dseq.reshape(b, m, n, dsq), grads)
         return grads
@@ -548,28 +710,48 @@ def adam_init(params: dict) -> AdamState:
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> None:
-    """One bias-corrected adaptive-moment descent step, in place."""
+    """One bias-corrected adaptive-moment descent step, in place.
+
+    The parameters are updated in two groups of about equal size through
+    ``_pair``, each with one scratch array that carries every term in
+    turn; both scratches are made here, before either group starts.
+    """
     state.step += 1
     t = state.step
     scale = lr / (1.0 - beta1 ** t)
     inv_sqrt_bc2 = 1.0 / np.sqrt(1.0 - beta2 ** t)
-    for k, g in grads.items():
-        m = state.m[k]
-        v = state.v[k]
-        # one scratch array carries each term in turn
-        tmp = np.multiply(1.0 - beta1, g)
-        m *= beta1
-        m += tmp
-        np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - beta2
-        v *= beta2
-        v += tmp
-        np.sqrt(v, out=tmp)
-        tmp *= inv_sqrt_bc2
-        tmp += eps
-        np.divide(m, tmp, out=tmp)
-        tmp *= scale
-        params[k] -= tmp
+
+    def update(names, scratch):
+        for k in names:
+            g = grads[k]
+            m = state.m[k]
+            v = state.v[k]
+            tmp = scratch[:g.size].reshape(g.shape)
+            np.multiply(1.0 - beta1, g, out=tmp)
+            m *= beta1
+            m += tmp
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - beta2
+            v *= beta2
+            v += tmp
+            np.sqrt(v, out=tmp)
+            tmp *= inv_sqrt_bc2
+            tmp += eps
+            np.divide(m, tmp, out=tmp)
+            tmp *= scale
+            params[k] -= tmp
+
+    groups = ([], [])
+    sizes = [0, 0]
+    # largest first, each to the lighter group
+    for k in sorted(grads, key=lambda k: -grads[k].size):
+        lighter = sizes[1] < sizes[0]
+        groups[lighter].append(k)
+        sizes[lighter] += grads[k].size
+    scratches = [np.empty(max((grads[k].size for k in names), default=0))
+                 for names in groups]
+    _pair(lambda: update(groups[0], scratches[0]),
+          lambda: update(groups[1], scratches[1]))
 
 
 # --- checkpoints -----------------------------------------------------------
@@ -603,14 +785,16 @@ def load_params(path, into=None):
     """Load a checkpoint; returns (params, meta).
 
     A missing or unreadable file, a wrong magic, a corrupt header, a
-    payload whose length differs from the one the header describes and
-    metadata that is not a JSON object all raise ``CheckpointError``
-    before any array is written.  ``into(shapes, meta)``, if given, is
-    then called with the header's {name: shape} in payload order and its
-    metadata; it returns {name: array of that shape} to copy the payload
-    into, or raises ``CheckpointError`` to reject the file.  Without it
-    the arrays are fresh.  The payload is copied in one array at a time,
-    so no second copy of the parameters is staged.
+    header whose ``dtype`` is not ``"float64"`` or whose ``byte_order``
+    is not ``"little"``, a payload whose length differs from the one the
+    header describes and metadata that is not a JSON object all raise
+    ``CheckpointError`` before any array is written.  ``into(shapes,
+    meta)``, if given, is then called with the header's {name: shape} in
+    payload order and its metadata; it returns {name: array of that
+    shape} to copy the payload into, or raises ``CheckpointError`` to
+    reject the file.  Without it the arrays are fresh.  The payload is
+    copied in one array at a time, so no second copy of the parameters
+    is staged.
     """
     try:
         fh = open(path, "rb")
@@ -632,6 +816,12 @@ def load_params(path, into=None):
         if not isinstance(header, dict) \
                 or header.get("format_version") != 1:
             raise CheckpointError("unsupported checkpoint version")
+        if header.get("dtype") != "float64" \
+                or header.get("byte_order") != "little":
+            raise CheckpointError(
+                f"checkpoint {path!r} holds {header.get('dtype')!r} "
+                f"{header.get('byte_order')!r}-endian values, not "
+                "little-endian float64")
         shapes = _header_shapes(header, path)
         payload = os.fstat(fh.fileno()).st_size - fh.tell()
         expected = 8 * sum(math.prod(shape) for shape in shapes.values())

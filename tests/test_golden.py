@@ -44,23 +44,23 @@ tests pin SHA-256 hashes of
 
 Pinned with Python 3.11.7, numpy 2.4.6 and scipy-openblas 0.3.31.188.0
 (64-bit ints, DYNAMIC_ARCH) on x86_64 with AVX-512, at OpenBLAS's default
-2 threads.  A different numpy or BLAS build may legitimately differ in the
-last bits, and so may another BLAS thread count (one thread changes some
-batch-4/20/100 weight gradients and the trained checkpoints), so the tests
-skip when either version or the thread count differs; re-pin with
+2 threads; every pin gives the same bytes at 1 thread.  A different numpy
+or BLAS build may legitimately differ in the last bits, and so may
+another BLAS thread count, so the tests skip when either version differs
+or OpenBLAS runs other than 1 or 2 threads; re-pin with
 ``PYTHONPATH=src python tests/test_golden.py``, which prints the hashes of
 the code as it stands and then names each pinned entry whose hash they
 no longer match.
 """
 
 import csv
-import ctypes
 import hashlib
 import io
 
 import numpy as np
 import pytest
 
+from race_wfl import blas
 from race_wfl.cli import main
 from race_wfl.config import MappoSection, PlatoonSection, config_from_dict
 from race_wfl.platoon import init_platoon, step_platoon
@@ -69,7 +69,7 @@ from race_wfl.tsfen import TsfenNetwork
 
 PINNED_NUMPY = "2.4.6"
 PINNED_BLAS = "0.3.31.188.0"
-PINNED_BLAS_THREADS = 2
+PINNED_BLAS_THREADS = (1, 2)
 
 NETWORK_HASHES = {
     1: {
@@ -237,38 +237,13 @@ def _blas_version():
         return None
 
 
-def _blas_threads():
-    """The thread count OpenBLAS reports through its ``get_num_threads``
-    symbol in the library loaded into this process; None if unreadable."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split()[-1] for line in fh
-                     if "openblas" in line.lower()}
-    except OSError:
-        return None
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_get_num_threads64_",
-                       "scipy_openblas_get_num_threads",
-                       "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [], ctypes.c_int
-                return fn()
-    return None
-
-
 def _skip_unless_pinned_build():
     if np.__version__ != PINNED_NUMPY or _blas_version() != PINNED_BLAS:
         pytest.skip(f"hashes pinned on numpy {PINNED_NUMPY} / BLAS "
                     f"{PINNED_BLAS}, running numpy {np.__version__} / "
                     f"BLAS {_blas_version()}")
-    threads = _blas_threads()
-    if threads != PINNED_BLAS_THREADS:
+    threads = blas.threads()
+    if threads not in PINNED_BLAS_THREADS:
         pytest.skip(f"hashes pinned at {PINNED_BLAS_THREADS} OpenBLAS "
                     f"threads, running {threads}")
 
@@ -469,7 +444,7 @@ if __name__ == "__main__":
     from pathlib import Path
 
     print(f"numpy {np.__version__}, BLAS {_blas_version()}, "
-          f"{_blas_threads()} BLAS threads")
+          f"{blas.threads()} BLAS threads")
     with tempfile.TemporaryDirectory() as tmp:
         current = {
             "NETWORK_HASHES": {b: network_hashes(b)

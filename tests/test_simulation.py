@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 
 from conftest import per_device_round
-from race_wfl import selection
+from race_wfl import blas, selection, simulation, tsfen
 from race_wfl.config import ScenarioConfig, config_from_dict
 from race_wfl.errors import (
-    AssignmentError, CollisionError, ConfigError, InfeasibleError, RaceError,
+    AssignmentError, CheckpointError, CollisionError, ConfigError,
+    InfeasibleError, RaceError,
 )
 from race_wfl.fl_engine import fedavg
 from race_wfl.simulation import (
@@ -371,6 +373,78 @@ class TestEvaluationFootprint:
             tracemalloc.stop()
         sizes = [p.nbytes for p in policy._params().values()]
         assert peak <= sum(sizes) + max(sizes) + 500_000
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_only_an_evaluation_policy_from_a_checkpoint_skips_init(
+            self, monkeypatch, tmp_path, train):
+        path = tmp_path / "policy.bin"
+        saved = MappoPolicy(tiny_cfg(), 1, train=False)
+        saved.save(path)
+        streams = []
+        orig = simulation.named_rng
+
+        def recorded(seed, name, *rest):
+            streams.append(name)
+            return orig(seed, name, *rest)
+        monkeypatch.setattr(simulation, "named_rng", recorded)
+        policy = MappoPolicy(tiny_cfg(), 2, train=train, checkpoint=path)
+        assert ("weights-init" in streams) == train
+        assert policy.train == train
+        for name, p in policy._params().items():
+            assert p.tobytes() == saved._params()[name].tobytes(), name
+
+    def test_training_policy_draws_the_init_it_always_drew(self, tmp_path):
+        path = tmp_path / "policy.bin"
+        MappoPolicy(tiny_cfg(), 1, train=False).save(path)
+        rng = simulation.named_rng(2, "weights-init", 1)
+        cfg = tiny_cfg()
+        nets = [tsfen.TsfenNetwork(cfg.mappo, 8, 1, rng)] + [
+            tsfen.TsfenNetwork(cfg.mappo, 8, 8, rng) for _ in range(2)]
+        policy = MappoPolicy(cfg, 2, train=True)
+        for net, ours in zip(nets, [policy.critic] + policy.actors,
+                             strict=True):
+            for name, p in net.params.items():
+                assert ours.params[name].tobytes() == p.tobytes(), name
+
+    def test_rejected_checkpoint_raises_from_the_constructor(self,
+                                                             tmp_path):
+        path = tmp_path / "policy.bin"
+        MappoPolicy(tiny_cfg(), 1, train=False).save(path)
+        other = tiny_cfg(selection={"n_subchannels": 3})
+        with pytest.raises(CheckpointError, match="agents"):
+            MappoPolicy(other, 2, train=False, checkpoint=path)
+        junk = tmp_path / "junk.bin"
+        junk.write_bytes(b"NOTACKPT" + bytes(32))
+        with pytest.raises(CheckpointError, match="magic"):
+            MappoPolicy(tiny_cfg(), 2, train=False, checkpoint=junk)
+
+    def test_baseline_with_a_checkpoint_is_a_config_error(self, tmp_path):
+        path = tmp_path / "policy.bin"
+        MappoPolicy(tiny_cfg(), 1, train=False).save(path)
+        with pytest.raises(ConfigError, match="no checkpoint"):
+            run_experiment(tiny_cfg(), "greedy_aoi", tmp_path / "out",
+                           checkpoint_in=path)
+
+
+def test_update_restores_blas_threads_when_it_raises(monkeypatch,
+                                                     tmp_path):
+    # the update runs with OpenBLAS at one thread and the worker on;
+    # both are restored when it raises
+    seen = []
+
+    def diverged(*args):
+        seen.append((blas.threads(), tsfen._worker is not None))
+        raise RaceError("non-finite TD residuals; aborting update")
+    monkeypatch.setattr(selection, "critic_update", diverged)
+    old = blas.threads()
+    with pytest.raises(RaceError, match="non-finite"):
+        run_experiment(tiny_cfg(run={"episodes": 1}), "mappo", tmp_path,
+                       train=True, log_every=0)
+    assert blas.threads() == old
+    assert tsfen._worker is None
+    assert len(seen) == 1
+    if old is not None and len(os.sched_getaffinity(0)) > 1:
+        assert seen == [(1, True)]
 
 
 class TestSharedCritic:

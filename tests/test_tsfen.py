@@ -1,12 +1,20 @@
+import contextlib
 import copy
+import json
+import os
+import struct
+import threading
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from race_wfl import blas, tsfen
 from race_wfl.config import MappoSection
 from race_wfl.errors import CheckpointError, RaceError
+from race_wfl.selection import _critic_step
 from race_wfl.tsfen import (
     AdamState, DenseLayer, LstmLayer, MhsaLayer, TsfenNetwork,
     Workspace, adam_init, adam_step, load_params, masked_softmax,
@@ -362,8 +370,8 @@ class TestKeyMajorAttentionMatchesReductions:
     def test_largest_weight_is_exactly_one(self, batch):
         scores, xb = self._inputs(np.random.default_rng(batch), batch)
         weights = scores.copy()
-        _attend(weights, xb, np.empty((xb.shape[0], scores.shape[2], 4)),
-                np.empty((xb.shape[0] * scores.shape[2], 1)))
+        bm, q = xb.shape[0], scores.shape[2]
+        _attend(weights, xb, np.empty((bm, q, 4)), np.empty((bm * q, 1)))
         # the max is exact, so its column's exp is exp(0.0)
         assert (weights.max(axis=0) == 1.0).all()
         assert (weights.argmax(axis=0) == scores.argmax(axis=0)).all()
@@ -380,8 +388,9 @@ class TestKeyMajorAttentionMatchesReductions:
         assert_close(weights * inv_z.reshape(bm, q), attn)
         assert_close(u, ref_u)
 
+    @pytest.mark.parametrize("chunk", [1, 3, 16])
     @pytest.mark.parametrize("batch", [1, 8, 32])
-    def test_backward(self, batch):
+    def test_backward(self, batch, chunk):
         rng = np.random.default_rng(batch)
         scores, xb = self._inputs(rng, batch)
         bm, q = xb.shape[0], scores.shape[2]
@@ -393,7 +402,8 @@ class TestKeyMajorAttentionMatchesReductions:
         dattn = np.einsum("bjc,bqc->jbq", xb, du)
         ref = (dattn - (dattn * attn).sum(axis=0)) * attn
         out = _attend_backward(weights, xb, u, inv_z, du.copy(),
-                               np.empty_like(weights))
+                               np.empty(bm * q), np.empty((chunk, 20, q)))
+        assert out is weights   # the gradient overwrites the weights
         assert_close(out, ref)
 
 
@@ -652,6 +662,30 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError):
             load_params(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("dtype", "float32"), ("dtype", None), ("byte_order", "big"),
+        ("byte_order", None)])
+    def test_header_of_another_dtype_or_byte_order_rejected(
+            self, tmp_path, field, value):
+        # the payload stays little-endian float64; only the header lies
+        net = TsfenNetwork(SMALL, 4, 4, np.random.default_rng(2))
+        path = tmp_path / "ckpt.bin"
+        save_params(path, net.params)
+        data = path.read_bytes()
+        end = 12 + struct.unpack("<I", data[8:12])[0]
+        header = json.loads(data[12:end])
+        if value is None:
+            del header[field]
+        else:
+            header[field] = value
+        blob = json.dumps(header).encode()
+        path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob
+                         + data[end:])
+        called = []
+        with pytest.raises(CheckpointError, match="little-endian float64"):
+            load_params(path, into=lambda *args: called.append(args))
+        assert called == []
+
 
 def test_network_takes_its_sizes_from_the_mappo_section():
     p = MappoSection(d_model=12, n_heads=3, squeeze_dim=2, lstm_hidden=5,
@@ -664,3 +698,150 @@ def test_network_takes_its_sizes_from_the_mappo_section():
     assert shapes["lstm_fwd.W"] == shapes["lstm_bwd.W"] == (7 * 2 + 5, 20)
     assert shapes["fc1.W"] == (10, 6)
     assert shapes["fc2.W"] == (6, 9)
+
+
+@contextlib.contextmanager
+def _blas_at_one_thread():
+    old = blas.threads()
+    blas.set_threads(1)
+    try:
+        yield
+    finally:
+        blas.set_threads(old)
+
+
+@pytest.fixture
+def worker():
+    """An open ``two_threads`` scope whose worker runs; skips where
+    OpenBLAS is not found or one CPU is usable, since the scope then
+    runs everything inline."""
+    with tsfen.two_threads():
+        if tsfen._worker is None:
+            pytest.skip("no worker: OpenBLAS not found or a single CPU")
+        yield tsfen._worker
+
+
+class TestTwoThreads:
+    """The pair runner: a PPO update's batch>1 steps split their halves
+    between the caller and one worker thread, with the same bytes as the
+    inline run."""
+
+    @staticmethod
+    def _steps(net, opt, states, dlogits):
+        """Two forward, backward and Adam steps on one workspace, at
+        batch 32; every logit and gradient of both."""
+        ws = Workspace()
+        out = []
+        for rows in (slice(0, 32), slice(32, 64)):
+            logits, cache = net.forward(states[rows], ws)
+            grads = net.backward(cache, dlogits[rows])
+            out.append((logits.copy(), {k: g.copy()
+                                        for k, g in grads.items()}))
+            adam_step(net.params, grads, opt, 1e-3)
+        return out
+
+    @pytest.mark.parametrize("out_dim", [20, 1], ids=["actor", "critic"])
+    def test_worker_and_inline_give_the_same_bytes(self, worker, out_dim):
+        rng = np.random.default_rng(out_dim)
+        net = TsfenNetwork(MappoSection(), 20, out_dim, rng)
+        states = _states(rng, 64, 20, 5)
+        dlogits = rng.standard_normal((64, out_dim))
+        runs = []
+        for threaded in (True, False):
+            copy_net = copy.deepcopy(net)
+            opt = adam_init(copy_net.params)
+            if threaded:
+                steps = self._steps(copy_net, opt, states, dlogits)
+            else:
+                with _blas_at_one_thread():
+                    tsfen._worker = None   # restored by the fixture
+                    steps = self._steps(copy_net, opt, states, dlogits)
+                    tsfen._worker = worker
+            runs.append((copy_net.params, opt, steps))
+        (params, opt, steps), (params_i, opt_i, steps_i) = runs
+        assert opt.step == opt_i.step == 2
+        for (logits, grads), (logits_i, grads_i) in zip(steps, steps_i):
+            assert logits.tobytes() == logits_i.tobytes()
+            assert list(grads) == list(grads_i)
+            assert grads.keys() == net.params.keys()
+            for k in grads:
+                assert grads[k].tobytes() == grads_i[k].tobytes(), k
+        for k in net.params:
+            assert params[k].tobytes() == params_i[k].tobytes(), k
+            assert opt.m[k].tobytes() == opt_i.m[k].tobytes(), k
+            assert opt.v[k].tobytes() == opt_i.v[k].tobytes(), k
+            assert params[k].tobytes() != net.params[k].tobytes(), k
+
+    @pytest.mark.parametrize("head", ["actor", "critic"])
+    def test_diverged_network_raises_race_error_and_no_warning(
+            self, worker, head):
+        # the backward LSTM direction, on the worker, overflows; the
+        # forward's errstate must reach it there
+        rng = np.random.default_rng(3)
+        net = TsfenNetwork(MappoSection(), 20, 20 if head == "actor" else 1,
+                           rng)
+        net.params["lstm_bwd.W"][...] = 1e308 * np.sign(
+            rng.standard_normal(net.params["lstm_bwd.W"].shape))
+        states = _states(rng, 32, 20, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RaceError, match="diverged"):
+                if head == "actor":
+                    net.policy(states, np.ones((32, 20)), Workspace())
+                else:
+                    _critic_step(net, adam_init(net.params), 1e-3, states,
+                                 np.zeros(32), Workspace())
+
+    @pytest.mark.parametrize("failing", ["first", "second"])
+    def test_exception_is_raised_after_both_halves_finish(self, worker,
+                                                          failing):
+        finished = threading.Event()
+
+        def fails():
+            raise KeyError("half")
+
+        def slow():
+            time.sleep(0.2)
+            finished.set()
+
+        first, second = (fails, slow) if failing == "first" \
+            else (slow, fails)
+        with pytest.raises(KeyError, match="half"):
+            tsfen._pair(first, second)
+        assert finished.is_set()
+
+    def test_second_half_runs_on_the_worker(self, worker):
+        names = tsfen._pair(lambda: threading.current_thread().name,
+                            lambda: threading.current_thread().name)
+        assert names[0] == threading.current_thread().name != names[1]
+        # a batch-1 step, or a pair that asks for it, stays inline
+        assert tsfen._pair(threading.current_thread, threading.current_thread,
+                           parallel=False) \
+            == (threading.current_thread(),) * 2
+
+    def test_scope_pins_blas_to_one_thread_and_restores_it(self):
+        old = blas.threads()
+        if old is None:
+            pytest.skip("OpenBLAS not found")
+        with pytest.raises(ValueError):
+            with tsfen.two_threads():
+                inside = blas.threads()
+                raise ValueError
+        assert inside == (1 if len(os.sched_getaffinity(0)) > 1 else old)
+        assert blas.threads() == old
+        assert tsfen._worker is None
+
+    @pytest.mark.parametrize("missing", ["blas", "cpu"])
+    def test_without_blas_or_a_second_cpu_the_pair_runs_inline(
+            self, monkeypatch, missing):
+        if missing == "blas":
+            monkeypatch.setattr(blas, "threads", lambda: None)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        old = blas.threads()
+        with tsfen.two_threads():
+            assert tsfen._worker is None
+            assert blas.threads() == old
+            here = threading.current_thread()
+            assert tsfen._pair(threading.current_thread,
+                               threading.current_thread) == (here, here)
