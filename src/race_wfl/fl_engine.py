@@ -127,12 +127,19 @@ def _residuals(weights, features, labels, offsets, n_classes):
     probs = np.empty((len(labels), n_classes))
     for a, b in zip(offsets[:-1], offsets[1:]):
         np.matmul(features[a:b], w.T, out=probs[a:b])
-    probs -= probs.max(axis=1, keepdims=True)
+    # each row's max as a running maximum over the class columns: one
+    # pass per class instead of one reduction per row.  The order of a max
+    # can change only the sign of a zero, which the shift and exp erase
+    peak = probs[:, 0].copy()
+    for c in range(1, n_classes):
+        np.maximum(peak, probs[:, c], out=peak)
+    probs -= peak[:, None]
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=1, keepdims=True)
-    rows = np.arange(len(labels))
-    p_label = probs[rows, labels]
-    probs[rows, labels] = p_label - 1.0
+    at_label = np.arange(len(labels)) * n_classes + labels
+    flat = probs.reshape(-1)
+    p_label = flat[at_label]
+    flat[at_label] = p_label - 1.0
     return probs, p_label
 
 
@@ -179,18 +186,24 @@ def local_steps(weights: np.ndarray, features: np.ndarray,
     offsets = [int(o) for o in offsets]
     resid, _ = _residuals(weights, features, labels, offsets, n_classes)
     n_dev = len(offsets) - 1
-    locals_ = np.empty((n_dev, len(weights)))
-    drift = np.empty(n_dev)
-    pooled_grad = np.zeros(len(weights))
-    for dev in range(n_dev):
-        a, b = offsets[dev], offsets[dev + 1]
-        grad = _shard_gradient(resid, features, a, b)
-        local = weights - lr * grad
-        if dev in adversaries:
-            local = apply_adversary(local, weights, factor)
-        locals_[dev] = local
-        drift[dev] = np.linalg.norm(local - weights) / gnorm
-        pooled_grad += (b - a) * grad
+    counts = np.diff(offsets).astype(np.float64)[:, None]
+    # each shard's gradient GEMM is its own, as in ``_shard_gradient``;
+    # everything after it is one elementwise pass over all devices
+    grads = np.empty((n_dev, n_classes, features.shape[1]))
+    for dev, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
+        np.matmul(resid[a:b].T, features[a:b], out=grads[dev])
+    grads = grads.reshape(n_dev, -1)
+    grads /= counts
+    locals_ = weights - lr * grads
+    adv = [dev for dev in range(n_dev) if dev in adversaries]
+    if adv:
+        locals_[adv] = apply_adversary(locals_[adv], weights, factor)
+    # a 1-D norm per row: ``flmd``'s reduction, not a 2-D one
+    step = locals_ - weights
+    drift = np.sqrt([row.dot(row) for row in step]) / gnorm
+    # rows added in device order onto zeros, as a running sum would: numpy
+    # reduces axis 0 of a C-ordered (N, d > 1) array row after row
+    pooled_grad = np.add.reduce(counts * grads, axis=0, initial=0.0)
     return locals_, drift, pooled_grad / offsets[-1]
 
 

@@ -14,6 +14,7 @@ within about 1e-12 relative.  Failures raise where they happen:
 budget is below the transmission-energy infimum, ``OverflowError`` or
 ``ZeroDivisionError`` when a term leaves the float range (such as
 ``max_power_w * gain``, or the cube of a power-capped chi),
+``ArithmeticError`` when an interior transmission time does,
 ``ConvergenceError`` when the search finds no bracket or a binding solve
 comes out more than ``ENERGY_GUARD_REL`` over budget.
 
@@ -29,8 +30,8 @@ A brute-force grid oracle over (chi, rho) is provided for verification.
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +52,10 @@ class Binding(Enum):
     ENERGY_BINDING = "binding"
 
 
-@dataclass(frozen=True)
-class AllocationResult:
+class AllocationResult(NamedTuple):
+    """One device's allocation; a tuple, so immutable and cheap to make
+    (the round loop makes one per device per round)."""
+
     chi: float
     rho: float
     tx_time: float
@@ -275,7 +278,13 @@ def optimal_allocation(profile: DeviceProfile, gain: float,
     chi = min((h_star / (2.0 * kappa * cpu_hz ** 3 * gain)) ** (1.0 / 3.0),
               1.0)
     delta = bits / (u_star * bandwidth)
-    rho = rho_from_delta(delta, bits, bandwidth, power, gain)
+    try:
+        rho = rho_from_delta(delta, bits, bandwidth, power, gain)
+    except RaceError as exc:
+        # u_star <= u_full, so only rounding fails here: a time that
+        # underflows to 0 or rounds below the full-power time
+        raise ArithmeticError(f"interior transmission time {delta!r} s "
+                              f"beyond the float range: {exc}") from exc
     if h_star == 0.0:
         raise ZeroDivisionError("stationarity term h(u) underflows to 0: "
                                 "energy multiplier beyond the float range")

@@ -31,7 +31,9 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import AssignmentError, RaceError
-from .tsfen import AdamState, TsfenNetwork, Workspace, adam_step
+from .tsfen import (
+    AdamState, TsfenNetwork, Workspace, adam_step, masked_softmax,
+)
 
 if TYPE_CHECKING:
     from .config import MappoSection
@@ -125,16 +127,15 @@ def _claim(n_agents: int, mask: np.ndarray, pick):
     effective mask admits nothing idles (-1) without a call.  Returns
     (actions, eff_masks).
     """
-    actions = np.full(n_agents, -1, dtype=np.int64)
-    eff_masks = np.zeros((n_agents, mask.shape[0]))
+    actions = [-1] * n_agents
+    eff_masks = np.empty((n_agents, mask.shape[0]))
     unclaimed = np.ones(mask.shape[0], dtype=bool)
     for k in range(n_agents):
-        eff = mask * unclaimed
-        eff_masks[k] = eff
+        eff = np.multiply(mask, unclaimed, out=eff_masks[k])
         if (eff > 0.0).any():
             actions[k] = pick(k, eff)
             unclaimed[actions[k]] = False
-    return actions, eff_masks
+    return np.array(actions, dtype=np.int64), eff_masks
 
 
 def select_actions(actors, state: np.ndarray, mask: np.ndarray,
@@ -144,14 +145,21 @@ def select_actions(actors, state: np.ndarray, mask: np.ndarray,
     Returns (actions, eff_masks, probs): action -1 marks an idle agent;
     ``eff_masks[k]`` is the mask agent k actually sampled from and
     ``probs[k]`` the probability of its action under that mask (1.0 for
-    an idle agent, which had no other choice).
+    an idle agent, which had no other choice).  Agent k's probabilities
+    are those of ``actors[k].policy``; the state is conditioned once for
+    all of them.
     """
     probs_out = np.ones(len(actors))
+    x = TsfenNetwork.preprocess(state[None])
 
     def sample(k, eff):
-        probs, _ = actors[k].policy(state[None], eff[None])
-        p = probs[0]
-        a = int(rng.choice(len(p), p=p))
+        logits, _ = actors[k].forward(x)
+        p = masked_softmax(logits, eff[None])[0][0]
+        # the draw of ``rng.choice(len(p), p=p)``: one uniform double
+        # against the cumulative sum normalized by its last entry
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        a = int(cdf.searchsorted(rng.random(), "right"))
         probs_out[k] = p[a]
         return a
 
@@ -167,15 +175,17 @@ def check_actions(actions, mask: np.ndarray, n_agents: int) -> np.ndarray:
     that no other agent picked and whose ``mask`` entry is > 0.
     """
     raw = np.asarray(actions)
-    if raw.shape != (n_agents,) or not np.issubdtype(raw.dtype, np.integer):
+    if raw.shape != (n_agents,) or raw.dtype.kind not in "iu":
         raise AssignmentError(
             f"need {n_agents} integer actions, got {raw.tolist()!r}")
-    picked = raw[raw >= 0]
-    if (raw < -1).any() or (picked >= len(mask)).any():
+    # the few actions as Python ints: no numpy call per check
+    acts = raw.tolist()
+    picked = [a for a in acts if a >= 0]
+    if any(a < -1 for a in acts) or any(a >= len(mask) for a in picked):
         problem = "a device index out of range"
-    elif len(np.unique(picked)) < len(picked):
+    elif len(set(picked)) < len(picked):
         problem = "one device for several sub-channels"
-    elif (mask[picked] <= 0.0).any():
+    elif any(mask[a] <= 0.0 for a in picked):
         problem = "a device the mask excludes"
     else:
         return raw.astype(np.int64)
@@ -317,8 +327,8 @@ def baseline_policy(kind: str, state: np.ndarray, mask: np.ndarray,
     n = mask.shape[0]
     if kind == "greedy_aoi":
         def pick(k, eff):
-            admitted = np.flatnonzero(eff > 0.0)
-            return int(admitted[np.argmax(aoi[admitted])])
+            # ages are >= 0, so -inf marks the devices not admitted
+            return int(np.argmax(np.where(eff > 0.0, aoi, -np.inf)))
     elif kind == "random":
         def pick(k, eff):
             return int(rng.choice(np.flatnonzero(eff > 0.0)))

@@ -76,6 +76,9 @@ class World:
         self.adversaries = set(int(d) for d in cfg.task.adversary_devices)
         self.n_devices = p.n_followers
         self.n_agents = cfg.selection.n_subchannels
+        # each sub-period's end as a fraction of the update interval
+        m = cfg.selection.subperiods
+        self.subperiod_ends = np.arange(1, m + 1)[:, None] / m
         self.episode = -1
 
     def _draw_eval_set(self, rng):
@@ -141,8 +144,7 @@ class World:
         threshold = self.current_threshold()
 
         # channel per sub-period along the interpolated trajectory
-        frac = np.arange(1, subperiods + 1)[:, None] / subperiods
-        pos = prev_pos + frac * (new_pos - prev_pos)
+        pos = prev_pos + self.subperiod_ends * (new_pos - prev_pos)
         gains = realize_gains(pos[:, :1] - pos[:, 1:], cfg.channel,
                               self.channel_rng)
         state = sel.build_state(drift, gains, self.aoi)
@@ -150,14 +152,14 @@ class World:
         # per-device resource allocation at the latest gains
         # Python floats: an overflow in Stage 1 gives inf (and then an
         # ArithmeticError), not a numpy warning
-        gain_now = gains[-1].tolist()
-        feasible = np.zeros(n)
-        delays = np.zeros(n)
-        energies = np.zeros(n)
-        for dev in range(n):
+        feasible = [0.0] * n
+        delays = [0.0] * n
+        energies = [0.0] * n
+        bandwidth = cfg.channel.bandwidth
+        for dev, (profile, gain) in enumerate(zip(self.profiles,
+                                                  gains[-1].tolist())):
             try:
-                res = optimal_allocation(
-                    self.profiles[dev], gain_now[dev], cfg.channel.bandwidth)
+                res = optimal_allocation(profile, gain, bandwidth)
             except InfeasibleError:
                 continue
             except (ValueError, ArithmeticError) as exc:
@@ -167,6 +169,7 @@ class World:
             feasible[dev] = 1.0
             delays[dev] = res.total_delay
             energies[dev] = res.energy
+        energies = np.array(energies)
 
         if cfg.selection.mask == "binary":
             mask = sel.binary_mask(drift, threshold)
@@ -175,7 +178,7 @@ class World:
                                      cfg.selection.temperature,
                                      cfg.selection.pl_ratio,
                                      self.round_index)
-        mask = mask * feasible
+        mask = mask * np.array(feasible)
 
         if self.n_agents > 0 and mask.max() > 0.0:
             actions = sel.check_actions(select_fn(state, mask), mask,

@@ -16,6 +16,7 @@ import functools
 import itertools
 import logging
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,8 @@ from .errors import RaceError
 from .fl_engine import adaptive_threshold
 
 log = logging.getLogger(__name__)
+
+_PAIR = struct.Struct("<2d")   # the bits of a 2-D point
 
 
 class _DeviceProblem:
@@ -356,7 +359,10 @@ def _polish(problem: NonconvexProblem, w0: float, w1: float) -> np.ndarray:
     """2000 gradient steps of size 0.5 / L from (w0, w1) on Python
     floats, with the arithmetic of ``w - lr * global_gradient(w)``: each
     device's gradient in the order of its einsums, then the devices
-    summed in index order from 0.0."""
+    summed in index order from 0.0.
+
+    A step depends only on (w0, w1), so once one returns the same bits
+    every later step would too, and the loop stops there."""
     lr = 0.5 / problem.smoothness
     n_dev = problem.n_devices
     devices = list(zip(problem.counts.tolist(), problem.matrices.tolist(),
@@ -368,8 +374,11 @@ def _polish(problem: NonconvexProblem, w0: float, w1: float) -> np.ndarray:
             s = amp * math.sin(b0 * w0 + b1 * w1 + phase)
             g0 = g0 + count * (a00 * w0 + a01 * w1 - s * b0)
             g1 = g1 + count * (a10 * w0 + a11 * w1 - s * b1)
-        w0 = w0 - lr * (g0 / n_dev)
-        w1 = w1 - lr * (g1 / n_dev)
+        step = (w0 - lr * (g0 / n_dev), w1 - lr * (g1 / n_dev))
+        # equal values may still differ in the sign of a zero
+        if step == (w0, w1) and _PAIR.pack(*step) == _PAIR.pack(w0, w1):
+            break
+        w0, w1 = step
     return np.array([w0, w1])
 
 

@@ -285,6 +285,7 @@ class MhsaLayer:
         self.d = d_model
         self.h = n_heads
         self.dh = d_model // n_heads
+        self._inv_sqrt_dh = 1.0 / np.sqrt(self.dh)   # the query scale
         # drawn in layer order: embedding, attention, squeeze
         self.params = {
             "embed.W": _uniform_init(rng, n_in, (n_in, d_model)),
@@ -310,9 +311,9 @@ class MhsaLayer:
         x1[:, :f] = x.reshape(-1, f)
         x1[:, f] = 1.0
         xb = x1.reshape(bm, n, f1)
-        e = np.vstack((params["embed.W"], params["embed.b"]))
+        e = np.concatenate((params["embed.W"], params["embed.b"][None]))
         w_in = e @ params["mhsa.Wqkv"]
-        w_in[:, :self.d] *= 1.0 / np.sqrt(self.dh)
+        w_in[:, :self.d] *= self._inv_sqrt_dh
         wq, wk, wv = self._heads(w_in)
         a_cat = (wq @ wk.transpose(0, 2, 1)).transpose(1, 0, 2) \
             .reshape(f1, h * f1)
@@ -380,7 +381,7 @@ class MhsaLayer:
         da = (x1.T @ dproj).reshape(f1, h, f1).transpose(1, 0, 2)
         gmat = np.stack((da @ wk, da.transpose(0, 2, 1) @ wq, dwv)) \
             .transpose(2, 0, 1, 3).reshape(f1, 3 * self.d)
-        gmat[:, :self.d] *= 1.0 / np.sqrt(dh)
+        gmat[:, :self.d] *= self._inv_sqrt_dh
         grads["mhsa.Wqkv"] = e.T @ gmat
         de = gmat @ params["mhsa.Wqkv"].T
         grads["embed.W"] = de[:-1]
@@ -560,15 +561,18 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray):
     support = mask > 0.0
     if not support.any(axis=-1).all():
         raise RaceError("all-zero mask row: no selectable device")
-    with np.errstate(divide="ignore"):
-        z = np.where(support, logits + np.log(mask, where=support,
-                                              out=np.zeros_like(mask)),
-                     -np.inf)
-    z = z - z.max(axis=-1, keepdims=True)
-    raw = np.where(support, np.exp(z, where=np.isfinite(z),
-                                   out=np.zeros_like(z)), 0.0)
-    raw = raw / raw.sum(axis=-1, keepdims=True)
-    floored = np.where(support, np.maximum(raw, PROB_FLOOR), 0.0)
+    # log-mask plus logits on the support, -inf off it.  Off the support
+    # exp would give the 0 the array holds; on it z is finite, or -inf
+    # where the shift by the max overflows, and exp gives 0 there too
+    z = np.full(mask.shape, -np.inf)
+    np.log(mask, where=support, out=z)
+    z += logits
+    z -= z.max(axis=-1, keepdims=True)
+    raw = np.zeros(mask.shape)
+    np.exp(z, where=support, out=raw)
+    raw /= raw.sum(axis=-1, keepdims=True)
+    floored = np.zeros(mask.shape)
+    np.maximum(raw, PROB_FLOOR, where=support, out=floored)
     denom = floored.sum(axis=-1, keepdims=True)
     probs = floored / denom
     cache = (raw, floored, denom, support)
@@ -607,18 +611,23 @@ class TsfenNetwork:
 
     @staticmethod
     def preprocess(states: np.ndarray) -> np.ndarray:
-        """Fixed feature conditioning: optional log10 then affine."""
+        """Fixed feature conditioning: optional log10 then affine.  An
+        out-of-range state overflows without a warning, as in
+        ``forward``."""
         out = np.array(states, dtype=np.float64)
-        for j, (log, center, scale) in enumerate(
-                zip(FEATURE_LOG, FEATURE_CENTER, FEATURE_SCALE)):
-            col = out[..., j]
-            if log:
-                col = np.log10(np.maximum(col, 1e-300))
-            out[..., j] = (col - center) / scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, (log, center, scale) in enumerate(
+                    zip(FEATURE_LOG, FEATURE_CENTER, FEATURE_SCALE)):
+                col = out[..., j]
+                if log:
+                    col = np.log10(np.maximum(col, 1e-300))
+                out[..., j] = (col - center) / scale
         return out
 
     def forward(self, states: np.ndarray, workspace: Workspace = None):
-        """states (B, M, N, F) -> logits (B, out_dim) plus cache.
+        """``preprocess``ed states (B, M, N, F) -> logits (B, out_dim) plus
+        cache.  The caller conditions the states, once for every network
+        that reads them.
 
         With a ``workspace``, the cache refers to its buffers until the
         next forward on the same workspace; ``backward`` must come first.
@@ -629,8 +638,7 @@ class TsfenNetwork:
         check, which raise ``RaceError``.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            x = self.preprocess(states)
-            s, c_mhsa = self.mhsa.forward(x, workspace)
+            s, c_mhsa = self.mhsa.forward(states, workspace)
             b, m, n, dsq = s.shape
             seq = s.reshape(b, m, n * dsq)
             fwd, bwd = self.lstm_fwd, self.lstm_bwd
@@ -668,8 +676,9 @@ class TsfenNetwork:
 
     def policy(self, states: np.ndarray, mask: np.ndarray,
                workspace: Workspace = None):
-        """Masked selection probabilities (B, N) plus caches."""
-        logits, cache = self.forward(states, workspace)
+        """Masked selection probabilities (B, N) of raw states plus
+        caches."""
+        logits, cache = self.forward(self.preprocess(states), workspace)
         probs, sm_cache = masked_softmax(logits, mask)
         return probs, (cache, sm_cache)
 
@@ -679,8 +688,8 @@ class TsfenNetwork:
         return self.backward(cache, dlogits)
 
     def value(self, states: np.ndarray, workspace: Workspace = None):
-        """Scalar state values (B,) plus cache (critic head)."""
-        logits, cache = self.forward(states, workspace)
+        """Scalar values (B,) of raw states plus cache (critic head)."""
+        logits, cache = self.forward(self.preprocess(states), workspace)
         return logits[:, 0], cache
 
 

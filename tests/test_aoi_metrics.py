@@ -155,6 +155,26 @@ class TestLedgerAndCsv:
         row = csv_row(0, led, 0.0)
         assert "0.33333333333333331" in row
 
+    def test_csv_row_matches_per_value_formatting(self):
+        # each float through ``format(float(x), ".17g")`` on its own
+        def fmt(x):
+            return format(float(x), ".17g")
+
+        led = self.make_ledger()
+        led.aoi[:] = [-0.0, 5e-324, 1e308, 0.1 + 0.2]
+        led.drift[:] = [2.2250738585072014e-308, 1.7976931348623157e308,
+                        123456789.12345678, -1.0 / 3.0]
+        led.round_delay = np.float64(2.5e-320)
+        led.rewards[:] = [-0.0, -9.8765432109876543e-5]
+        for cumulative in (0.0, 1e300 * 7.0, 4.9406564584124654e-324):
+            ref = ",".join(
+                [str(7), str(led.round_index)]
+                + [fmt(v) for v in led.aoi] + [fmt(v) for v in led.drift]
+                + [str(int(a)) for a in led.actions]
+                + [fmt(led.round_delay)] + [fmt(v) for v in led.rewards]
+                + [fmt(cumulative)])
+            assert csv_row(7, led, cumulative) == ref
+
     def test_csv_reports_idle_agents(self):
         led = self.make_ledger()
         led.actions[1] = -1

@@ -302,13 +302,6 @@ class TestCli:
         ("100,1e7,1e-100,1e300,0.0316,0.1,1e6,1e6,1e6",
          "allocation solver failed to converge: a binding solve spends "
          "nan J of a 0.1 J budget"),
-        # the interior transmission time underflows to 0
-        ("100,1e10,0.5e9,1e-28,0.0316,0.1,1e-320,1e6,1e6",
-         "tx_time must be > 0"),
-        # the interior transmission time rounds below the full-power one
-        ("50,1e7,1e9,1e-28,1e-93,1e-62,6e-30,1e170,1.5e291",
-         "tx_time below the minimum achievable transmission time "
-         "(would need rho > 1)"),
     ])
     def test_allocate_solver_failure_exits_4(self, tmp_path, caplog, row,
                                              message):
@@ -321,6 +314,29 @@ class TestCli:
                      str(tmp_path / "a.csv")]) == 4
         assert caplog.records[-1].getMessage().startswith(
             "profile row 0: " + message)
+
+    @pytest.mark.parametrize("row, message", [
+        # the interior transmission time underflows to 0
+        ("100,1e10,0.5e9,1e-28,0.0316,0.1,1e-320,1e6,1e6",
+         "interior transmission time 0.0 s beyond the float range: "
+         "tx_time must be > 0"),
+        # the interior transmission time rounds below the full-power one
+        ("50,1e7,1e9,1e-28,1e-93,1e-62,6e-30,1e170,1.5e291",
+         "interior transmission time 1.5e-323 s beyond the float range: "
+         "tx_time below the minimum achievable transmission time "
+         "(would need rho > 1)"),
+    ])
+    def test_allocate_interior_beyond_float_range_exits_2(
+            self, tmp_path, caplog, row, message):
+        profiles = tmp_path / "p.csv"
+        profiles.write_text(
+            "sample_count,cycles_per_sample,cpu_hz,power_coeff,"
+            "max_power_w,max_energy_j,model_bits,gain,bandwidth\n"
+            + row + "\n")
+        assert main(["allocate", "--profiles", str(profiles), "--out",
+                     str(tmp_path / "a.csv")]) == 2
+        assert caplog.records[-1].getMessage() == (
+            "configuration error: profile row 0: " + message)
 
     @pytest.mark.parametrize("bandwidth", ["0", "-1", "nan", "inf"])
     def test_allocate_rejects_bad_bandwidth_flag(self, tmp_path, caplog,

@@ -260,7 +260,7 @@ def network_hashes(batch: int) -> dict:
     states = np.stack([rng.uniform(0.0, 0.5, shape),
                        10.0 ** rng.uniform(8.0, 16.0, shape),
                        rng.uniform(0.0, 5.0, shape)], axis=-1)
-    logits, cache = net.forward(states)
+    logits, cache = net.forward(TsfenNetwork.preprocess(states))
     grads = net.backward(cache, rng.standard_normal(logits.shape))
     out = {"logits": _sha(logits.tobytes())}
     out.update({k: _sha(g.tobytes()) for k, g in sorted(grads.items())})

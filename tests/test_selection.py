@@ -151,6 +151,25 @@ class TestSelectActions:
             assert len(set(chosen)) == len(chosen)
             check_actions(actions, mask, 3)
 
+    def test_matches_per_actor_policy_calls(self):
+        # each actor's own ``policy`` on the raw state and ``rng.choice``
+        # over its probabilities give the same actions, probabilities
+        # and generator state
+        actors, _ = small_nets(6, 3, seed=7)
+        states = np.random.default_rng(5).uniform(size=(30, 2, 6, 3))
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        for i, state in enumerate(states):
+            mask = np.ones(6)
+            mask[i % 6] = 0.0
+            mask[(i + 1) % 6] = 0.5
+            actions, eff, probs = select_actions(actors, state, mask, rng)
+            for k, actor in enumerate(actors):
+                p, _ = actor.policy(state[None], eff[k][None])
+                a = int(ref_rng.choice(6, p=p[0]))
+                assert actions[k] == a
+                assert probs[k] == p[0, a]
+        assert rng.random() == ref_rng.random()
+
     def test_surplus_agents_idle(self):
         actors, _ = small_nets(4, 3, uniform=True)
         state = np.zeros((2, 4, 3))

@@ -233,11 +233,15 @@ def reference_grid_minimizer(problem):
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
     vals = reference_loss(problem, pts)
-    w = pts[np.argmin(vals)].copy()
+    return reference_polish(problem, pts[np.argmin(vals)]), vals.min(), vals
+
+
+def reference_polish(problem, w):
+    """All 2000 numpy gradient steps of ``_polish``."""
     lr = 0.5 / problem.smoothness
     for _ in range(2000):
         w = w - lr * problem.global_gradient(w)
-    return w, vals.min(), vals
+    return w
 
 
 class TestGridSearchMatchesEinsum:
@@ -254,6 +258,16 @@ class TestGridSearchMatchesEinsum:
         w, grid_min = _grid_minimizer(prob)
         assert np.array_equal(w, ref_w)
         assert np.array_equal(grid_min, ref_min)
+
+    # the problems of ``verify --quick``, from starts the grid did not pick
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 8])
+    def test_polish_stopped_at_its_fixed_point_is_the_2000_step_point(
+            self, seed):
+        prob = random_nonconvex_problem(np.random.default_rng(seed))
+        starts = np.random.default_rng(seed + 500).uniform(-4.0, 4.0, (2, 2))
+        for w in starts:
+            assert (_polish(prob, *w.tolist()).tobytes()
+                    == reference_polish(prob, w).tobytes())
 
     def test_random_and_single_points_are_bit_equal(self):
         for seed in range(20):

@@ -17,7 +17,7 @@ from race_wfl.errors import CheckpointError, RaceError
 from race_wfl.selection import _critic_step
 from race_wfl.tsfen import (
     AdamState, DenseLayer, LstmLayer, MhsaLayer, TsfenNetwork,
-    Workspace, adam_init, adam_step, load_params, masked_softmax,
+    PROB_FLOOR, Workspace, adam_init, adam_step, load_params, masked_softmax,
     masked_softmax_backward, save_params, _attend, _attend_backward,
     _tanh_gates,
 )
@@ -320,7 +320,7 @@ class TestFoldedAttentionMatchesUnfolded:
         net = TsfenNetwork(p, n_devices, out_dim, rng)
         ref = copy.copy(net)   # shares every parameter array
         ref.mhsa = UnfoldedMhsa(p.n_heads, net.params)
-        states = _states(rng, batch, n_devices, 5)
+        states = _features(rng, batch, n_devices, 5)
         dlogits = rng.standard_normal((batch, out_dim))
         logits, cache = net.forward(states)
         grads = net.backward(cache, dlogits)
@@ -407,7 +407,47 @@ class TestKeyMajorAttentionMatchesReductions:
         assert_close(out, ref)
 
 
+def reference_masked_softmax(logits, mask):
+    """``masked_softmax`` as a formula of whole-array ``np.where`` passes:
+    the log-mask and the exp taken everywhere, the rest masked out."""
+    support = mask > 0.0
+    with np.errstate(divide="ignore"):
+        z = np.where(support, logits + np.log(mask, where=support,
+                                              out=np.zeros_like(mask)),
+                     -np.inf)
+    z = z - z.max(axis=-1, keepdims=True)
+    raw = np.where(support, np.exp(z, where=np.isfinite(z),
+                                   out=np.zeros_like(z)), 0.0)
+    raw = raw / raw.sum(axis=-1, keepdims=True)
+    floored = np.where(support, np.maximum(raw, PROB_FLOOR), 0.0)
+    denom = floored.sum(axis=-1, keepdims=True)
+    return floored / denom, (raw, floored, denom, support)
+
+
 class TestMaskedSoftmax:
+    @pytest.mark.parametrize("kind", ["binary", "fractional", "partly_zero"])
+    @pytest.mark.parametrize("batch", [1, 32])
+    def test_matches_the_reference_formula_bit_for_bit(self, kind, batch):
+        rng = np.random.default_rng(batch)
+        for _ in range(50):
+            logits = rng.standard_normal((batch, 20)) * 10.0 ** rng.uniform(
+                -2, 2)
+            if kind == "binary":
+                mask = (rng.random((batch, 20)) < 0.6).astype(float)
+            elif kind == "fractional":
+                mask = 10.0 ** rng.uniform(-300, 0, (batch, 20))
+            else:
+                mask = rng.random((batch, 20)) * (rng.random((batch, 20))
+                                                  < 0.5)
+            mask[:, rng.integers(20)] = 1.0   # no all-zero row
+            probs, cache = masked_softmax(logits, mask)
+            ref_probs, ref_cache = reference_masked_softmax(logits, mask)
+            assert probs.tobytes() == ref_probs.tobytes()
+            assert len(cache) == len(ref_cache)
+            for got, ref in zip(cache, ref_cache):
+                assert got.dtype == ref.dtype
+                assert got.tobytes() == ref.tobytes()
+
     def test_all_ones_mask_is_plain_softmax(self):
         rng = np.random.default_rng(0)
         z = rng.standard_normal((3, 6))
@@ -524,13 +564,18 @@ def _states(rng, batch, n_devices, history):
                      rng.uniform(0.0, 5.0, shape)], axis=-1)
 
 
+def _features(rng, batch, n_devices, history):
+    """``_states`` as ``TsfenNetwork.forward`` reads them."""
+    return TsfenNetwork.preprocess(_states(rng, batch, n_devices, history))
+
+
 class TestWorkspace:
     def test_shared_workspace_gives_the_same_bits_at_every_batch(self):
         rng = np.random.default_rng(7)
         net = TsfenNetwork(MappoSection(), 20, 20, rng)
         ws = Workspace()
         for batch in (32, 4, 1):   # smaller batches reuse the grown buffers
-            states = _states(rng, batch, 20, 5)
+            states = _features(rng, batch, 20, 5)
             dlogits = rng.standard_normal((batch, 20))
             logits, cache = net.forward(states)
             grads = net.backward(cache, dlogits)
@@ -545,8 +590,8 @@ class TestWorkspace:
         rng = np.random.default_rng(8)
         net = TsfenNetwork(SMALL, 4, 4, rng)
         ws = Workspace()
-        logits_a, cache_a = net.forward(_states(rng, 3, 4, 2), ws)
-        logits_b, cache_b = net.forward(_states(rng, 3, 4, 2), ws)
+        logits_a, cache_a = net.forward(_features(rng, 3, 4, 2), ws)
+        logits_b, cache_b = net.forward(_features(rng, 3, 4, 2), ws)
         with pytest.raises(RaceError, match="stale"):
             net.backward(cache_a, np.ones_like(logits_a))
         net.backward(cache_b, np.ones_like(logits_b))
@@ -557,7 +602,7 @@ class TestWorkspace:
         ws = Workspace()
 
         def step(batch):
-            logits, cache = net.forward(_states(rng, batch, 4, 2), ws)
+            logits, cache = net.forward(_features(rng, batch, 4, 2), ws)
             net.backward(cache, np.ones_like(logits))
 
         step(8)
@@ -636,8 +681,8 @@ class TestCheckpoints:
         sizes = MappoSection(**{k: shape[k] for k in (
             "d_model", "n_heads", "squeeze_dim", "lstm_hidden", "fc_hidden")})
         n = shape["n_devices"]
-        states = _states(np.random.default_rng(meta["states_seed"]), 4, n,
-                         shape["history"])
+        states = _features(np.random.default_rng(meta["states_seed"]), 4,
+                           n, shape["history"])
         for head, out_dim in (("actor", n), ("critic", 1)):
             net = TsfenNetwork(sizes, n, out_dim, np.random.default_rng(0))
             for name, p in net.params.items():
@@ -744,7 +789,7 @@ class TestTwoThreads:
     def test_worker_and_inline_give_the_same_bytes(self, worker, out_dim):
         rng = np.random.default_rng(out_dim)
         net = TsfenNetwork(MappoSection(), 20, out_dim, rng)
-        states = _states(rng, 64, 20, 5)
+        states = _features(rng, 64, 20, 5)
         dlogits = rng.standard_normal((64, out_dim))
         runs = []
         for threaded in (True, False):
