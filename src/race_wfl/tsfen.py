@@ -625,9 +625,9 @@ class TsfenNetwork:
         return out
 
     def forward(self, states: np.ndarray, workspace: Workspace = None):
-        """``preprocess``ed states (B, M, N, F) -> logits (B, out_dim) plus
-        cache.  The caller conditions the states, once for every network
-        that reads them.
+        """States (B, M, N, F) as ``preprocess`` returns them -> logits
+        (B, out_dim) plus cache.  The caller conditions the states, once
+        for every network that reads them.
 
         With a ``workspace``, the cache refers to its buffers until the
         next forward on the same workspace; ``backward`` must come first.
